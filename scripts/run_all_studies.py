@@ -3,8 +3,9 @@
 
 Usage: python scripts/run_all_studies.py [--out DIR] [--seed N] [--jobs N]
 
-Expect roughly five to ten minutes single-process; the interaction study
-dominates.  Exit code follows the CLI convention (2 if any verdict fails).
+Expect about six minutes single-process (344 s on a 2-vCPU x86 host); the
+interaction and covariance studies take most of it.  Exit code follows the
+CLI convention (2 if any verdict fails).
 """
 
 import argparse

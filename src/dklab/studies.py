@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (DensityField, convolve_potential, empirical_field,
-                     interaction_decomposition, sobolev_norm,
-                     weighted_field_values)
+from .fields import (DensityField, convolve_potential, interaction_decomposition,
+                     sobolev_norm, weighted_field_values)
 from .particles import (ModelParams, _advance, ladder_from_thetas,
                         pairwise_force, simulate_coupled, simulate_interacting,
                         chaos_distance)
@@ -230,8 +229,7 @@ def _interaction_cell(args):
     kern = make_kernel(eps, geometry)
     rows = []
     for r in range(cfg.n_replicas):
-        lhs, r1, r2 = interaction_decomposition(q[r], kern, w, geometry)
-        rho = empirical_field(q[r], None, kern, geometry, preset="rho")
+        lhs, r1, r2, rho = interaction_decomposition(q[r], kern, w, geometry)
         conv = convolve_potential(rho, w, derivative=1)
         residue = lhs.values - conv.values * rho.values - r1.values * rho.values - r2.values
         rows.append({
@@ -246,9 +244,9 @@ def _interaction_cell(args):
 def _moment_cell(args):
     """Field moment metrics along one trajectory of the N * eps^8 = 1 ladder.
 
-    Ensembles are evolved in replica blocks and the fields are computed with
-    the binned estimator so the largest cells never materialise particle
-    paths.
+    Ensembles are evolved in replica blocks and the fields of each block are
+    estimated at the snapshot steps only, so the largest cells never
+    materialise particle paths.
     """
     cfg, n, eps, seed = args
     w = potential_from_config(cfg.potential)
@@ -273,12 +271,9 @@ def _moment_cell(args):
         for s in range(n_steps + 1):
             if s in snap_steps:
                 t_here = snap_steps[s]
-                rho_v = weighted_field_values(q, np.ones_like(q), kern, geometry,
-                                              deriv=0, method="binned")
-                j_v = weighted_field_values(q, p, kern, geometry,
-                                            deriv=0, method="binned")
-                j2_v = weighted_field_values(q, p ** 2, kern, geometry,
-                                             deriv=1, method="binned")
+                rho_v = weighted_field_values(q, np.ones_like(q), kern, geometry, deriv=0)
+                j_v = weighted_field_values(q, p, kern, geometry, deriv=0)
+                j2_v = weighted_field_values(q, p ** 2, kern, geometry, deriv=1)
                 for r in range(rows_b):
                     frho = DensityField(geometry, rho_v[r])
                     rows.append({
@@ -556,10 +551,8 @@ def _j2_cell(args):
     for si, t in enumerate(traj.times):
         q = traj.q_int[si]
         p = traj.p_int[si]
-        drho = weighted_field_values(q, np.ones_like(q), kern, geometry,
-                                     deriv=1, method="binned")
-        j2 = weighted_field_values(q, p ** 2, kern, geometry,
-                                   deriv=1, method="binned")
+        drho = weighted_field_values(q, np.ones_like(q), kern, geometry, deriv=1)
+        j2 = weighted_field_values(q, p ** 2, kern, geometry, deriv=1)
         resid = j2 - m2 * drho
         h = geometry.spacing
         rel = np.sqrt((resid ** 2).sum(axis=-1) * h) / np.sqrt((drho ** 2).sum(axis=-1) * h)

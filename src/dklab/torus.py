@@ -106,8 +106,9 @@ class TorusGeometry:
     def for_epsilon(epsilon: float, oversample: int = 0) -> "TorusGeometry":
         """Smallest admissible power-of-two grid for a kernel width.
 
-        oversample doubles the node count that many extra times; the binned
-        field estimator passes oversample=1 to keep deposition bias small.
+        oversample doubles the node count that many extra times.  The
+        mollifier study passes oversample=2, and a config's kernel block may
+        set it; the field estimator needs none.
         """
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")

@@ -16,6 +16,12 @@ def cos_field(geometry=G64):
     return DensityField(geometry, np.cos(geometry.nodes()))
 
 
+def direct_sum(q, c, kern, geometry, deriv):
+    """Oracle: the kernel evaluated at every particle/node pair."""
+    arg = geometry.nodes() - q[..., :, None]
+    return (c[..., :, None] * von_mises_eval(kern, arg, order=deriv)).sum(axis=-2) / q.shape[-1]
+
+
 class TestDensityField:
     def test_fourier_roundtrip(self):
         rng = np.random.default_rng(0)
@@ -56,9 +62,8 @@ class TestEmpiricalField:
         rng = np.random.default_rng(1)
         kern = make_kernel(0.25)
         q = rng.uniform(0, TWO_PI, 37)
-        for method in ("direct", "binned"):
-            rho = empirical_field(q, None, kern, kern.geometry, method=method)
-            assert rho.mass() == pytest.approx(1.0, abs=1e-10)
+        rho = empirical_field(q, None, kern, kern.geometry)
+        assert rho.mass() == pytest.approx(1.0, abs=1e-10)
 
     def test_presets_match_manual_sums(self):
         rng = np.random.default_rng(2)
@@ -96,20 +101,38 @@ class TestEmpiricalField:
             single = weighted_field_values(q[r], c[r], kern, kern.geometry, deriv=1)
             assert got[r] == pytest.approx(single)
 
-    def test_binned_close_to_direct(self):
+    def test_matches_direct_sum_oracle(self):
+        """Spectral sum against the pairwise oracle on equal, finer and coarser field grids.
+
+        One doubling above admissibility the only error is round-off; at the
+        edge (eps = 0.25 on 64 nodes) the kernel's tail beyond Nyquist is cut.
+        """
         rng = np.random.default_rng(5)
-        g = TorusGeometry.for_epsilon(0.2, oversample=1)
-        kern = make_kernel(0.2, g)
-        q = rng.uniform(0, TWO_PI, 4000)
-        direct = empirical_field(q, None, kern, g).values
-        binned = empirical_field(q, None, kern, g, method="binned").values
-        rel = np.linalg.norm(binned - direct) / np.linalg.norm(direct)
-        assert rel < 1e-2
+        cases = [  # (eps, kernel grid, field grid, relative tolerance)
+            (0.25, 128, 128, 1e-12), (0.5, 64, 256, 1e-12), (0.5, 128, 64, 1e-12),
+            (0.25, 64, 64, 1e-10), (0.25, 64, 256, 1e-10), (0.25, 128, 64, 1e-10),
+        ]
+        for eps, n_kern, n_field, tol in cases:
+            kern = make_kernel(eps, TorusGeometry(n_kern))
+            g = TorusGeometry(n_field)
+            for shape in ((57,), (3, 57)):
+                q = rng.uniform(0, TWO_PI, shape)
+                c = rng.normal(size=shape)
+                for deriv in (0, 1, 2):
+                    want = direct_sum(q, c, kern, g, deriv)
+                    got = weighted_field_values(q, c, kern, g, deriv=deriv)
+                    rel = np.abs(got - want).max(axis=-1) / np.abs(want).max(axis=-1)
+                    assert rel.max() <= tol, (eps, n_kern, n_field, shape, deriv, rel)
 
     def test_rejects_batch_positions(self):
         kern = make_kernel(0.3)
         with pytest.raises(ValueError):
             empirical_field(np.zeros((2, 5)), None, kern, kern.geometry)
+
+    def test_rejects_unsupported_derivative(self):
+        kern = make_kernel(0.3)
+        with pytest.raises(ValueError):
+            weighted_field_values(np.zeros(5), np.ones(5), kern, kern.geometry, deriv=3)
 
     def test_momentum_preset_needs_momenta(self):
         kern = make_kernel(0.3)
@@ -179,8 +202,8 @@ class TestInteractionDecomposition:
         kern = make_kernel(0.2)
         w = PotentialSpec.cosine_potential()
         q = rng.uniform(0, TWO_PI, 40)
-        lhs, r1, r2 = interaction_decomposition(q, kern, w)
-        rho = empirical_field(q, None, kern, kern.geometry)
+        lhs, r1, r2, rho = interaction_decomposition(q, kern, w)
+        assert np.array_equal(rho.values, empirical_field(q, None, kern, kern.geometry).values)
         conv = convolve_potential(rho, w, derivative=1)
         residue = lhs.values - conv.values * rho.values \
             - r1.values * rho.values - r2.values
@@ -190,7 +213,7 @@ class TestInteractionDecomposition:
         kern = make_kernel(0.2)
         w = PotentialSpec.cosine_potential()
         q = np.arange(32) * (TWO_PI / 32)
-        lhs, r1, r2 = interaction_decomposition(q, kern, w)
+        lhs, r1, r2, _rho = interaction_decomposition(q, kern, w)
         assert np.abs(lhs.values).max() <= 1e-12
         assert np.abs(r1.values).max() <= 1e-12
         assert np.abs(r2.values).max() <= 1e-12
@@ -199,7 +222,7 @@ class TestInteractionDecomposition:
         rng = np.random.default_rng(8)
         kern = make_kernel(0.25)
         q = rng.uniform(0, TWO_PI, 15)
-        lhs, r1, r2 = interaction_decomposition(q, kern, PotentialSpec.zero())
+        lhs, r1, r2, _rho = interaction_decomposition(q, kern, PotentialSpec.zero())
         assert np.abs(lhs.values).max() == 0.0
         assert np.abs(r1.values).max() == 0.0
         assert np.abs(r2.values).max() == 0.0
