@@ -218,3 +218,17 @@ class TestArtifacts:
         assert "h1_norm" in header and "min_rho" in header
         assert report["details"]["status"]["stopped"] is False
         assert report["details"]["final_mass"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_spde_raw_csv_is_pinned(self, tmp_path):
+        # a run that reaches the norm cap at t = 0.041 and stays frozen
+        cfg = write_config(tmp_path, {
+            "seed": 0,
+            "spde": {"n_grid": 128, "epsilon": 0.2, "n_particles": 25,
+                     "dt": 1e-3, "t_horizon": 0.05, "k_norm": 0.45, "c2": 0.43}})
+        out = tmp_path / "runs"
+        assert main(["spde", "--config", cfg, "--out", str(out)]) == 0
+        raw, report, _resolved = read_artifacts(out, "spde")
+        assert report["details"]["status"] == {"stopped": True, "reason": "norm_cap",
+                                               "time": pytest.approx(0.041)}
+        assert hashlib.sha256(raw).hexdigest() == (
+            "0248e015e02bfad54801b4f54ade19d3b82fa1b5fc5d648a20ab04967cf213a6")

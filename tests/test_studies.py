@@ -1,17 +1,21 @@
 """Study harness: config plumbing, degenerate controls, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from dklab.cli import rows_to_csv
 from dklab.potential import PotentialSpec
 from dklab.ratefit import PowerLawFit, fit_loglog, halving_factors
 from dklab.studies import (STUDY_NAMES, STUDY_REGISTRY, ChaosStudyConfig,
                            CovarianceStudyConfig, EvolutionIdentityConfig,
-                           J2ClosureConfig, MollifierConfig, _child_seeds,
-                           config_from_dict, potential_from_config,
-                           run_chaos_study, run_covariance_study,
-                           run_evolution_identity_check, run_j2_closure_study,
-                           run_mollifier_study, slope_within)
+                           J2ClosureConfig, MollifierConfig, SmallNoiseConfig,
+                           _child_seeds, config_from_dict,
+                           potential_from_config, run_chaos_study,
+                           run_covariance_study, run_evolution_identity_check,
+                           run_j2_closure_study, run_mollifier_study,
+                           run_small_noise_study, slope_within)
 
 
 class TestPlumbing:
@@ -104,6 +108,21 @@ class TestChaosStudy:
         serial = run_chaos_study(cfg, seed=5, jobs=1)
         parallel = run_chaos_study(cfg, seed=5, jobs=4)
         assert serial.raw_table == parallel.raw_table
+
+
+# One replica of the N = 40 cell reaches the norm cap k_norm = 0.45 and
+# freezes while the others run on, and the sigma-halving rows are included.
+SMALL_NOISE_GOLDEN = SmallNoiseConfig(n_ladder=(40.0, 100.0, 1e4), n_replicas=4,
+                                      t_horizon=0.05, k_norm=0.45, c2=0.43)
+SMALL_NOISE_GOLDEN_SHA256 = "e3d4616fec7ad9afc2cfd7ce138730b89b90143ec96719f33de884d5ced3c4f0"
+
+
+class TestSmallNoiseStudy:
+    def test_raw_csv_is_pinned(self):
+        report = run_small_noise_study(SMALL_NOISE_GOLDEN, seed=0)
+        assert [r["stopped"] for r in report.raw_table].count(1) == 1
+        raw = rows_to_csv(report.raw_table)
+        assert hashlib.sha256(raw).hexdigest() == SMALL_NOISE_GOLDEN_SHA256
 
 
 class TestCovarianceStudy:
