@@ -174,6 +174,26 @@ def empirical_field(q, p, kern: KernelParams, geometry: TorusGeometry | None = N
     return DensityField(geometry, values)
 
 
+def sobolev_norms(coeffs: np.ndarray, k: int = 0) -> np.ndarray:
+    """H^k norm of every row of rfft-layout coefficients of shape (..., n_modes).
+
+    Parseval with Fourier weights (1 + m^2)^k, the m = 0 term included.  The
+    weighted squares are summed one row at a time, so each row's norm has the
+    same bits as a 1-D call on that row, whatever the batch shape.
+    """
+    c = np.asarray(coeffs)
+    n_modes = c.shape[-1]
+    m = np.arange(n_modes)
+    weights = (1.0 + m.astype(float) ** 2) ** k
+    # negative-frequency twins: double every mode except DC and Nyquist
+    mult = np.full(n_modes, 2.0)
+    mult[0] = 1.0
+    mult[-1] = 1.0
+    terms = weights * mult * np.abs(c) ** 2
+    sums = np.array([np.add.reduce(row) for row in terms.reshape(-1, n_modes)])
+    return np.sqrt(TWO_PI * sums).reshape(c.shape[:-1])
+
+
 def sobolev_norm(field: DensityField, k: int = 0, p: float = 2.0) -> float:
     """Sobolev or Lebesgue norm of a grid field.
 
@@ -183,14 +203,7 @@ def sobolev_norm(field: DensityField, k: int = 0, p: float = 2.0) -> float:
     be 0 in those cases.
     """
     if p == 2.0:
-        c = field.fourier
-        m = np.arange(field.geometry.n_modes)
-        weights = (1.0 + m.astype(float) ** 2) ** k
-        # negative-frequency twins: double every mode except DC and Nyquist
-        mult = np.full(field.geometry.n_modes, 2.0)
-        mult[0] = 1.0
-        mult[-1] = 1.0
-        return float(np.sqrt(TWO_PI * (weights * mult * np.abs(c) ** 2).sum()))
+        return float(sobolev_norms(field.fourier, k))
     if k != 0:
         raise ValueError("derivative index k is only meaningful for p = 2")
     if np.isinf(p):

@@ -24,17 +24,30 @@ the total mass coefficient is carried through every step bit for bit.
 
 The solver freezes once the H1 x H1 norm reaches k_norm or the minimum of
 rho reaches the floor delta; the stopping status records which guard fired.
+
+There is one time loop, `solve_replicas`, and it steps R replicas of one
+config together.  States carry coefficient arrays of shape (..., n_modes),
+so every per-mode operation and FFT runs along the last axis of an
+(R, n_modes) batch.  A per-replica freeze mask applies the stopping rules:
+a frozen row keeps its coefficients, draws no further noise and is no longer
+stepped, so only the active rows are checked for finiteness.  Each step
+takes one irfft of rho; its grid values serve the density-floor check after
+the step and then the next step's drift and h_delta, while the H1 x H1 norm
+comes from the coefficients by Parseval.  Row r draws its increments from
+its own Generator seeded with seeds[r] and has the bits of a single run with
+that seed.  `solve_spde` is the R = 1 caller that records snapshots.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .fields import DensityField, convolve_potential, sobolev_norm
+from .fields import DensityField, convolve_potential, sobolev_norms
 from .potential import PotentialSpec
 from .torus import TWO_PI, TorusGeometry, make_kernel
 
@@ -48,7 +61,11 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class SpectralState:
-    """rfft-layout coefficients of (rho, j) plus the clock."""
+    """rfft-layout coefficients of (rho, j) plus the clock.
+
+    rho_hat and j_hat have shape (..., n_modes): one state, or a batch of
+    replicas stacked along the leading axes, all at time t.
+    """
 
     geometry: TorusGeometry
     rho_hat: np.ndarray
@@ -58,10 +75,10 @@ class SpectralState:
     def __post_init__(self):
         self.rho_hat = np.asarray(self.rho_hat, dtype=complex)
         self.j_hat = np.asarray(self.j_hat, dtype=complex)
-        if self.rho_hat.shape != (self.geometry.n_modes,):
+        if self.rho_hat.shape[-1:] != (self.geometry.n_modes,):
             raise ValueError("rho_hat has the wrong mode count")
-        if self.j_hat.shape != (self.geometry.n_modes,):
-            raise ValueError("j_hat has the wrong mode count")
+        if self.j_hat.shape != self.rho_hat.shape:
+            raise ValueError("j_hat does not match the shape of rho_hat")
 
     @classmethod
     def from_values(cls, geometry: TorusGeometry, rho_values, j_values, t: float = 0.0,
@@ -70,27 +87,27 @@ class SpectralState:
         rho_hat = np.fft.rfft(np.asarray(rho_values, dtype=float)) / n
         j_hat = np.fft.rfft(np.asarray(j_values, dtype=float)) / n
         if band is not None:
-            rho_hat[band + 1:] = 0.0
-            j_hat[band + 1:] = 0.0
+            rho_hat[..., band + 1:] = 0.0
+            j_hat[..., band + 1:] = 0.0
         return cls(geometry, rho_hat, j_hat, t)
 
-    def rho_field(self) -> DensityField:
-        return DensityField.from_fourier(self.geometry, self.rho_hat)
+    def rho_values(self) -> np.ndarray:
+        n = self.geometry.n_grid
+        return np.fft.irfft(self.rho_hat * n, n=n)
 
-    def j_field(self) -> DensityField:
-        return DensityField.from_fourier(self.geometry, self.j_hat)
+    def j_values(self) -> np.ndarray:
+        n = self.geometry.n_grid
+        return np.fft.irfft(self.j_hat * n, n=n)
 
-    def copy(self) -> "SpectralState":
-        return SpectralState(self.geometry, self.rho_hat.copy(), self.j_hat.copy(), self.t)
+    def norm_h1(self):
+        """sqrt(|rho|_{H1}^2 + |j|_{H1}^2) by Parseval; an array for a batch."""
+        norm = np.hypot(sobolev_norms(self.rho_hat, k=1), sobolev_norms(self.j_hat, k=1))
+        return float(norm) if norm.ndim == 0 else norm
 
-    def norm_h1(self) -> float:
-        """sqrt(|rho|_{H1}^2 + |j|_{H1}^2)."""
-        a = sobolev_norm(self.rho_field(), k=1)
-        b = sobolev_norm(self.j_field(), k=1)
-        return float(np.hypot(a, b))
-
-    def min_rho(self) -> float:
-        return float(self.rho_field().values.min())
+    def min_rho(self):
+        """Grid minimum of rho; an array for a batch."""
+        low = self.rho_values().min(axis=-1)
+        return float(low) if low.ndim == 0 else low
 
 
 def total_mass(state: SpectralState) -> float:
@@ -271,6 +288,35 @@ def h_delta(r: np.ndarray, delta: float) -> np.ndarray:
     return np.where(r >= delta, np.sqrt(np.maximum(r, delta)), inner)
 
 
+def _q_wiener_scales(lam: np.ndarray, geometry: TorusGeometry, dt: float,
+                     band: int) -> tuple[float, np.ndarray]:
+    """Standard deviations of the DC coefficient and of modes 1..band."""
+    if band >= geometry.n_modes:
+        raise ValueError("band exceeds the grid's mode count")
+    lam = np.asarray(lam, dtype=float)[: band + 1]
+    if lam.min() < 0:
+        raise ValueError("covariance eigenvalues must be nonnegative")
+    return math.sqrt(lam[0] * dt / TWO_PI), np.sqrt(lam[1:] * dt / (2.0 * TWO_PI))
+
+
+def _q_wiener_coeffs(rngs: Sequence[np.random.Generator], scales: tuple[float, np.ndarray],
+                     n_modes: int) -> np.ndarray:
+    """rfft coefficients of one increment per generator, shape (len(rngs), n_modes).
+
+    Each generator draws, in this order, the DC normal and then the real and
+    the imaginary parts of modes 1..band.
+    """
+    dc, band_scale = scales
+    band = band_scale.size
+    z = np.empty((len(rngs), 2 * band + 1))
+    for row, rng in zip(z, rngs):
+        rng.standard_normal(out=row)
+    coeffs = np.zeros((len(rngs), n_modes), dtype=complex)
+    coeffs[:, 0] = dc * z[:, 0]
+    coeffs[:, 1: band + 1] = band_scale * (z[:, 1: band + 1] + 1j * z[:, band + 1:])
+    return coeffs
+
+
 def q_wiener_increment(rng: np.random.Generator, lam: np.ndarray,
                        geometry: TorusGeometry, dt: float, band: int) -> np.ndarray:
     """Grid values of one Q-Wiener increment with covariance kernel dt * w.
@@ -279,52 +325,55 @@ def q_wiener_increment(rng: np.random.Generator, lam: np.ndarray,
     `band` are dropped.  The synthesised field satisfies
     E[dW(x) dW(y)] = dt * sum_{|k| <= band} lam_k e^{i k (x - y)} / (2 pi).
     """
-    if band >= geometry.n_modes:
-        raise ValueError("band exceeds the grid's mode count")
-    lam = np.asarray(lam, dtype=float)[: band + 1]
-    if lam.min() < 0:
-        raise ValueError("covariance eigenvalues must be nonnegative")
-    coeffs = np.zeros(geometry.n_modes, dtype=complex)
-    coeffs[0] = math.sqrt(lam[0] * dt / TWO_PI) * rng.standard_normal()
-    g = rng.standard_normal(band) + 1j * rng.standard_normal(band)
-    coeffs[1: band + 1] = np.sqrt(lam[1:] * dt / (2.0 * TWO_PI)) * g
+    scales = _q_wiener_scales(lam, geometry, dt, band)
+    coeffs = _q_wiener_coeffs([rng], scales, geometry.n_modes)[0]
     return np.fft.irfft(coeffs * geometry.n_grid, n=geometry.n_grid)
 
 
-def nonlinear_drift(state: SpectralState, w: PotentialSpec, band: int) -> np.ndarray:
-    """Coefficients of the momentum drift -(W' * rho) rho, dealiased."""
+def nonlinear_drift(state: SpectralState, w: PotentialSpec, band: int,
+                    rho_values: np.ndarray | None = None) -> np.ndarray:
+    """Coefficients of the momentum drift -(W' * rho) rho, dealiased.
+
+    rho_values, when given, must be state.rho_values(); the time loop passes
+    the irfft it already took.
+    """
     n = state.geometry.n_grid
     if w.is_zero:
-        return np.zeros(state.geometry.n_modes, dtype=complex)
+        return np.zeros(state.rho_hat.shape, dtype=complex)
     kmax = min(w.k_max, state.geometry.n_modes - 1)
-    conv_hat = np.zeros(state.geometry.n_modes, dtype=complex)
-    conv_hat[: kmax + 1] = (state.rho_hat[: kmax + 1]
-                            * w.conv_multiplier(kmax + 1, derivative=1))
+    conv_hat = np.zeros(state.rho_hat.shape, dtype=complex)
+    conv_hat[..., : kmax + 1] = (state.rho_hat[..., : kmax + 1]
+                                 * w.conv_multiplier(kmax + 1, derivative=1))
     conv_vals = np.fft.irfft(conv_hat * n, n=n)
-    rho_vals = np.fft.irfft(state.rho_hat * n, n=n)
-    drift_hat = np.fft.rfft(-conv_vals * rho_vals) / n
-    drift_hat[band + 1:] = 0.0
+    if rho_values is None:
+        rho_values = state.rho_values()
+    drift_hat = np.fft.rfft(-conv_vals * rho_values) / n
+    drift_hat[..., band + 1:] = 0.0
     return drift_hat
 
 
 def step_mild(state: SpectralState, cfg: SpdeConfig, bank: PropagatorBank,
-              w: PotentialSpec, dw_values: np.ndarray | None) -> SpectralState:
+              w: PotentialSpec, dw_values: np.ndarray | None,
+              rho_values: np.ndarray | None = None) -> SpectralState:
     """One exponential Euler-Maruyama step; dw_values None means no noise.
 
+    Works on every row of a batch; dw_values holds one increment per row or
+    one shared by all.  rho_values, when given, must be state.rho_values().
     The drift and noise act on the momentum component only, so the
     pre-propagator density coefficients are literally state.rho_hat, and the
-    pinned mass row keeps rho_hat[0] unchanged to the last bit.
+    pinned mass row keeps rho_hat[..., 0] unchanged to the last bit.
     """
     n = state.geometry.n_grid
     band = cfg.dealias_band
-    drift = nonlinear_drift(state, w, band)
+    if rho_values is None:
+        rho_values = state.rho_values()
+    drift = nonlinear_drift(state, w, band, rho_values)
     pre_rho = state.rho_hat
     pre_j = state.j_hat + bank.dt * drift
     if dw_values is not None:
-        rho_vals = np.fft.irfft(state.rho_hat * n, n=n)
-        forcing = cfg.noise_amplitude * h_delta(rho_vals, cfg.delta) * dw_values
+        forcing = cfg.noise_amplitude * h_delta(rho_values, cfg.delta) * dw_values
         forcing_hat = np.fft.rfft(forcing) / n
-        forcing_hat[band + 1:] = 0.0
+        forcing_hat[..., band + 1:] = 0.0
         pre_j = pre_j + forcing_hat
     new_rho = bank.m00 * pre_rho + bank.m01 * pre_j
     new_j = bank.m10 * pre_rho + bank.m11 * pre_j
@@ -377,81 +426,150 @@ def initial_state(cfg: SpdeConfig, rho0=None, j0=None) -> SpectralState:
     return state
 
 
-def solve_spde(cfg: SpdeConfig, w: PotentialSpec, *, seed: int | None = None,
-               snapshot_times=None, rho0=None, j0=None,
-               noise_increments: np.ndarray | None = None) -> SpdeTrajectory:
-    """Integrate over [0, t_horizon], freezing the state if a guard trips.
-
-    noise_increments, when given, must hold pre-generated Q-Wiener values of
-    shape (n_steps, n_grid), which makes runs with shared noise at different
-    resolutions possible; otherwise increments are drawn from `seed`.
-    Snapshots requested after a stop repeat the frozen state.
-    """
+def _step_count(cfg: SpdeConfig) -> int:
     n_steps = int(round(cfg.t_horizon / cfg.dt))
     if abs(n_steps * cfg.dt - cfg.t_horizon) > 1e-9 * max(1.0, cfg.t_horizon):
         raise ValueError("t_horizon must be an integer multiple of dt")
-    geometry = cfg.geometry
-    state = initial_state(cfg, rho0, j0)
-    bank = build_propagator_bank(geometry, cfg.gamma, cfg.csq, cfg.dt)
+    return n_steps
 
-    if snapshot_times is None:
-        snapshot_times = [0.0, cfg.t_horizon]
-    snap_times = np.asarray(sorted(snapshot_times), dtype=float)
-    snap_steps = [int(round(t / cfg.dt)) for t in snap_times]
-    for t, s in zip(snap_times, snap_steps):
-        if abs(s * cfg.dt - t) > 1e-9 * max(1.0, abs(t)) or s > n_steps:
-            raise ValueError(f"snapshot time {t} is not a step multiple within the horizon")
+
+@dataclass
+class ReplicaRun:
+    """Per-step monitors of replicas stepped together, one column per replica."""
+
+    step_times: np.ndarray     # (n_steps + 1,)
+    norm_path: np.ndarray      # (n_steps + 1, R) H1 x H1 norms
+    min_rho_path: np.ndarray   # (n_steps + 1, R)
+    status: list[StoppingStatus]
+    final: SpectralState       # (R, n_modes); frozen rows hold their stopped state
+
+
+def solve_replicas(cfg: SpdeConfig, w: PotentialSpec, seeds: Sequence[int | None], *,
+                   rho0=None, j0=None, noise_increments: np.ndarray | None = None,
+                   observe: Callable[[int, SpectralState, np.ndarray], None] | None = None
+                   ) -> ReplicaRun:
+    """Integrate R = len(seeds) replicas over [0, t_horizon], freezing each
+    replica whose guard trips.
+
+    Row r draws its Q-Wiener increments from a Generator seeded with seeds[r].
+    noise_increments, when given, must hold pre-generated Q-Wiener values of
+    shape (n_steps, n_grid), shared by every row; this makes runs with shared
+    noise at different resolutions possible.  observe(s, state, rho_values),
+    when given, is called at step 0 and after every step s with the whole
+    (R, n_modes) state and its (R, n_grid) rho grid values; both are only
+    valid during the call.
+    """
+    n_steps = _step_count(cfg)
+    geometry = cfg.geometry
+    n = geometry.n_grid
+    n_rows = len(seeds)
+    start = initial_state(cfg, rho0, j0)
+    state = SpectralState(geometry, np.tile(start.rho_hat, (n_rows, 1)),
+                          np.tile(start.j_hat, (n_rows, 1)))
+    bank = build_propagator_bank(geometry, cfg.gamma, cfg.csq, cfg.dt)
 
     noisy = cfg.noise_amplitude > 0.0
     if noise_increments is not None:
         noise_increments = np.asarray(noise_increments, dtype=float)
-        if noise_increments.shape != (n_steps, geometry.n_grid):
+        if noise_increments.shape != (n_steps, n):
             raise ValueError("noise_increments has the wrong shape")
-    rng = np.random.default_rng(np.random.SeedSequence(seed)) if noisy else None
-    lam = None
-    if noisy and noise_increments is None:
-        kern = make_kernel(math.sqrt(2.0) * cfg.epsilon, geometry)
-        lam = kern.fourier_coeffs
+    draw = noisy and noise_increments is None
+    if draw:
+        rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
+        lam = make_kernel(math.sqrt(2.0) * cfg.epsilon, geometry).fourier_coeffs
+        scales = _q_wiener_scales(lam, geometry, cfg.dt, cfg.dealias_band)
 
-    rho_snap = np.zeros((len(snap_steps), geometry.n_grid))
-    j_snap = np.zeros_like(rho_snap)
-    norm_path = np.zeros(n_steps + 1)
-    min_path = np.zeros(n_steps + 1)
-    step_times = cfg.dt * np.arange(n_steps + 1)
-
-    status = StoppingStatus()
-    norm_path[0] = state.norm_h1()
-    min_path[0] = state.min_rho()
-    for idx, target in enumerate(snap_steps):
-        if target == 0:
-            rho_snap[idx] = state.rho_field().values
-            j_snap[idx] = state.j_field().values
+    rho_values = state.rho_values()
+    norms = state.norm_h1()
+    lows = rho_values.min(axis=-1)
+    norm_path = np.empty((n_steps + 1, n_rows))
+    min_path = np.empty((n_steps + 1, n_rows))
+    norm_path[0] = norms
+    min_path[0] = lows
+    status = [StoppingStatus()] * n_rows
+    active = np.ones(n_rows, dtype=bool)
+    if observe is not None:
+        observe(0, state, rho_values)
 
     for s in range(n_steps):
-        if not status.stopped:
-            if noisy:
-                if noise_increments is not None:
-                    dw = noise_increments[s]
-                else:
-                    dw = q_wiener_increment(rng, lam, geometry, cfg.dt, cfg.dealias_band)
+        t = state.t + bank.dt
+        rows = np.flatnonzero(active)
+        whole = rows.size == n_rows
+        if rows.size:
+            sub = state if whole else SpectralState(
+                geometry, state.rho_hat[rows], state.j_hat[rows], state.t)
+            dw = None
+            if draw:
+                coeffs = _q_wiener_coeffs([rngs[r] for r in rows], scales, geometry.n_modes)
+                dw = np.fft.irfft(coeffs * n, n=n)
+            elif noisy:
+                dw = noise_increments[s]
+            new = step_mild(sub, cfg, bank, w, dw,
+                            rho_values=rho_values if whole else rho_values[rows])
+            new_values = new.rho_values()
+            new_norms = new.norm_h1()
+            new_lows = new_values.min(axis=-1)
+            if whole:
+                state, rho_values, norms, lows = new, new_values, new_norms, new_lows
             else:
-                dw = None
-            state = step_mild(state, cfg, bank, w, dw)
-            if state.norm_h1() >= cfg.k_norm:
-                status = StoppingStatus(True, "norm_cap", state.t)
-            elif state.min_rho() <= cfg.delta:
-                status = StoppingStatus(True, "density_floor", state.t)
-        norm_path[s + 1] = state.norm_h1()
-        min_path[s + 1] = state.min_rho()
-        for idx, target in enumerate(snap_steps):
-            if target == s + 1:
-                rho_snap[idx] = state.rho_field().values
-                j_snap[idx] = state.j_field().values
+                state.rho_hat[rows] = new.rho_hat
+                state.j_hat[rows] = new.j_hat
+                rho_values[rows] = new_values
+                norms[rows] = new_norms
+                lows[rows] = new_lows
+            capped = new_norms >= cfg.k_norm
+            floored = new_lows <= cfg.delta
+            for i in np.flatnonzero(capped | floored):
+                reason = "norm_cap" if capped[i] else "density_floor"
+                status[rows[i]] = StoppingStatus(True, reason, t)
+                active[rows[i]] = False
+        state.t = t
+        norm_path[s + 1] = norms
+        min_path[s + 1] = lows
+        if observe is not None:
+            observe(s + 1, state, rho_values)
 
+    return ReplicaRun(step_times=cfg.dt * np.arange(n_steps + 1), norm_path=norm_path,
+                      min_rho_path=min_path, status=status, final=state)
+
+
+def solve_spde(cfg: SpdeConfig, w: PotentialSpec, *, seed: int | None = None,
+               snapshot_times=None, rho0=None, j0=None,
+               noise_increments: np.ndarray | None = None) -> SpdeTrajectory:
+    """Integrate one run over [0, t_horizon], freezing the state if a guard trips.
+
+    The R = 1 caller of `solve_replicas`, which describes seed and
+    noise_increments.  Snapshots requested after a stop repeat the frozen
+    state.
+    """
+    n_steps = _step_count(cfg)
+    if snapshot_times is None:
+        snapshot_times = [0.0, cfg.t_horizon]
+    snap_times = np.asarray(sorted(snapshot_times), dtype=float)
+    snap_at: dict[int, list[int]] = {}
+    for idx, t in enumerate(snap_times):
+        step = int(round(t / cfg.dt))
+        if abs(step * cfg.dt - t) > 1e-9 * max(1.0, abs(t)) or step > n_steps:
+            raise ValueError(f"snapshot time {t} is not a step multiple within the horizon")
+        snap_at.setdefault(step, []).append(idx)
+
+    rho_snap = np.zeros((len(snap_times), cfg.n_grid))
+    j_snap = np.zeros_like(rho_snap)
+
+    def record(step: int, state: SpectralState, rho_values: np.ndarray) -> None:
+        for idx in snap_at.get(step, ()):
+            rho_snap[idx] = rho_values[0]
+            j_snap[idx] = state.j_values()[0]
+
+    run = solve_replicas(cfg, w, [seed], rho0=rho0, j0=j0,
+                         noise_increments=noise_increments, observe=record)
+    status = run.status[0]
+    final = SpectralState(cfg.geometry, run.final.rho_hat[0], run.final.j_hat[0],
+                          status.time if status.stopped else run.final.t)
     return SpdeTrajectory(times=snap_times, rho=rho_snap, j=j_snap,
-                          step_times=step_times, norm_path=norm_path,
-                          min_rho_path=min_path, status=status, config=cfg,
-                          seed=seed, final=state)
+                          step_times=run.step_times, norm_path=run.norm_path[:, 0],
+                          min_rho_path=run.min_rho_path[:, 0], status=status,
+                          config=cfg, seed=seed, final=final)
 
 
 def solve_noise_free(cfg: SpdeConfig, w: PotentialSpec, *, snapshot_times=None,

@@ -23,13 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (DensityField, convolve_potential, interaction_decomposition,
-                     sobolev_norm, weighted_field_values)
+                     sobolev_norm, sobolev_norms, weighted_field_values)
 from .particles import (ModelParams, _advance, ladder_from_thetas,
                         pairwise_force, simulate_coupled, simulate_interacting,
                         chaos_distance)
 from .potential import PotentialSpec
 from .ratefit import PowerLawFit, fit_loglog
-from .spde import SpdeConfig, solve_noise_free, solve_spde
+from .spde import SpdeConfig, solve_noise_free, solve_replicas
 from .torus import TWO_PI, TorusGeometry, make_kernel, von_mises_eval, wrap_centered
 
 STUDY_NAMES = ("chaos", "interaction", "covariance", "j2_closure",
@@ -615,29 +615,49 @@ class SmallNoiseConfig:
                           k_norm=self.k_norm, c2=self.c2)
 
 
-def _sup_deviation(traj, ref) -> float:
-    geometry = traj.config.geometry
-    worst = 0.0
-    for s in range(traj.rho.shape[0]):
-        dr = DensityField(geometry, traj.rho[s] - ref.rho[s])
-        dj = DensityField(geometry, traj.j[s] - ref.j[s])
-        worst = max(worst, math.hypot(sobolev_norm(dr, k=1), sobolev_norm(dj, k=1)))
-    return worst
+def _sup_deviation(spde_cfg: SpdeConfig, w, seeds, ref) -> tuple[np.ndarray, list]:
+    """max over steps of |X - X_ref|_{H1 x H1} for replicas run from `seeds`.
+
+    The replicas step together; after every step their grid values are
+    compared with the noise-free run `ref`, which holds a snapshot at every
+    step, and only the running maximum is kept.  Also returns the replicas'
+    stopping statuses.
+    """
+    n = spde_cfg.n_grid
+    worst = np.zeros(len(seeds))
+
+    def accumulate(step, state, rho_values):
+        d_rho = sobolev_norms(np.fft.rfft(rho_values - ref.rho[step]) / n, k=1)
+        d_j = sobolev_norms(np.fft.rfft(state.j_values() - ref.j[step]) / n, k=1)
+        for r, (a, b) in enumerate(zip(d_rho, d_j)):
+            worst[r] = max(worst[r], math.hypot(a, b))
+
+    run = solve_replicas(spde_cfg, w, seeds, observe=accumulate)
+    return worst, run.status
 
 
-def _small_noise_ladder(cfg: SmallNoiseConfig, w, sigma: float, seeds) -> list[dict]:
+def _small_noise_cell(args):
+    return _sup_deviation(*args)
+
+
+def _small_noise_ladder(cfg: SmallNoiseConfig, w, sigma: float, n_ladder, seeds,
+                        jobs: int = 1) -> list[dict]:
+    """Rows of every (sigma, N) cell of one ladder, replicas in seed order.
+
+    The noise-free reference is solved once here and handed to each cell.
+    """
     snap = np.round(np.arange(0.0, cfg.t_horizon + cfg.dt / 2, cfg.dt), 12)
     ref, _report = solve_noise_free(cfg.spde_config(math.inf, sigma), w,
                                     snapshot_times=snap)
+    reps = cfg.n_replicas
+    cells = [(cfg.spde_config(float(n_part), sigma), w,
+              seeds[n_idx * reps:(n_idx + 1) * reps], ref)
+             for n_idx, n_part in enumerate(n_ladder)]
     rows = []
-    for n_idx, n_part in enumerate(cfg.n_ladder):
-        for r in range(cfg.n_replicas):
-            run_seed = seeds[n_idx * cfg.n_replicas + r]
-            traj = solve_spde(cfg.spde_config(float(n_part), sigma), w,
-                              seed=run_seed, snapshot_times=snap)
-            rows.append({"sigma": sigma, "n_particles": float(n_part), "replica": r,
-                         "sup_deviation": _sup_deviation(traj, ref),
-                         "stopped": int(traj.status.stopped)})
+    for n_part, (worst, status) in zip(n_ladder, _map_ordered(_small_noise_cell, cells, jobs)):
+        rows += [{"sigma": sigma, "n_particles": float(n_part), "replica": r,
+                  "sup_deviation": float(worst[r]), "stopped": int(st.stopped)}
+                 for r, st in enumerate(status)]
     return rows
 
 
@@ -647,7 +667,7 @@ def run_small_noise_study(cfg: SmallNoiseConfig, seed: int | None = None,
     w = potential_from_config(cfg.potential)
     n_primary = len(cfg.n_ladder) * cfg.n_replicas
     seeds = _child_seeds(seed, n_primary + cfg.n_replicas)
-    rows = _small_noise_ladder(cfg, w, cfg.sigma, seeds[:n_primary])
+    rows = _small_noise_ladder(cfg, w, cfg.sigma, cfg.n_ladder, seeds[:n_primary], jobs)
 
     checks: dict = {}
     details: dict = {}
@@ -664,18 +684,8 @@ def run_small_noise_study(cfg: SmallNoiseConfig, seed: int | None = None,
     checks["no_stop_at_largest"] = stops[-1] >= 0.95
 
     if cfg.check_sigma_halving and cfg.sigma > 0:
-        n_big = float(cfg.n_ladder[-1])
-        half_rows = []
-        snap = np.round(np.arange(0.0, cfg.t_horizon + cfg.dt / 2, cfg.dt), 12)
-        ref_half, _ = solve_noise_free(cfg.spde_config(math.inf, cfg.sigma / 2), w,
-                                       snapshot_times=snap)
-        for r in range(cfg.n_replicas):
-            traj = solve_spde(cfg.spde_config(n_big, cfg.sigma / 2), w,
-                              seed=seeds[n_primary + r], snapshot_times=snap)
-            half_rows.append({"sigma": cfg.sigma / 2, "n_particles": n_big,
-                              "replica": r,
-                              "sup_deviation": _sup_deviation(traj, ref_half),
-                              "stopped": int(traj.status.stopped)})
+        half_rows = _small_noise_ladder(cfg, w, cfg.sigma / 2, [cfg.n_ladder[-1]],
+                                        seeds[n_primary:], jobs)
         rows += half_rows
         err_half = float(np.mean([r["sup_deviation"] for r in half_rows]))
         factor = errs[-1] / err_half if err_half > 0 else math.inf

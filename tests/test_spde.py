@@ -11,7 +11,8 @@ from dklab.spde import (DivergenceError, SpdeConfig, SpectralState,
                         build_propagator_bank, convolution_bound_check,
                         default_datum, h_delta, initial_state,
                         linear_propagator, mode_energy, q_wiener_increment,
-                        solve_noise_free, solve_spde, step_mild, total_mass)
+                        solve_noise_free, solve_replicas, solve_spde,
+                        step_mild, total_mass)
 from dklab.torus import TWO_PI, ResolutionError, TorusGeometry, make_kernel
 
 W_COS = PotentialSpec.cosine_potential()
@@ -275,6 +276,88 @@ class TestStopping:
         assert report.satisfied
         assert report.density_margin > 0
         assert report.norm_margin > 0
+
+
+def serial_reference(cfg, w, seed):
+    """One replica stepped alone with 1-D states, as the solver did before
+    replicas were batched: norm path, min-rho path, stop and final state."""
+    state = initial_state(cfg)
+    bank = build_propagator_bank(cfg.geometry, cfg.gamma, cfg.csq, cfg.dt)
+    lam = make_kernel(math.sqrt(2.0) * cfg.epsilon, cfg.geometry).fourier_coeffs
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    norms, lows, stop = [state.norm_h1()], [state.min_rho()], (False, None, None)
+    for _ in range(int(round(cfg.t_horizon / cfg.dt))):
+        if not stop[0]:
+            dw = q_wiener_increment(rng, lam, cfg.geometry, cfg.dt, cfg.dealias_band)
+            state = step_mild(state, cfg, bank, w, dw)
+            if state.norm_h1() >= cfg.k_norm:
+                stop = (True, "norm_cap", state.t)
+            elif state.min_rho() <= cfg.delta:
+                stop = (True, "density_floor", state.t)
+        norms.append(state.norm_h1())
+        lows.append(state.min_rho())
+    return np.array(norms), np.array(lows), stop, state
+
+
+# the TestStopping configs over horizons where seeds 0-7 mix stopped and running rows
+MIXED_STOPS = [dict(n_particles=25.0, k_norm=0.45, c2=0.43, t_horizon=0.04),
+               dict(n_particles=9.0, delta=0.1, c1=0.105, t_horizon=0.1)]
+
+
+class TestReplicaBatch:
+    @pytest.mark.parametrize("kw", MIXED_STOPS)
+    def test_rows_equal_their_single_runs(self, kw):
+        cfg = small_cfg(**kw)
+        seeds = list(range(8))
+        batch = solve_replicas(cfg, W_COS, seeds)
+        stopped = [st.stopped for st in batch.status]
+        assert any(stopped) and not all(stopped)
+        for r, seed in enumerate(seeds):
+            single = solve_spde(cfg, W_COS, seed=seed)
+            norms, lows, stop, final = serial_reference(cfg, W_COS, seed)
+            st = batch.status[r]
+            assert st == single.status
+            assert (st.stopped, st.reason, st.time) == stop
+            for path in (batch.norm_path[:, r], single.norm_path):
+                assert np.array_equal(path, norms)
+            for path in (batch.min_rho_path[:, r], single.min_rho_path):
+                assert np.array_equal(path, lows)
+            for got in (batch.final.rho_hat[r], single.final.rho_hat):
+                assert np.array_equal(got, final.rho_hat)
+            for got in (batch.final.j_hat[r], single.final.j_hat):
+                assert np.array_equal(got, final.j_hat)
+            assert single.final.t == final.t
+
+    def test_frozen_rows_are_never_stepped(self):
+        # Poison every row once it stops: stepping or finiteness-checking a
+        # frozen row would raise DivergenceError or change the active rows.
+        cfg = small_cfg(**MIXED_STOPS[0])
+        seeds = list(range(8))
+        clean = solve_replicas(cfg, W_COS, seeds)
+
+        def poison(step, state, rho_values):
+            frozen = state.norm_h1() >= cfg.k_norm
+            state.rho_hat[frozen] = np.nan
+            state.j_hat[frozen] = np.nan
+
+        poisoned = solve_replicas(cfg, W_COS, seeds, observe=poison)
+        assert poisoned.status == clean.status
+        assert np.array_equal(poisoned.norm_path, clean.norm_path)
+        assert np.array_equal(poisoned.min_rho_path, clean.min_rho_path)
+        for r, st in enumerate(clean.status):
+            assert np.isnan(poisoned.final.rho_hat[r]).all() == st.stopped
+            if not st.stopped:
+                assert np.array_equal(poisoned.final.j_hat[r], clean.final.j_hat[r])
+
+    def test_active_rows_are_checked(self):
+        cfg = small_cfg(n_particles=math.inf)
+
+        def poison(step, state, rho_values):
+            if step == 3:
+                state.j_hat[1, 2] = np.inf
+
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
+            solve_replicas(cfg, W_COS, [None, None, None], observe=poison)
 
 
 class TestSharedNoiseRefinement:

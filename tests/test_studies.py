@@ -124,6 +124,11 @@ class TestSmallNoiseStudy:
         raw = rows_to_csv(report.raw_table)
         assert hashlib.sha256(raw).hexdigest() == SMALL_NOISE_GOLDEN_SHA256
 
+    def test_jobs_do_not_change_the_table(self):
+        serial = run_small_noise_study(SMALL_NOISE_GOLDEN, seed=0, jobs=1)
+        parallel = run_small_noise_study(SMALL_NOISE_GOLDEN, seed=0, jobs=2)
+        assert serial.raw_table == parallel.raw_table
+
 
 class TestCovarianceStudy:
     def test_replica_floor(self):
