@@ -3,7 +3,7 @@
 
 Usage: python scripts/run_all_studies.py [--out DIR] [--seed N] [--jobs N]
 
-Expect about six minutes single-process (344 s on a 2-vCPU x86 host); the
+Expect about three minutes single-process (171 s on a 2-vCPU x86 host); the
 interaction and covariance studies take most of it.  Exit code follows the
 CLI convention (2 if any verdict fails).
 """

@@ -99,12 +99,12 @@ class SpectralState:
         n = self.geometry.n_grid
         return np.fft.irfft(self.j_hat * n, n=n)
 
-    def norm_h1(self):
+    def norm_h1(self) -> float | np.ndarray:
         """sqrt(|rho|_{H1}^2 + |j|_{H1}^2) by Parseval; an array for a batch."""
         norm = np.hypot(sobolev_norms(self.rho_hat, k=1), sobolev_norms(self.j_hat, k=1))
         return float(norm) if norm.ndim == 0 else norm
 
-    def min_rho(self):
+    def min_rho(self) -> float | np.ndarray:
         """Grid minimum of rho; an array for a batch."""
         low = self.rho_values().min(axis=-1)
         return float(low) if low.ndim == 0 else low
@@ -288,32 +288,25 @@ def h_delta(r: np.ndarray, delta: float) -> np.ndarray:
     return np.where(r >= delta, np.sqrt(np.maximum(r, delta)), inner)
 
 
-def _q_wiener_scales(lam: np.ndarray, geometry: TorusGeometry, dt: float,
-                     band: int) -> tuple[float, np.ndarray]:
-    """Standard deviations of the DC coefficient and of modes 1..band."""
-    if band >= geometry.n_modes:
-        raise ValueError("band exceeds the grid's mode count")
-    lam = np.asarray(lam, dtype=float)[: band + 1]
-    if lam.min() < 0:
-        raise ValueError("covariance eigenvalues must be nonnegative")
-    return math.sqrt(lam[0] * dt / TWO_PI), np.sqrt(lam[1:] * dt / (2.0 * TWO_PI))
-
-
-def _q_wiener_coeffs(rngs: Sequence[np.random.Generator], scales: tuple[float, np.ndarray],
-                     n_modes: int) -> np.ndarray:
+def _q_wiener_coeffs(rngs: Sequence[np.random.Generator], lam: np.ndarray,
+                     geometry: TorusGeometry, dt: float, band: int) -> np.ndarray:
     """rfft coefficients of one increment per generator, shape (len(rngs), n_modes).
 
     Each generator draws, in this order, the DC normal and then the real and
     the imaginary parts of modes 1..band.
     """
-    dc, band_scale = scales
-    band = band_scale.size
+    if band >= geometry.n_modes:
+        raise ValueError("band exceeds the grid's mode count")
+    lam = np.asarray(lam, dtype=float)[: band + 1]
+    if lam.min() < 0:
+        raise ValueError("covariance eigenvalues must be nonnegative")
     z = np.empty((len(rngs), 2 * band + 1))
     for row, rng in zip(z, rngs):
         rng.standard_normal(out=row)
-    coeffs = np.zeros((len(rngs), n_modes), dtype=complex)
-    coeffs[:, 0] = dc * z[:, 0]
-    coeffs[:, 1: band + 1] = band_scale * (z[:, 1: band + 1] + 1j * z[:, band + 1:])
+    coeffs = np.zeros((len(rngs), geometry.n_modes), dtype=complex)
+    coeffs[:, 0] = math.sqrt(lam[0] * dt / TWO_PI) * z[:, 0]
+    g = z[:, 1: band + 1] + 1j * z[:, band + 1:]
+    coeffs[:, 1: band + 1] = np.sqrt(lam[1:] * dt / (2.0 * TWO_PI)) * g
     return coeffs
 
 
@@ -325,17 +318,15 @@ def q_wiener_increment(rng: np.random.Generator, lam: np.ndarray,
     `band` are dropped.  The synthesised field satisfies
     E[dW(x) dW(y)] = dt * sum_{|k| <= band} lam_k e^{i k (x - y)} / (2 pi).
     """
-    scales = _q_wiener_scales(lam, geometry, dt, band)
-    coeffs = _q_wiener_coeffs([rng], scales, geometry.n_modes)[0]
+    coeffs = _q_wiener_coeffs([rng], lam, geometry, dt, band)[0]
     return np.fft.irfft(coeffs * geometry.n_grid, n=geometry.n_grid)
 
 
 def nonlinear_drift(state: SpectralState, w: PotentialSpec, band: int,
-                    rho_values: np.ndarray | None = None) -> np.ndarray:
+                    rho_values: np.ndarray) -> np.ndarray:
     """Coefficients of the momentum drift -(W' * rho) rho, dealiased.
 
-    rho_values, when given, must be state.rho_values(); the time loop passes
-    the irfft it already took.
+    rho_values must be state.rho_values().
     """
     n = state.geometry.n_grid
     if w.is_zero:
@@ -345,8 +336,6 @@ def nonlinear_drift(state: SpectralState, w: PotentialSpec, band: int,
     conv_hat[..., : kmax + 1] = (state.rho_hat[..., : kmax + 1]
                                  * w.conv_multiplier(kmax + 1, derivative=1))
     conv_vals = np.fft.irfft(conv_hat * n, n=n)
-    if rho_values is None:
-        rho_values = state.rho_values()
     drift_hat = np.fft.rfft(-conv_vals * rho_values) / n
     drift_hat[..., band + 1:] = 0.0
     return drift_hat
@@ -477,7 +466,6 @@ def solve_replicas(cfg: SpdeConfig, w: PotentialSpec, seeds: Sequence[int | None
     if draw:
         rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
         lam = make_kernel(math.sqrt(2.0) * cfg.epsilon, geometry).fourier_coeffs
-        scales = _q_wiener_scales(lam, geometry, cfg.dt, cfg.dealias_band)
 
     rho_values = state.rho_values()
     norms = state.norm_h1()
@@ -500,7 +488,8 @@ def solve_replicas(cfg: SpdeConfig, w: PotentialSpec, seeds: Sequence[int | None
                 geometry, state.rho_hat[rows], state.j_hat[rows], state.t)
             dw = None
             if draw:
-                coeffs = _q_wiener_coeffs([rngs[r] for r in rows], scales, geometry.n_modes)
+                coeffs = _q_wiener_coeffs([rngs[r] for r in rows], lam, geometry,
+                                          cfg.dt, cfg.dealias_band)
                 dw = np.fft.irfft(coeffs * n, n=n)
             elif noisy:
                 dw = noise_increments[s]

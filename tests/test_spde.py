@@ -8,7 +8,8 @@ import scipy.integrate
 
 from dklab.potential import PotentialSpec
 from dklab.spde import (DivergenceError, SpdeConfig, SpectralState,
-                        build_propagator_bank, convolution_bound_check,
+                        StoppingStatus, build_propagator_bank,
+                        convolution_bound_check,
                         default_datum, h_delta, initial_state,
                         linear_propagator, mode_energy, q_wiener_increment,
                         solve_noise_free, solve_replicas, solve_spde,
@@ -279,8 +280,8 @@ class TestStopping:
 
 
 def serial_reference(cfg, w, seed):
-    """One replica stepped alone with 1-D states, as the solver did before
-    replicas were batched: norm path, min-rho path, stop and final state."""
+    """Reference for the batched loop: one replica stepped alone with 1-D
+    states.  Returns the norm path, min-rho path, stop and final state."""
     state = initial_state(cfg)
     bank = build_propagator_bank(cfg.geometry, cfg.gamma, cfg.csq, cfg.dt)
     lam = make_kernel(math.sqrt(2.0) * cfg.epsilon, cfg.geometry).fourier_coeffs
@@ -348,6 +349,17 @@ class TestReplicaBatch:
             assert np.isnan(poisoned.final.rho_hat[r]).all() == st.stopped
             if not st.stopped:
                 assert np.array_equal(poisoned.final.j_hat[r], clean.final.j_hat[r])
+
+    def test_norm_cap_wins_when_both_guards_trip(self):
+        # a datum at the edge of both guards: some rows cross the cap and the
+        # floor on the same step, and the cap is the recorded reason
+        cfg = small_cfg(n_particles=1.0, t_horizon=0.01, delta=0.111399, c1=0.1114,
+                        k_norm=0.4175, c2=0.417)
+        batch = solve_replicas(cfg, W_COS, list(range(8)))
+        both = (batch.norm_path[1] >= cfg.k_norm) & (batch.min_rho_path[1] <= cfg.delta)
+        assert both.any()
+        for r in np.flatnonzero(both):
+            assert batch.status[r] == StoppingStatus(True, "norm_cap", cfg.dt)
 
     def test_active_rows_are_checked(self):
         cfg = small_cfg(n_particles=math.inf)
