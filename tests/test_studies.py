@@ -10,12 +10,18 @@ from dklab.potential import PotentialSpec
 from dklab.ratefit import PowerLawFit, fit_loglog, halving_factors
 from dklab.studies import (STUDY_NAMES, STUDY_REGISTRY, ChaosStudyConfig,
                            CovarianceStudyConfig, EvolutionIdentityConfig,
-                           J2ClosureConfig, MollifierConfig, SmallNoiseConfig,
+                           InteractionStudyConfig, J2ClosureConfig,
+                           MollifierConfig, SmallNoiseConfig,
                            _child_seeds, config_from_dict,
                            potential_from_config, run_chaos_study,
                            run_covariance_study, run_evolution_identity_check,
-                           run_j2_closure_study, run_mollifier_study,
-                           run_small_noise_study, slope_within)
+                           run_interaction_study, run_j2_closure_study,
+                           run_mollifier_study, run_small_noise_study,
+                           slope_within)
+
+
+def raw_sha256(report) -> str:
+    return hashlib.sha256(rows_to_csv(report.raw_table)).hexdigest()
 
 
 class TestPlumbing:
@@ -109,6 +115,24 @@ class TestChaosStudy:
         parallel = run_chaos_study(cfg, seed=5, jobs=4)
         assert serial.raw_table == parallel.raw_table
 
+    def test_raw_csv_is_pinned(self):
+        # 20 replicas run as blocks of 16 and 4, after a burn-in
+        cfg = ChaosStudyConfig(n_ladder=(16, 32, 64, 128), n_replicas=20,
+                               t_horizon=0.1, burn_in=0.1, n_snapshots=2)
+        assert raw_sha256(run_chaos_study(cfg, seed=0)) == (
+            "e2180ed69ed55d84e133f734b9ebfabf4d309482d100a3460eece79d519ee3b7")
+
+
+class TestInteractionStudy:
+    def test_raw_csv_is_pinned(self):
+        # 5 moment replicas run as blocks of 4 and 1
+        cfg = InteractionStudyConfig(eps_ladder=(0.4, 0.2), theta=2.0, n_replicas=2,
+                                     moment_eps_ladder=(0.5, 0.4), moment_theta=3.0,
+                                     moment_replicas=5, moment_t_horizon=0.05,
+                                     t_measure=0.05)
+        assert raw_sha256(run_interaction_study(cfg, seed=0)) == (
+            "b73901dc59e04610543e3875f9193b7c00669538d446a7078b248cba5c2e8a2e")
+
 
 # One replica of the N = 40 cell reaches the norm cap k_norm = 0.45 and
 # freezes while the others run on, and the sigma-halving rows are included.
@@ -121,8 +145,7 @@ class TestSmallNoiseStudy:
     def test_raw_csv_is_pinned(self):
         report = run_small_noise_study(SMALL_NOISE_GOLDEN, seed=0)
         assert [r["stopped"] for r in report.raw_table].count(1) == 1
-        raw = rows_to_csv(report.raw_table)
-        assert hashlib.sha256(raw).hexdigest() == SMALL_NOISE_GOLDEN_SHA256
+        assert raw_sha256(report) == SMALL_NOISE_GOLDEN_SHA256
 
     def test_jobs_do_not_change_the_table(self):
         serial = run_small_noise_study(SMALL_NOISE_GOLDEN, seed=0, jobs=1)
@@ -147,6 +170,14 @@ class TestCovarianceStudy:
             assert row["cov_y"] == 0.0
             assert row["disc_hat"] == 0.0
 
+    def test_raw_csv_is_pinned(self):
+        # 1000 replicas in blocks of 300: the last block holds 100
+        cfg = CovarianceStudyConfig(eps_ladder=(0.4, 0.2), theta=2.0,
+                                    n_replicas=1000, replica_block=300,
+                                    t_horizon=0.01)
+        assert raw_sha256(run_covariance_study(cfg, seed=0)) == (
+            "f69383aae876e5ec356369ba8a059a5c512fa75377d3499d50a7fefc0f5e8ed9")
+
 
 class TestJ2ClosureStudy:
     def test_reduced_ladder_is_nonincreasing(self):
@@ -157,6 +188,13 @@ class TestJ2ClosureStudy:
         assert report.verdict == "pass"
         averaged = report.details["time_averaged_rel_error"]
         assert averaged["0.25"]["mean"] < averaged["1.0"]["mean"]
+
+    def test_raw_csv_is_pinned(self):
+        cfg = J2ClosureConfig(m2_ladder=(1.0, 0.25), n_particles=200,
+                              n_replicas=8, t_horizon=0.1, burn_in=0.1,
+                              n_snapshots=2)
+        assert raw_sha256(run_j2_closure_study(cfg, seed=0)) == (
+            "ee810ade75f6f714e167c7c3eea10b3e25ccff3bd7ad691a02c3fec196b1334e")
 
 
 class TestMollifierStudy:
@@ -189,3 +227,9 @@ class TestEvolutionIdentity:
         report = run_evolution_identity_check(cfg, seed=0)
         assert report.slopes["density_order"]["slope"] > 0.5
         assert report.slopes["momentum_order"]["slope"] > 0.25
+
+    def test_raw_csv_is_pinned(self):
+        cfg = EvolutionIdentityConfig(n_particles=16, n_replicas=2,
+                                      t_horizon=0.05)
+        assert raw_sha256(run_evolution_identity_check(cfg, seed=0)) == (
+            "5ac2669debdf1d8c251f1f994ce98f90342a4c946846fa761621f0c843eb4fdc")
