@@ -6,10 +6,9 @@ __version__ = "0.1.0"
 from .fields import (DensityField, empirical_field, holder_quotient,
                      interaction_decomposition, sobolev_norm)
 from .particles import (ConfigurationError, CoupledTrajectory, ModelParams,
-                        ParticleEnsemble, TimeStepError, chaos_distance,
-                        chaos_distance_sup, ladder_from_thetas,
+                        TimeStepError, chaos_distance, ladder_from_thetas,
                         meanfield_force, pairwise_force, simulate_coupled,
-                        simulate_interacting, warm_start)
+                        simulate_interacting)
 from .potential import PotentialSpec, mean_w1_at
 from .ratefit import PowerLawFit, fit_loglog
 from .spde import (PersistenceReport, SpdeConfig, SpdeTrajectory,
@@ -25,16 +24,16 @@ from .vfp import PhaseSpaceDensity, VfpSolver, solve_vfp, uniform_maxwellian
 __all__ = [
     "__version__",
     "ConfigurationError", "CoupledTrajectory", "DensityField", "KernelParams",
-    "ModelParams", "ParticleEnsemble", "PersistenceReport", "PhaseSpaceDensity",
+    "ModelParams", "PersistenceReport", "PhaseSpaceDensity",
     "PotentialSpec", "PowerLawFit", "ResolutionError", "STUDY_NAMES",
     "STUDY_REGISTRY", "SpdeConfig", "SpdeTrajectory", "SpectralState",
     "StoppingStatus", "StudyReport", "TimeStepError", "TorusGeometry",
-    "VfpSolver", "chaos_distance", "chaos_distance_sup",
+    "VfpSolver", "chaos_distance",
     "convolution_bound_check", "empirical_field", "fit_loglog", "h_delta",
     "holder_quotient", "interaction_decomposition", "ladder_from_thetas",
     "make_kernel", "mean_w1_at", "meanfield_force", "normalization_constant",
     "pairwise_force", "simulate_coupled", "simulate_interacting",
     "sobolev_norm", "solve_noise_free", "solve_spde", "solve_vfp", "step_mild",
-    "total_mass", "uniform_maxwellian", "von_mises_eval", "warm_start", "wrap",
+    "total_mass", "uniform_maxwellian", "von_mises_eval", "wrap",
     "wrap_centered",
 ]

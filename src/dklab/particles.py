@@ -16,19 +16,43 @@ evaluation, and as an unwrapped real-line lift.  Coupled distances are always
 measured through the lift; the torus distance would fold excursions longer
 than half a period back onto [0, pi] and corrupt the measured rate.
 
-Runs are organised in replica blocks: replicas are simulated in fixed-size
-vectorised batches, each batch drawing from its own child of the master seed,
-so results are independent of how many batches execute at once.
+Every particle run goes through one driver, `replica_steps`, a generator.
+
+Block seeding.  Replicas are simulated in vectorised blocks of
+`replica_block` rows (the last block may be shorter).  Block b draws from a
+Generator on the b-th child spawned off SeedSequence(seed), so a block's
+numbers depend only on (seed, b) and its row count, not on other blocks.
+
+Start and burn-in.  The VFP force table is built once, before the first
+block, with burn_steps rows (plus main_steps rows for a coupled run).  Each
+block samples q ~ U(0, 2 pi) and then p ~ N(0, sigma^2 / (2 gamma)), or
+takes its rows of `initial`, sets the lift to q and runs burn_steps
+mean-field steps against the table.  The clock then restarts at s = 0.
+
+Yield contract.  For s = 0 ... main_steps the driver yields
+(lo, hi, s, branches, xi, rng): `branches` holds the (q, p, lift) state of
+rows [lo, hi) at step s, first the interacting branch and, for a coupled
+run, the mean-field branch started from a copy of the same state; `xi` is
+the standard-normal array that drives step s -> s+1 of every branch (None at
+s = main_steps); `rng` is the block's Generator.  The yielded arrays are
+replaced, never modified, by the next step.  A caller's loop variables keep
+step s alive until step s+1 is yielded; a caller that must not hold two
+states at once drops them at the end of its loop body.
+
+Draw order per block: the start, one standard-normal array per burn-in
+step, then per main step `xi` followed by whatever the caller draws from
+`rng` while holding step s; the step itself draws nothing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .potential import PotentialSpec, mean_w1_at
-from .torus import TorusGeometry, wrap
+from .torus import TWO_PI, TorusGeometry, wrap
 from .vfp import (PhaseSpaceDensity, VfpSolver, meanfield_force_from_coeffs,
                   uniform_maxwellian)
 
@@ -93,29 +117,6 @@ def ladder_from_thetas(epsilons, theta: float) -> list[tuple[int, float]]:
         n = max(2, int(round(float(eps) ** -theta)))
         out.append((n, float(n) ** (-1.0 / theta)))
     return out
-
-
-@dataclass
-class ParticleEnsemble:
-    """One ensemble: wrapped positions, momenta, unwrapped lift, clock."""
-
-    q: np.ndarray
-    p: np.ndarray
-    t: float = 0.0
-    q_lift: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float)
-        self.p = np.asarray(self.p, dtype=float)
-        if self.q.shape != self.p.shape:
-            raise ValueError("q and p must share a shape")
-        if self.q_lift is None:
-            self.q_lift = self.q.copy()
-        else:
-            self.q_lift = np.asarray(self.q_lift, dtype=float)
-
-    def copy(self) -> "ParticleEnsemble":
-        return ParticleEnsemble(self.q.copy(), self.p.copy(), self.t, self.q_lift.copy())
 
 
 @dataclass
@@ -194,7 +195,6 @@ class VfpForceTable:
     """
 
     coeffs: np.ndarray  # (n_steps, k_max) complex
-    dt: float
 
     def force_at(self, step: int, q_pts: np.ndarray) -> np.ndarray:
         return meanfield_force_from_coeffs(self.coeffs[step], q_pts)
@@ -202,19 +202,13 @@ class VfpForceTable:
 
 def build_force_table(f0: PhaseSpaceDensity, w: PotentialSpec, gamma: float,
                       sigma: float, n_steps: int, dt: float):
-    """Run the kinetic solver for n_steps, recording start-of-step coefficients.
-
-    Returns (table, final_density).  For a zero potential no solve is needed
-    and the table is empty-width.
-    """
-    if w.is_zero:
-        return VfpForceTable(np.zeros((n_steps, 0), dtype=complex), dt), f0.copy()
+    """Run the kinetic solver for n_steps, recording start-of-step coefficients."""
     solver = VfpSolver(f0.copy(), w, gamma, sigma)
     rows = np.zeros((n_steps, w.k_max), dtype=complex)
     for s in range(n_steps):
         rows[s] = solver.conv_coeffs()
         solver.step(dt)
-    return VfpForceTable(rows, dt), solver.density
+    return VfpForceTable(rows)
 
 
 def _steps_from_time(t: float, dt: float, what: str) -> int:
@@ -224,115 +218,98 @@ def _steps_from_time(t: float, dt: float, what: str) -> int:
     return n
 
 
-def default_datum(params: ModelParams, n_q: int = 64, n_p: int = 96) -> PhaseSpaceDensity:
+def default_datum(params: ModelParams) -> PhaseSpaceDensity:
     """Uniform-in-q, Maxwellian-in-p datum at the stationary temperature."""
     m2 = params.temperature
-    p_max = 6.0 * np.sqrt(m2)
-    return uniform_maxwellian(TorusGeometry(n_q), p_max, n_p, m2)
+    return uniform_maxwellian(TorusGeometry(64), 6.0 * np.sqrt(m2), 96, m2)
 
 
-def _sample_from_maxwellian(rng: np.random.Generator, shape, m2: float):
-    q = rng.uniform(0.0, 2.0 * np.pi, size=shape)
-    p = rng.normal(0.0, np.sqrt(m2), size=shape)
-    return q, p
+def _block_start(rng, shape, params: ModelParams, initial, lo: int, hi: int):
+    """Sampled (or given) start (q, p, lift) of the replica rows [lo, hi)."""
+    if initial is None:
+        q = rng.uniform(0.0, TWO_PI, shape)
+        p = rng.normal(0.0, math.sqrt(params.temperature), shape)
+    else:
+        q = np.array(initial[0][lo:hi], dtype=float)
+        p = np.array(initial[1][lo:hi], dtype=float)
+    return q, p, q.copy()
+
+
+def replica_steps(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
+                  seed: int | None = None, replica_block: int = 16,
+                  coupled: bool = False,
+                  initial: tuple[np.ndarray, np.ndarray] | None = None):
+    """Step the interacting system (and its coupled mean-field twin) block by block.
+
+    Yields (lo, hi, s, branches, xi, rng) for s = 0 ... main_steps of each
+    replica block [lo, hi) in turn; see the module docstring for the contract.
+    `initial` replaces the sampled start with explicit (q0, p0) arrays of
+    shape (n_replicas, n_particles).
+    """
+    dt = params.dt
+    sqdt = math.sqrt(dt)
+    burn_steps = _steps_from_time(params.burn_in, dt, "burn_in")
+    main_steps = _steps_from_time(params.t_horizon, dt, "t_horizon")
+    n_rows = burn_steps + (main_steps if coupled else 0)
+    if n_rows and not w.is_zero:
+        table = build_force_table(default_datum(params), w, params.gamma,
+                                  params.sigma, n_rows, dt)
+    else:
+        table = VfpForceTable(np.zeros((n_rows, 0), dtype=complex))
+
+    def interacting(x):
+        return pairwise_force(x, w)
+
+    def mean_field(row):
+        return lambda x: table.force_at(row, x)
+
+    def step(branches, forces, dw):
+        return tuple(_advance(*b, f, params, dw) for b, f in zip(branches, forces))
+
+    n_blocks = (n_replicas + replica_block - 1) // replica_block
+    for b, child in enumerate(np.random.SeedSequence(seed).spawn(n_blocks)):
+        lo, hi = b * replica_block, min((b + 1) * replica_block, n_replicas)
+        rng = np.random.default_rng(child)
+        shape = (hi - lo, params.n_particles)
+        branches = (_block_start(rng, shape, params, initial, lo, hi),)
+        for s in range(burn_steps):
+            branches = step(branches, [mean_field(s)], rng.standard_normal(shape) * sqdt)
+        if coupled:
+            branches += (tuple(a.copy() for a in branches[0]),)
+        for s in range(main_steps):
+            xi = rng.standard_normal(shape)
+            yield lo, hi, s, branches, xi, rng
+            branches = step(branches, [interacting, mean_field(burn_steps + s)],
+                            xi * sqdt)
+        yield lo, hi, main_steps, branches, None, rng
 
 
 def simulate_coupled(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
                      snapshot_times, seed: int | None = None,
-                     replica_block: int = 16, f0: PhaseSpaceDensity | None = None,
-                     initial: tuple[np.ndarray, np.ndarray] | None = None,
-                     noise: np.ndarray | None = None) -> CoupledTrajectory:
+                     replica_block: int = 16) -> CoupledTrajectory:
     """Integrate the coupled pair over [0, t_horizon] after a burn-in.
 
     The burn-in evolves the mean-field branch (and the kinetic law) from the
     datum for params.burn_in time units; at its end the clock is reset, both
     branches are set to the common warm state, and from then on they share
     every Brownian increment.  Snapshots are taken on the post-restart clock.
-
-    `initial` bypasses sampling with explicit (q0, p0) arrays of shape
-    (n_replicas, n_particles); `noise` injects standard-normal increments of
-    shape (main_steps, n_replicas, n_particles) in place of generator draws
-    (burn_in must be zero in that case).
     """
-    dt = params.dt
-    burn_steps = _steps_from_time(params.burn_in, dt, "burn_in")
-    main_steps = _steps_from_time(params.t_horizon, dt, "t_horizon")
     snap_times = np.asarray(sorted(snapshot_times), dtype=float)
-    snap_steps = [_steps_from_time(t, dt, "snapshot time") for t in snap_times]
-    if snap_steps and snap_steps[-1] > main_steps:
+    snap_steps = [_steps_from_time(t, params.dt, "snapshot time") for t in snap_times]
+    if snap_steps and snap_steps[-1] > _steps_from_time(params.t_horizon, params.dt,
+                                                        "t_horizon"):
         raise ConfigurationError("snapshot time beyond t_horizon")
-    if noise is not None:
-        if burn_steps:
-            raise ConfigurationError("noise injection requires burn_in = 0")
-        noise = np.asarray(noise, dtype=float)
-        if noise.shape != (main_steps, n_replicas, params.n_particles):
-            raise ConfigurationError("injected noise has the wrong shape")
-
-    if f0 is None and not w.is_zero:
-        f0 = default_datum(params)
-
-    total_steps = burn_steps + main_steps
-    if w.is_zero:
-        table = VfpForceTable(np.zeros((total_steps, 0), dtype=complex), dt)
-    else:
-        table, _ = build_force_table(f0, w, params.gamma, params.sigma, total_steps, dt)
-
-    master = np.random.SeedSequence(seed)
-    n_blocks = (n_replicas + replica_block - 1) // replica_block
-    children = master.spawn(n_blocks)
-
+    names = ("q_int", "p_int", "lift_int", "q_mf", "p_mf", "lift_mf")
     shape = (len(snap_steps), n_replicas, params.n_particles)
-    out = {name: np.zeros(shape) for name in
-           ("q_int", "p_int", "lift_int", "q_mf", "p_mf", "lift_mf")}
-
-    for b in range(n_blocks):
-        lo = b * replica_block
-        hi = min(lo + replica_block, n_replicas)
-        rng = np.random.default_rng(children[b])
-        rows = hi - lo
-        if initial is not None:
-            q = np.array(initial[0][lo:hi], dtype=float)
-            p = np.array(initial[1][lo:hi], dtype=float)
-        else:
-            q, p = _sample_from_maxwellian(rng, (rows, params.n_particles),
-                                           params.temperature)
-        lift = q.copy()
-
-        for s in range(burn_steps):
-            dw = rng.standard_normal((rows, params.n_particles)) * np.sqrt(dt)
-            q, p, lift = _advance(q, p, lift, lambda x: table.force_at(s, x),
-                                  params, dw)
-
-        qi, pi, li = q.copy(), p.copy(), lift.copy()
-        qm, pm, lm = q, p, lift
-        for snap_idx, target in enumerate(snap_steps):
-            if target == 0:
-                _record(out, snap_idx, lo, hi, qi, pi, li, qm, pm, lm)
-        for s in range(main_steps):
-            if noise is not None:
-                dw = noise[s, lo:hi] * np.sqrt(dt)
-            else:
-                dw = rng.standard_normal((rows, params.n_particles)) * np.sqrt(dt)
-            qi, pi, li = _advance(qi, pi, li, lambda x: pairwise_force(x, w),
-                                  params, dw)
-            step_global = burn_steps + s
-            qm, pm, lm = _advance(qm, pm, lm,
-                                  lambda x: table.force_at(step_global, x),
-                                  params, dw)
-            for snap_idx, target in enumerate(snap_steps):
-                if target == s + 1:
-                    _record(out, snap_idx, lo, hi, qi, pi, li, qm, pm, lm)
-
+    out = {name: np.zeros(shape) for name in names}
+    for lo, hi, s, (interacting, meanfield), _xi, _rng in replica_steps(
+            params, w, n_replicas=n_replicas, seed=seed,
+            replica_block=replica_block, coupled=True):
+        for k, target in enumerate(snap_steps):
+            if target == s:
+                for name, a in zip(names, interacting + meanfield):
+                    out[name][k, lo:hi] = a
     return CoupledTrajectory(times=snap_times, seed=seed, **out)
-
-
-def _record(out, snap_idx, lo, hi, qi, pi, li, qm, pm, lm):
-    out["q_int"][snap_idx, lo:hi] = qi
-    out["p_int"][snap_idx, lo:hi] = pi
-    out["lift_int"][snap_idx, lo:hi] = li
-    out["q_mf"][snap_idx, lo:hi] = qm
-    out["p_mf"][snap_idx, lo:hi] = pm
-    out["lift_mf"][snap_idx, lo:hi] = lm
 
 
 def simulate_interacting(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
@@ -348,89 +325,27 @@ def simulate_interacting(params: ModelParams, w: PotentialSpec, *, n_replicas: i
     increments (main_steps, R, N) that generated them; otherwise only the
     final (q, p) arrays are returned.
     """
-    dt = params.dt
-    burn_steps = _steps_from_time(params.burn_in, dt, "burn_in")
-    main_steps = _steps_from_time(params.t_horizon, dt, "t_horizon")
-    if burn_steps and not w.is_zero:
-        f0 = default_datum(params)
-        table, _ = build_force_table(f0, w, params.gamma, params.sigma, burn_steps, dt)
+    main_steps = _steps_from_time(params.t_horizon, params.dt, "t_horizon")
+    shape = (n_replicas, params.n_particles)
+    if record_path:
+        paths = {"q": np.zeros((main_steps + 1,) + shape),
+                 "p": np.zeros((main_steps + 1,) + shape),
+                 "xi": np.zeros((main_steps,) + shape)}
     else:
-        table = VfpForceTable(np.zeros((burn_steps, 0), dtype=complex), dt)
-
-    master = np.random.SeedSequence(seed)
-    n_blocks = (n_replicas + replica_block - 1) // replica_block
-    children = master.spawn(n_blocks)
-
-    q_all = np.zeros((n_replicas, params.n_particles))
-    p_all = np.zeros_like(q_all)
-    paths = None
-    if record_path:
-        paths = {
-            "q": np.zeros((main_steps + 1, n_replicas, params.n_particles)),
-            "p": np.zeros((main_steps + 1, n_replicas, params.n_particles)),
-            "xi": np.zeros((main_steps, n_replicas, params.n_particles)),
-        }
-
-    for b in range(n_blocks):
-        lo = b * replica_block
-        hi = min(lo + replica_block, n_replicas)
-        rng = np.random.default_rng(children[b])
-        rows = hi - lo
-        if initial is not None:
-            q = np.array(initial[0][lo:hi], dtype=float)
-            p = np.array(initial[1][lo:hi], dtype=float)
-        else:
-            q, p = _sample_from_maxwellian(rng, (rows, params.n_particles),
-                                           params.temperature)
-        lift = q.copy()
-        for s in range(burn_steps):
-            dw = rng.standard_normal((rows, params.n_particles)) * np.sqrt(dt)
-            q, p, lift = _advance(q, p, lift, lambda x: table.force_at(s, x),
-                                  params, dw)
+        q_all, p_all = np.zeros(shape), np.zeros(shape)
+    for lo, hi, s, ((q, p, _lift),), xi, _rng in replica_steps(
+            params, w, n_replicas=n_replicas, seed=seed,
+            replica_block=replica_block, initial=initial):
         if record_path:
-            paths["q"][0, lo:hi] = q
-            paths["p"][0, lo:hi] = p
-        for s in range(main_steps):
-            xi = rng.standard_normal((rows, params.n_particles))
-            dw = xi * np.sqrt(dt)
-            q, p, lift = _advance(q, p, lift, lambda x: pairwise_force(x, w),
-                                  params, dw)
-            if record_path:
-                paths["q"][s + 1, lo:hi] = q
-                paths["p"][s + 1, lo:hi] = p
+            paths["q"][s, lo:hi] = q
+            paths["p"][s, lo:hi] = p
+            if xi is not None:
                 paths["xi"][s, lo:hi] = xi
-        q_all[lo:hi] = q
-        p_all[lo:hi] = p
-
-    if record_path:
-        return paths
-    return q_all, p_all
-
-
-def warm_start(params: ModelParams, w: PotentialSpec, seed: int | None = None,
-               f0: PhaseSpaceDensity | None = None):
-    """Equilibrate one ensemble by evolving the mean-field dynamics to burn_in.
-
-    Returns (ParticleEnsemble, PhaseSpaceDensity) with both clocks reset to
-    zero, ready to serve as the common initial condition of a coupled run.
-    """
-    if params.burn_in <= 0:
-        raise ConfigurationError("warm_start needs burn_in > 0")
-    dt = params.dt
-    burn_steps = _steps_from_time(params.burn_in, dt, "burn_in")
-    if f0 is None:
-        f0 = default_datum(params)
-    table, final_density = build_force_table(f0, w, params.gamma, params.sigma,
-                                             burn_steps, dt)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    q, p = _sample_from_maxwellian(rng, (1, params.n_particles), params.temperature)
-    lift = q.copy()
-    for s in range(burn_steps):
-        dw = rng.standard_normal(q.shape) * np.sqrt(dt)
-        q, p, lift = _advance(q, p, lift, lambda x: table.force_at(s, x), params, dw)
-    ensemble = ParticleEnsemble(q[0], p[0], t=0.0)
-    final_density.t = 0.0
-    return ensemble, final_density
+        elif s == main_steps:
+            q_all[lo:hi] = q
+            p_all[lo:hi] = p
+        del q, p, _lift  # hold no state while the driver steps
+    return paths if record_path else (q_all, p_all)
 
 
 def chaos_distance(traj: CoupledTrajectory, alpha: int = 2) -> np.ndarray:
@@ -447,8 +362,3 @@ def chaos_distance(traj: CoupledTrajectory, alpha: int = 2) -> np.ndarray:
     dp = traj.p_int - traj.p_mf
     per = np.abs(dq) ** alpha + np.abs(dp) ** alpha
     return per.mean(axis=(1, 2)) ** (1.0 / alpha)
-
-
-def chaos_distance_sup(traj: CoupledTrajectory, alpha: int = 2) -> float:
-    """Sup over snapshot times of chaos_distance."""
-    return float(chaos_distance(traj, alpha).max())

@@ -24,9 +24,10 @@ import numpy as np
 
 from .fields import (DensityField, convolve_potential, interaction_decomposition,
                      sobolev_norm, sobolev_norms, weighted_field_values)
-from .particles import (ModelParams, _advance, ladder_from_thetas,
-                        pairwise_force, simulate_coupled, simulate_interacting,
-                        chaos_distance)
+# _advance is unused here; perfbench's tracer test reads it from this module
+from .particles import (ModelParams, _advance, _steps_from_time,  # noqa: F401
+                        chaos_distance, ladder_from_thetas, pairwise_force,
+                        replica_steps, simulate_coupled, simulate_interacting)
 from .potential import PotentialSpec
 from .ratefit import PowerLawFit, fit_loglog
 from .spde import SpdeConfig, solve_noise_free, solve_replicas
@@ -244,8 +245,8 @@ def _interaction_cell(args):
 def _moment_cell(args):
     """Field moment metrics along one trajectory of the N * eps^8 = 1 ladder.
 
-    Ensembles are evolved in replica blocks and the fields of each block are
-    estimated at the snapshot steps only, so the largest cells never
+    Ensembles are evolved in replica blocks of 4 and the fields of each block
+    are estimated at the steps {0, n/2, n} only, so the largest cells never
     materialise particle paths.
     """
     cfg, n, eps, seed = args
@@ -254,42 +255,28 @@ def _moment_cell(args):
                          t_horizon=cfg.moment_t_horizon, dt=cfg.dt, burn_in=0.0)
     geometry = TorusGeometry.for_epsilon(eps)
     kern = make_kernel(eps, geometry)
-    n_steps = int(round(cfg.moment_t_horizon / cfg.dt))
+    n_steps = _steps_from_time(cfg.moment_t_horizon, cfg.dt, "moment_t_horizon")
     snap_steps = {0: 0.0, n_steps // 2: cfg.moment_t_horizon / 2,
                   n_steps: cfg.moment_t_horizon}
-    block = 4
-    children = np.random.SeedSequence(seed).spawn(
-        (cfg.moment_replicas + block - 1) // block)
     rows = []
-    m2 = params.temperature
-    for b, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        rows_b = min(block, cfg.moment_replicas - b * block)
-        q = rng.uniform(0.0, TWO_PI, (rows_b, n))
-        p = rng.normal(0.0, math.sqrt(m2), (rows_b, n))
-        lift = q.copy()
-        for s in range(n_steps + 1):
-            if s in snap_steps:
-                t_here = snap_steps[s]
-                rho_v = weighted_field_values(q, np.ones_like(q), kern, geometry, deriv=0)
-                j_v = weighted_field_values(q, p, kern, geometry, deriv=0)
-                j2_v = weighted_field_values(q, p ** 2, kern, geometry, deriv=1)
-                for r in range(rows_b):
-                    frho = DensityField(geometry, rho_v[r])
-                    rows.append({
-                        "section": "moment", "epsilon": eps, "n_particles": n,
-                        "replica": b * block + r, "t": t_here,
-                        "h1_rho_sq": sobolev_norm(frho, k=1) ** 2,
-                        "l2_j_sq": sobolev_norm(DensityField(geometry, j_v[r])) ** 2,
-                        "l2_j2_sq": sobolev_norm(DensityField(geometry, j2_v[r])) ** 2,
-                        "lc2": float(np.mean(p[r] ** 2)),
-                        "lc4": float(np.mean(p[r] ** 4)),
-                    })
-            if s == n_steps:
-                break
-            dw = rng.standard_normal(q.shape) * math.sqrt(cfg.dt)
-            q, p, lift = _advance(q, p, lift, lambda x: pairwise_force(x, w),
-                                  params, dw)
+    for lo, _hi, s, ((q, p, _lift),), _xi, _rng in replica_steps(
+            params, w, n_replicas=cfg.moment_replicas, seed=seed, replica_block=4):
+        if s not in snap_steps:
+            continue
+        rho_v = weighted_field_values(q, np.ones_like(q), kern, geometry, deriv=0)
+        j_v = weighted_field_values(q, p, kern, geometry, deriv=0)
+        j2_v = weighted_field_values(q, p ** 2, kern, geometry, deriv=1)
+        for r in range(len(q)):
+            frho = DensityField(geometry, rho_v[r])
+            rows.append({
+                "section": "moment", "epsilon": eps, "n_particles": n,
+                "replica": lo + r, "t": snap_steps[s],
+                "h1_rho_sq": sobolev_norm(frho, k=1) ** 2,
+                "l2_j_sq": sobolev_norm(DensityField(geometry, j_v[r])) ** 2,
+                "l2_j2_sq": sobolev_norm(DensityField(geometry, j2_v[r])) ** 2,
+                "lc2": float(np.mean(p[r] ** 2)),
+                "lc4": float(np.mean(p[r] ** 4)),
+            })
     return rows
 
 
@@ -382,9 +369,10 @@ def _covariance_cell(args):
     """Accumulate Z (kernel-weighted particle noise) and Y (density surrogate).
 
     Z uses exactly the increments that drive the momenta; Y draws an
-    independent Q-Wiener increment per step and scales it by the square root
-    of the empirical density at bandwidth eps / sqrt(2), per the surrogate's
-    definition.  Both are tracked at the evaluation points only.
+    independent Q-Wiener increment per step from the block's generator,
+    between the particle increments and the step, and scales it by the square
+    root of the empirical density at bandwidth eps / sqrt(2), per the
+    surrogate's definition.  Both are tracked at the evaluation points only.
     """
     cfg, n, eps, seed = args
     w = potential_from_config(cfg.potential)
@@ -396,49 +384,41 @@ def _covariance_cell(args):
     kern_double = make_kernel(math.sqrt(2.0) * eps, geometry)
     idx = np.array([int(round(s / geometry.spacing)) for s in cfg.separations])
     x_eval = idx * geometry.spacing
-    n_steps = int(round(cfg.t_horizon / cfg.dt))
     sqdt = math.sqrt(cfg.dt)
     lam = kern_double.fourier_coeffs
     band = geometry.n_modes - 1
-    m2 = params.temperature
 
     sums = {k: np.zeros(len(idx)) for k in ("pz", "pz2", "py", "py2", "z2", "iso")}
-    n_blocks = (cfg.n_replicas + cfg.replica_block - 1) // cfg.replica_block
-    children = np.random.SeedSequence(seed).spawn(n_blocks)
-    for b, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        rows = min(cfg.replica_block, cfg.n_replicas - b * cfg.replica_block)
-        q = rng.uniform(0.0, TWO_PI, (rows, n))
-        p = rng.normal(0.0, math.sqrt(m2), (rows, n))
-        lift = q.copy()
-        z = np.zeros((rows, len(idx)))
-        y = np.zeros_like(z)
-        iso = np.zeros_like(z)
-        for _s in range(n_steps):
-            xi = rng.standard_normal((rows, n))
-            dw = xi * sqdt
-            arg = x_eval[:, None, None] - q[None, :, :]
-            kv = von_mises_eval(kern, arg)                      # (A, rows, n)
-            z += (cfg.sigma / n) * np.einsum("abn,bn->ba", kv, dw)
-            iso += (cfg.sigma ** 2 / n ** 2) * cfg.dt * (kv ** 2).sum(axis=-1).T
-            rho_half = von_mises_eval(kern_half, arg).mean(axis=-1).T  # (rows, A)
-            coeffs = np.zeros((rows, geometry.n_modes), dtype=complex)
-            coeffs[:, 0] = (math.sqrt(lam[0] * cfg.dt / TWO_PI)
-                            * rng.standard_normal(rows))
-            g = rng.standard_normal((rows, band)) + 1j * rng.standard_normal((rows, band))
-            coeffs[:, 1:] = np.sqrt(lam[1: band + 1] * cfg.dt / (2.0 * TWO_PI)) * g
-            dwq = np.fft.irfft(coeffs * geometry.n_grid, n=geometry.n_grid, axis=-1)
-            y += (cfg.sigma / math.sqrt(n)) * np.sqrt(rho_half) * dwq[:, idx]
-            q, p, lift = _advance(q, p, lift, lambda x: pairwise_force(x, w),
-                                  params, dw)
-        pz = z[:, [0]] * z
-        py = y[:, [0]] * y
-        sums["pz"] += pz.sum(axis=0)
-        sums["pz2"] += (pz ** 2).sum(axis=0)
-        sums["py"] += py.sum(axis=0)
-        sums["py2"] += (py ** 2).sum(axis=0)
-        sums["z2"] += (z ** 2).sum(axis=0)
-        sums["iso"] += iso.sum(axis=0)
+    for lo, hi, s, ((q, _p, _lift),), xi, rng in replica_steps(
+            params, w, n_replicas=cfg.n_replicas, seed=seed,
+            replica_block=cfg.replica_block):
+        rows = hi - lo
+        if s == 0:
+            z = np.zeros((rows, len(idx)))
+            y = np.zeros_like(z)
+            iso = np.zeros_like(z)
+        if xi is None:  # end of the block
+            pz = z[:, [0]] * z
+            py = y[:, [0]] * y
+            sums["pz"] += pz.sum(axis=0)
+            sums["pz2"] += (pz ** 2).sum(axis=0)
+            sums["py"] += py.sum(axis=0)
+            sums["py2"] += (py ** 2).sum(axis=0)
+            sums["z2"] += (z ** 2).sum(axis=0)
+            sums["iso"] += iso.sum(axis=0)
+            continue
+        arg = x_eval[:, None, None] - q[None, :, :]
+        kv = von_mises_eval(kern, arg)                      # (A, rows, n)
+        z += (cfg.sigma / n) * np.einsum("abn,bn->ba", kv, xi * sqdt)
+        iso += (cfg.sigma ** 2 / n ** 2) * cfg.dt * (kv ** 2).sum(axis=-1).T
+        rho_half = von_mises_eval(kern_half, arg).mean(axis=-1).T  # (rows, A)
+        coeffs = np.zeros((rows, geometry.n_modes), dtype=complex)
+        coeffs[:, 0] = (math.sqrt(lam[0] * cfg.dt / TWO_PI)
+                        * rng.standard_normal(rows))
+        g = rng.standard_normal((rows, band)) + 1j * rng.standard_normal((rows, band))
+        coeffs[:, 1:] = np.sqrt(lam[1: band + 1] * cfg.dt / (2.0 * TWO_PI)) * g
+        dwq = np.fft.irfft(coeffs * geometry.n_grid, n=geometry.n_grid, axis=-1)
+        y += (cfg.sigma / math.sqrt(n)) * np.sqrt(rho_half) * dwq[:, idx]
 
     r_tot = cfg.n_replicas
     mean_pz = sums["pz"] / r_tot
@@ -765,8 +745,9 @@ class EvolutionIdentityConfig:
             raise ValueError("need a dt ladder with at least 3 points")
 
 
-def _identity_residuals(cfg, dt: float, seed: int):
+def _identity_residuals(args):
     """Max-over-steps L2 residuals of the three discrete field identities."""
+    cfg, dt, seed = args
     w = potential_from_config(cfg.potential)
     params = ModelParams(n_particles=cfg.n_particles, gamma=cfg.gamma,
                          sigma=cfg.sigma, t_horizon=cfg.t_horizon, dt=dt,
@@ -821,11 +802,10 @@ def run_evolution_identity_check(cfg: EvolutionIdentityConfig,
                                  jobs: int = 1) -> StudyReport:
     t0 = time.perf_counter()
     seeds = _child_seeds(seed, len(cfg.dt_ladder))
-    rows = []
-    for dt, s in zip(cfg.dt_ladder, seeds):
-        ra, rb, rc = _identity_residuals(cfg, float(dt), s)
-        rows.append({"dt": float(dt), "res_density": ra, "res_momentum": rb,
-                     "res_flux": rc})
+    cells = [(cfg, float(dt), s) for dt, s in zip(cfg.dt_ladder, seeds)]
+    rows = [{"dt": dt, "res_density": ra, "res_momentum": rb, "res_flux": rc}
+            for (_cfg, dt, _s), (ra, rb, rc)
+            in zip(cells, _map_ordered(_identity_residuals, cells, jobs))]
     if all(r["res_density"] == 0.0 and r["res_momentum"] == 0.0
            and r["res_flux"] == 0.0 for r in rows):
         checks = {"static_residuals_zero": True}

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from dklab.particles import (ConfigurationError, CoupledTrajectory,
                              ModelParams, TimeStepError, _advance,
-                             chaos_distance, chaos_distance_sup,
-                             ladder_from_thetas, meanfield_force,
-                             pairwise_force, simulate_coupled,
-                             simulate_interacting, warm_start)
+                             chaos_distance, ladder_from_thetas,
+                             meanfield_force, pairwise_force, replica_steps,
+                             simulate_coupled, simulate_interacting)
 from dklab.potential import PotentialSpec
 from dklab.torus import TWO_PI, TorusGeometry, wrap
 from dklab.vfp import uniform_maxwellian
@@ -161,7 +160,7 @@ class TestCoupledRuns:
         assert np.array_equal(traj.q_int, traj.q_mf)
         assert np.array_equal(traj.p_int, traj.p_mf)
         assert np.array_equal(traj.lift_int, traj.lift_mf)
-        assert chaos_distance_sup(traj) == 0.0
+        assert chaos_distance(traj).max() == 0.0
 
     def test_snapshot_zero_is_the_common_state(self):
         params = small_params(burn_in=0.1)
@@ -192,34 +191,6 @@ class TestCoupledRuns:
             for j in range(i + 1, 6):
                 assert not np.array_equal(finals[i], finals[j])
 
-    def test_noise_injection_overrides_generator(self):
-        params = small_params(n_particles=4, t_horizon=0.05)
-        rng = np.random.default_rng(9)
-        q0 = rng.uniform(0, TWO_PI, (3, 4))
-        p0 = rng.normal(size=(3, 4))
-        noise = rng.standard_normal((10, 3, 4))
-        runs = [simulate_coupled(params, W_COS, n_replicas=3,
-                                 snapshot_times=[0.05], seed=s,
-                                 initial=(q0, p0), noise=noise)
-                for s in (1, 2)]
-        assert np.array_equal(runs[0].q_int, runs[1].q_int)
-        assert np.array_equal(runs[0].p_mf, runs[1].p_mf)
-
-    def test_noise_shape_guard(self):
-        params = small_params(n_particles=4, t_horizon=0.05)
-        with pytest.raises(ConfigurationError):
-            simulate_coupled(params, W_COS, n_replicas=3,
-                             snapshot_times=[0.05], seed=1,
-                             initial=(np.zeros((3, 4)), np.zeros((3, 4))),
-                             noise=np.zeros((9, 3, 4)))
-
-    def test_noise_requires_no_burn_in(self):
-        params = small_params(n_particles=4, t_horizon=0.05, burn_in=0.05)
-        with pytest.raises(ConfigurationError):
-            simulate_coupled(params, W_COS, n_replicas=3,
-                             snapshot_times=[0.05], seed=1,
-                             noise=np.zeros((10, 3, 4)))
-
     def test_snapshot_time_must_be_on_grid(self):
         params = small_params()
         with pytest.raises(ConfigurationError):
@@ -240,18 +211,62 @@ class TestCoupledRuns:
         assert p.var() == pytest.approx(0.5, rel=0.05)
 
 
-class TestWarmStart:
-    def test_requires_burn_in(self):
-        with pytest.raises(ConfigurationError):
-            warm_start(small_params(), W_COS, seed=0)
+class TestReplicaSteps:
+    def test_yield_contract(self):
+        # 6 replicas in blocks of 4: the second block holds rows 4 and 5
+        params = small_params(t_horizon=0.02, burn_in=0.01)
+        seen = []
+        for lo, hi, s, branches, xi, _rng in replica_steps(
+                params, W_COS, n_replicas=6, seed=2, replica_block=4, coupled=True):
+            seen.append((lo, hi, s, xi is None))
+            assert len(branches) == 2
+            for q, p, lift in branches:
+                assert q.shape == p.shape == lift.shape == (hi - lo, 8)
+            if s == 0:
+                for a, b in zip(*branches):
+                    assert np.array_equal(a, b)
+            if xi is not None:
+                assert xi.shape == (hi - lo, 8)
+        assert seen == [(lo, hi, s, s == 4) for lo, hi in ((0, 4), (4, 6))
+                        for s in range(5)]
 
-    def test_returns_reset_clocks(self):
-        params = small_params(n_particles=32, burn_in=0.1)
-        ens, dens = warm_start(params, W_COS, seed=0)
-        assert ens.q.shape == (32,)
-        assert ens.t == 0.0
-        assert dens.t == 0.0
-        assert dens.mass() == pytest.approx(1.0, abs=1e-9)
+    def test_caller_draws_fall_between_xi_and_the_step(self):
+        params = small_params(n_particles=3, t_horizon=0.01)
+        plain = list(replica_steps(params, W_COS, n_replicas=2, seed=4))
+        mixed, extra = [], []
+        for lo, hi, s, branches, xi, rng in replica_steps(params, W_COS,
+                                                          n_replicas=2, seed=4):
+            mixed.append((s, branches, xi))
+            if xi is not None:
+                extra.append(rng.standard_normal())
+        # step 0 -> 1 used the xi drawn before the caller's draw
+        assert np.array_equal(plain[1][3][0][1], mixed[1][1][0][1])
+        ref = np.random.default_rng(np.random.SeedSequence(4).spawn(1)[0])
+        ref.uniform(0.0, TWO_PI, (2, 3))
+        ref.normal(0.0, np.sqrt(0.5), (2, 3))
+        assert np.array_equal(ref.standard_normal((2, 3)), mixed[0][2])
+        assert ref.standard_normal() == extra[0]
+        assert np.array_equal(ref.standard_normal((2, 3)), mixed[1][2])
+
+    def test_block_numbers_depend_only_on_seed_and_index(self):
+        params = small_params()
+        q4, p4 = simulate_interacting(params, W_COS, n_replicas=4, seed=6,
+                                      replica_block=2)
+        q5, p5 = simulate_interacting(params, W_COS, n_replicas=5, seed=6,
+                                      replica_block=2)
+        assert np.array_equal(q4, q5[:4])
+        assert np.array_equal(p4, p5[:4])
+
+    def test_recorded_path_follows_its_increments(self):
+        params = small_params(n_particles=5, t_horizon=0.02)
+        paths = simulate_interacting(params, W_COS, n_replicas=3, seed=1,
+                                     record_path=True)
+        for s in range(4):
+            q, p = paths["q"][s], paths["p"][s]
+            q1, p1, _ = _advance(q, p, q, lambda x: pairwise_force(x, W_COS),
+                                 params, paths["xi"][s] * np.sqrt(params.dt))
+            assert np.array_equal(q1, paths["q"][s + 1])
+            assert np.array_equal(p1, paths["p"][s + 1])
 
 
 class TestChaosDistance:
@@ -271,7 +286,7 @@ class TestChaosDistance:
         expected4 = (0.3 ** 4 + 0.4 ** 4) ** 0.25
         assert chaos_distance(traj, alpha=4) == pytest.approx(
             [expected4, expected4])
-        assert chaos_distance_sup(traj) == pytest.approx(0.5)
+        assert chaos_distance(traj).max() == pytest.approx(0.5)
 
     @pytest.mark.parametrize("alpha", [1, 3, 0])
     def test_alpha_must_be_even(self, alpha):

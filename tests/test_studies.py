@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dklab.cli import rows_to_csv
+from dklab.particles import ConfigurationError
 from dklab.potential import PotentialSpec
 from dklab.ratefit import PowerLawFit, fit_loglog, halving_factors
 from dklab.studies import (STUDY_NAMES, STUDY_REGISTRY, ChaosStudyConfig,
@@ -133,6 +134,14 @@ class TestInteractionStudy:
         assert raw_sha256(run_interaction_study(cfg, seed=0)) == (
             "b73901dc59e04610543e3875f9193b7c00669538d446a7078b248cba5c2e8a2e")
 
+    def test_off_grid_moment_horizon_is_rejected(self):
+        cfg = InteractionStudyConfig(eps_ladder=(0.4, 0.2), theta=2.0, n_replicas=2,
+                                     moment_eps_ladder=(0.5, 0.4), moment_theta=3.0,
+                                     moment_replicas=1, moment_t_horizon=0.0123,
+                                     t_measure=0.05)
+        with pytest.raises(ConfigurationError, match="moment_t_horizon"):
+            run_interaction_study(cfg, seed=0)
+
 
 # One replica of the N = 40 cell reaches the norm cap k_norm = 0.45 and
 # freezes while the others run on, and the sigma-halving rows are included.
@@ -177,6 +186,12 @@ class TestCovarianceStudy:
                                     t_horizon=0.01)
         assert raw_sha256(run_covariance_study(cfg, seed=0)) == (
             "f69383aae876e5ec356369ba8a059a5c512fa75377d3499d50a7fefc0f5e8ed9")
+
+    def test_off_grid_horizon_is_rejected(self):
+        cfg = CovarianceStudyConfig(eps_ladder=(0.4,), theta=2.0, n_replicas=1000,
+                                    t_horizon=0.0123)
+        with pytest.raises(ConfigurationError, match="t_horizon"):
+            run_covariance_study(cfg, seed=0)
 
 
 class TestJ2ClosureStudy:
@@ -233,3 +248,10 @@ class TestEvolutionIdentity:
                                       t_horizon=0.05)
         assert raw_sha256(run_evolution_identity_check(cfg, seed=0)) == (
             "5ac2669debdf1d8c251f1f994ce98f90342a4c946846fa761621f0c843eb4fdc")
+
+    def test_jobs_do_not_change_the_table(self):
+        cfg = EvolutionIdentityConfig(n_particles=16, n_replicas=2,
+                                      t_horizon=0.05)
+        serial = run_evolution_identity_check(cfg, seed=0, jobs=1)
+        parallel = run_evolution_identity_check(cfg, seed=0, jobs=2)
+        assert serial.raw_table == parallel.raw_table
