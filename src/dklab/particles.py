@@ -23,8 +23,12 @@ Block seeding.  Replicas are simulated in vectorised blocks of
 Generator on the b-th child spawned off SeedSequence(seed), so a block's
 numbers depend only on (seed, b) and its row count, not on other blocks.
 
-Start and burn-in.  The VFP force table is built once, before the first
-block, with burn_steps rows (plus main_steps rows for a coupled run).  Each
+Start and burn-in.  The VFP force table has burn_steps rows (plus
+main_steps rows for a coupled run) and is taken, before the first block,
+from a per-process memo keyed on the potential's coefficients, gamma, sigma,
+the row count and dt.  The table does not depend on n_particles, so every
+cell of an N ladder shares one table, built once; its coefficients are
+read-only because every caller gets the same object.  Each
 block samples q ~ U(0, 2 pi) and then p ~ N(0, sigma^2 / (2 gamma)), or
 takes its rows of `initial`, sets the lift to q and runs burn_steps
 mean-field steps against the table.  The clock then restarts at s = 0.
@@ -46,6 +50,7 @@ step, then per main step `xi` followed by whatever the caller draws from
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -101,9 +106,14 @@ class ModelParams:
     @property
     def temperature(self) -> float:
         """Stationary momentum variance sigma^2 / (2 gamma)."""
-        if self.gamma == 0:
-            raise ConfigurationError("temperature undefined for gamma = 0")
-        return self.sigma ** 2 / (2.0 * self.gamma)
+        return stationary_temperature(self.gamma, self.sigma)
+
+
+def stationary_temperature(gamma: float, sigma: float) -> float:
+    """Stationary momentum variance sigma^2 / (2 gamma) of the Langevin dynamics."""
+    if gamma == 0:
+        raise ConfigurationError("temperature undefined for gamma = 0")
+    return sigma ** 2 / (2.0 * gamma)
 
 
 def ladder_from_thetas(epsilons, theta: float) -> list[tuple[int, float]]:
@@ -218,10 +228,31 @@ def _steps_from_time(t: float, dt: float, what: str) -> int:
     return n
 
 
-def default_datum(params: ModelParams) -> PhaseSpaceDensity:
+def default_datum(gamma: float, sigma: float) -> PhaseSpaceDensity:
     """Uniform-in-q, Maxwellian-in-p datum at the stationary temperature."""
-    m2 = params.temperature
+    m2 = stationary_temperature(gamma, sigma)
     return uniform_maxwellian(TorusGeometry(64), 6.0 * np.sqrt(m2), 96, m2)
+
+
+def _force_table(params: ModelParams, w: PotentialSpec, n_rows: int) -> VfpForceTable:
+    """Force table of n_rows steps from the default datum, shared within the process.
+
+    The table depends on the potential, gamma, sigma, the row count and dt,
+    never on n_particles, so runs that differ only in N get the same object.
+    """
+    if not n_rows or w.is_zero:
+        return VfpForceTable(np.zeros((n_rows, 0), dtype=complex))
+    return _memo_force_table(tuple(w.cosine.tolist()), tuple(w.sine.tolist()),
+                             params.gamma, params.sigma, n_rows, params.dt)
+
+
+@functools.lru_cache(maxsize=32)
+def _memo_force_table(cosine: tuple, sine: tuple, gamma: float, sigma: float,
+                      n_rows: int, dt: float) -> VfpForceTable:
+    w = PotentialSpec(np.array(cosine), np.array(sine))
+    table = build_force_table(default_datum(gamma, sigma), w, gamma, sigma, n_rows, dt)
+    table.coeffs.flags.writeable = False  # every caller gets this object
+    return table
 
 
 def _block_start(rng, shape, params: ModelParams, initial, lo: int, hi: int):
@@ -250,12 +281,7 @@ def replica_steps(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
     sqdt = math.sqrt(dt)
     burn_steps = _steps_from_time(params.burn_in, dt, "burn_in")
     main_steps = _steps_from_time(params.t_horizon, dt, "t_horizon")
-    n_rows = burn_steps + (main_steps if coupled else 0)
-    if n_rows and not w.is_zero:
-        table = build_force_table(default_datum(params), w, params.gamma,
-                                  params.sigma, n_rows, dt)
-    else:
-        table = VfpForceTable(np.zeros((n_rows, 0), dtype=complex))
+    table = _force_table(params, w, burn_steps + (main_steps if coupled else 0))
 
     def interacting(x):
         return pairwise_force(x, w)

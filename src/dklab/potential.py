@@ -116,20 +116,25 @@ def mean_w1_at(w: PotentialSpec, q: np.ndarray, at: np.ndarray) -> np.ndarray:
         C_k = sum_j cos(k q_j),   S_k = sum_j sin(k q_j),
 
     so the cost is O((N + M) k_max) instead of O(N M).  Evaluating at the
-    particle positions themselves (at = q) includes the self term W'(0),
-    which is the convention used by the pairwise force.
+    particle positions themselves (`at` is the array `q`) includes the self
+    term W'(0), which is the convention used by the pairwise force, and
+    reuses the cos(k q), sin(k q) arrays of the totals as the evaluation
+    trig, with the same bits as evaluating at a copy of q.
     """
     q = np.asarray(q, dtype=float)
     at = np.asarray(at, dtype=float)
+    shared = at is q
     n_part = q.shape[-1]
     out = np.zeros(np.broadcast_shapes(q.shape[:-1] + (1,), at.shape), dtype=float)
     for k in range(1, w.k_max + 1):
         a, b = w.cosine[k], w.sine[k]
         if a == 0.0 and b == 0.0:
             continue
-        ck = np.cos(k * q).sum(axis=-1, keepdims=True)
-        sk = np.sin(k * q).sum(axis=-1, keepdims=True)
-        cos_at = np.cos(k * at)
-        sin_at = np.sin(k * at)
+        cos_q = np.cos(k * q)
+        sin_q = np.sin(k * q)
+        ck = cos_q.sum(axis=-1, keepdims=True)
+        sk = sin_q.sum(axis=-1, keepdims=True)
+        cos_at = cos_q if shared else np.cos(k * at)
+        sin_at = sin_q if shared else np.sin(k * at)
         out += k * (-a * (ck * sin_at - sk * cos_at) + b * (ck * cos_at + sk * sin_at))
     return out / n_part

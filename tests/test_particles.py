@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from dklab.particles import (ConfigurationError, CoupledTrajectory,
                              ModelParams, TimeStepError, _advance,
-                             chaos_distance, ladder_from_thetas,
+                             _force_table, build_force_table, chaos_distance,
+                             default_datum, ladder_from_thetas,
                              meanfield_force, pairwise_force, replica_steps,
                              simulate_coupled, simulate_interacting)
-from dklab.potential import PotentialSpec
+from dklab.potential import PotentialSpec, mean_w1_at
 from dklab.torus import TWO_PI, TorusGeometry, wrap
 from dklab.vfp import uniform_maxwellian
 
@@ -76,6 +77,14 @@ class TestForces:
         q = rng.uniform(0, TWO_PI, 17)
         brute = np.array([-w.w1(qi - q).mean() for qi in q])
         assert pairwise_force(q, w) == pytest.approx(brute, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(17,), (3, 17)])
+    def test_shared_trig_keeps_the_bits(self, shape):
+        # at = q reuses the totals' cos/sin arrays; a copy of q takes the
+        # general path, which evaluates the trig again
+        w = PotentialSpec([0.1, 0.5, -0.2, 0.4], [0.0, 0.1, 0.3, -0.7])
+        q = np.random.default_rng(1).uniform(0, TWO_PI, shape)
+        assert np.array_equal(pairwise_force(q, w), -mean_w1_at(w, q, q.copy()))
 
     def test_meanfield_force_single_mode(self):
         # marginal (1 + cos q) / (2 pi) under W = cos gives force sin(q)/2
@@ -267,6 +276,42 @@ class TestReplicaSteps:
                                  params, paths["xi"][s] * np.sqrt(params.dt))
             assert np.array_equal(q1, paths["q"][s + 1])
             assert np.array_equal(p1, paths["p"][s + 1])
+
+
+class TestForceTableMemo:
+    W = PotentialSpec([0.0, 1.0, 0.2], [0.0, 0.0, 0.3])
+
+    def test_cells_differing_in_n_share_one_table(self):
+        a = _force_table(small_params(n_particles=16), self.W, 4)
+        b = _force_table(small_params(n_particles=64), self.W, 4)
+        assert a is b
+
+    @pytest.mark.parametrize("change", [
+        dict(gamma=0.5), dict(sigma=0.7), dict(dt=2.5e-3), dict(n_rows=5),
+        dict(cosine=[0.1, 1.0, 0.2]), dict(cosine=[0.0, 1.1, 0.2]),
+        dict(sine=[0.0, 0.0, 0.4]), dict(sine=[0.0, 0.2, 0.3])])
+    def test_any_key_change_gives_another_table(self, change):
+        kw = dict(gamma=1.0, sigma=1.0, dt=5e-3, n_rows=4,
+                  cosine=self.W.cosine, sine=self.W.sine)
+        base = _force_table(small_params(gamma=1.0, sigma=1.0, dt=5e-3), self.W, 4)
+        kw.update(change)
+        w = PotentialSpec(np.array(kw["cosine"]), np.array(kw["sine"]))
+        params = small_params(gamma=kw["gamma"], sigma=kw["sigma"], dt=kw["dt"])
+        other = _force_table(params, w, kw["n_rows"])
+        assert other is not base
+
+    def test_cached_coefficients_are_read_only(self):
+        table = _force_table(small_params(), self.W, 4)
+        with pytest.raises(ValueError):
+            table.coeffs[0, 0] = 0.0
+
+    def test_cached_table_equals_a_fresh_build(self):
+        params = small_params(gamma=0.8, sigma=0.9)
+        fresh = build_force_table(default_datum(0.8, 0.9), self.W, 0.8, 0.9,
+                                  6, params.dt)
+        cached = _force_table(params, self.W, 6)
+        assert cached.coeffs.shape == fresh.coeffs.shape == (6, 2)
+        assert np.array_equal(cached.coeffs, fresh.coeffs)
 
 
 class TestChaosDistance:
