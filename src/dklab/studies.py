@@ -31,7 +31,8 @@ from .particles import (ModelParams, _advance, _steps_from_time,  # noqa: F401
 from .potential import PotentialSpec
 from .ratefit import PowerLawFit, fit_loglog
 from .spde import SpdeConfig, solve_noise_free, solve_replicas
-from .torus import TWO_PI, TorusGeometry, make_kernel, von_mises_eval, wrap_centered
+from .torus import (TWO_PI, TorusGeometry, make_kernel, normalization_constant,
+                    von_mises_eval, wrap_centered)
 
 STUDY_NAMES = ("chaos", "interaction", "covariance", "j2_closure",
                "small_noise", "mollifier", "evolution_identity")
@@ -365,6 +366,24 @@ class CovarianceStudyConfig:
             raise ValueError("covariance study needs >= 1000 replicas")
 
 
+def _pair_exp(kappa: float, x_eval: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """e[a, ..., j] = exp(kappa * (cos(x_a - q[..., j]) - 1)), built in place.
+
+    For the kernel of concentration kappa and normalisation z_eps, e / z_eps
+    is the kernel at x_a - q and (e / z_eps)**2 its square; e**2 / z_half is
+    the kernel of concentration 2 kappa (width eps / sqrt 2, normalisation
+    z_half) at the same separations.  cos(x_a - q) comes by angle addition
+    from per-particle cos q, sin q and per-point cos x_a, sin x_a, and e is
+    the only array of its size that the call allocates.
+    """
+    sin_q = np.sin(q)
+    e = np.multiply.outer(kappa * np.cos(x_eval), np.cos(q))
+    for e_a, ks_a in zip(e, kappa * np.sin(x_eval)):
+        e_a += ks_a * sin_q
+    e -= kappa
+    return np.exp(e, out=e)
+
+
 def _covariance_cell(args):
     """Accumulate Z (kernel-weighted particle noise) and Y (density surrogate).
 
@@ -380,7 +399,7 @@ def _covariance_cell(args):
                          t_horizon=cfg.t_horizon, dt=cfg.dt, burn_in=0.0)
     geometry = TorusGeometry.for_epsilon(eps / math.sqrt(2.0))
     kern = make_kernel(eps, geometry)
-    kern_half = make_kernel(eps / math.sqrt(2.0), geometry)
+    z_half = normalization_constant(eps / math.sqrt(2.0), geometry.n_grid)
     kern_double = make_kernel(math.sqrt(2.0) * eps, geometry)
     idx = np.array([int(round(s / geometry.spacing)) for s in cfg.separations])
     x_eval = idx * geometry.spacing
@@ -407,11 +426,13 @@ def _covariance_cell(args):
             sums["z2"] += (z ** 2).sum(axis=0)
             sums["iso"] += iso.sum(axis=0)
             continue
-        arg = x_eval[:, None, None] - q[None, :, :]
-        kv = von_mises_eval(kern, arg)                      # (A, rows, n)
-        z += (cfg.sigma / n) * np.einsum("abn,bn->ba", kv, xi * sqdt)
-        iso += (cfg.sigma ** 2 / n ** 2) * cfg.dt * (kv ** 2).sum(axis=-1).T
-        rho_half = von_mises_eval(kern_half, arg).mean(axis=-1).T  # (rows, A)
+        e = _pair_exp(kern.kappa, x_eval, q)                # (A, rows, n)
+        z += (cfg.sigma / (n * kern.z_eps)) * np.einsum("abn,bn->ba", e, xi * sqdt)
+        e *= e  # the kernel at concentration 2 kappa, up to z_half
+        e2_sum = e.sum(axis=-1).T                           # (rows, A)
+        del e  # freed before the Q-Wiener temporaries
+        iso += (cfg.sigma / (n * kern.z_eps)) ** 2 * cfg.dt * e2_sum
+        rho_half = e2_sum / (n * z_half)
         coeffs = np.zeros((rows, geometry.n_modes), dtype=complex)
         coeffs[:, 0] = (math.sqrt(lam[0] * cfg.dt / TWO_PI)
                         * rng.standard_normal(rows))

@@ -9,11 +9,12 @@ from dklab.cli import rows_to_csv
 from dklab.particles import ConfigurationError
 from dklab.potential import PotentialSpec
 from dklab.ratefit import PowerLawFit, fit_loglog, halving_factors
+from dklab.torus import TWO_PI, TorusGeometry, make_kernel, von_mises_eval
 from dklab.studies import (STUDY_NAMES, STUDY_REGISTRY, ChaosStudyConfig,
                            CovarianceStudyConfig, EvolutionIdentityConfig,
                            InteractionStudyConfig, J2ClosureConfig,
                            MollifierConfig, SmallNoiseConfig,
-                           _child_seeds, config_from_dict,
+                           _child_seeds, _pair_exp, config_from_dict,
                            potential_from_config, run_chaos_study,
                            run_covariance_study, run_evolution_identity_check,
                            run_interaction_study, run_j2_closure_study,
@@ -185,7 +186,28 @@ class TestCovarianceStudy:
                                     n_replicas=1000, replica_block=300,
                                     t_horizon=0.01)
         assert raw_sha256(run_covariance_study(cfg, seed=0)) == (
-            "f69383aae876e5ec356369ba8a059a5c512fa75377d3499d50a7fefc0f5e8ed9")
+            "d469961df47dbc92964d552cc0f8dbfa2a9af8e696fb8b60b7d2659db910788d")
+
+    @pytest.mark.parametrize("eps", [0.2, 0.1])
+    def test_pair_exp_gives_the_three_kernel_weights(self, eps):
+        rng = np.random.default_rng(3)
+        x_eval = rng.uniform(0, TWO_PI, 5)
+        q = rng.uniform(0, TWO_PI, (7, 40))
+        geometry = TorusGeometry.for_epsilon(eps / np.sqrt(2.0))
+        kern = make_kernel(eps, geometry)
+        kern_half = make_kernel(eps / np.sqrt(2.0), geometry)
+        arg = x_eval[:, None, None] - q[None]
+        kv_ref = von_mises_eval(kern, arg)
+        e = _pair_exp(kern.kappa, x_eval, q)
+        assert e.shape == (5, 7, 40)
+
+        def rel(got, ref):
+            return np.abs(got / ref - 1.0).max()
+
+        assert rel(e / kern.z_eps, kv_ref) <= 1e-12
+        e *= e
+        assert rel(e / kern.z_eps ** 2, kv_ref ** 2) <= 1e-12
+        assert rel(e / kern_half.z_eps, von_mises_eval(kern_half, arg)) <= 1e-12
 
     def test_off_grid_horizon_is_rejected(self):
         cfg = CovarianceStudyConfig(eps_ladder=(0.4,), theta=2.0, n_replicas=1000,
