@@ -247,8 +247,8 @@ def _moment_cell(args):
     """Field moment metrics along one trajectory of the N * eps^8 = 1 ladder.
 
     Ensembles are evolved in replica blocks of 4 and the fields of each block
-    are estimated at the steps {0, n/2, n} only, so the largest cells never
-    materialise particle paths.
+    are estimated at the steps {0, n // 2, n} only, so the largest cells never
+    materialise particle paths.  A row's t is the time of its own step.
     """
     cfg, n, eps, seed = args
     w = potential_from_config(cfg.potential)
@@ -257,8 +257,8 @@ def _moment_cell(args):
     geometry = TorusGeometry.for_epsilon(eps)
     kern = make_kernel(eps, geometry)
     n_steps = _steps_from_time(cfg.moment_t_horizon, cfg.dt, "moment_t_horizon")
-    snap_steps = {0: 0.0, n_steps // 2: cfg.moment_t_horizon / 2,
-                  n_steps: cfg.moment_t_horizon}
+    snap_steps = {s: s * cfg.moment_t_horizon / n_steps
+                  for s in (0, n_steps // 2, n_steps)}
     rows = []
     for lo, _hi, s, ((q, p, _lift),), _xi, _rng in replica_steps(
             params, w, n_replicas=cfg.moment_replicas, seed=seed, replica_block=4):

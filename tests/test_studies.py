@@ -14,7 +14,8 @@ from dklab.studies import (STUDY_NAMES, STUDY_REGISTRY, ChaosStudyConfig,
                            CovarianceStudyConfig, EvolutionIdentityConfig,
                            InteractionStudyConfig, J2ClosureConfig,
                            MollifierConfig, SmallNoiseConfig,
-                           _child_seeds, _pair_exp, config_from_dict,
+                           _child_seeds, _moment_cell, _pair_exp,
+                           config_from_dict,
                            potential_from_config, run_chaos_study,
                            run_covariance_study, run_evolution_identity_check,
                            run_interaction_study, run_j2_closure_study,
@@ -134,6 +135,15 @@ class TestInteractionStudy:
                                      t_measure=0.05)
         assert raw_sha256(run_interaction_study(cfg, seed=0)) == (
             "b73901dc59e04610543e3875f9193b7c00669538d446a7078b248cba5c2e8a2e")
+
+    @pytest.mark.parametrize("horizon, times", [
+        (0.015, [0.0, 0.005, 0.015]),  # odd step count: middle is step 1 of 3
+        (0.005, [0.0, 0.005])])        # one step: the start is step 0 = n // 2
+    def test_moment_rows_carry_the_time_of_their_step(self, horizon, times):
+        cfg = InteractionStudyConfig(moment_replicas=1, moment_t_horizon=horizon,
+                                     dt=0.005)
+        rows = _moment_cell((cfg, 8, 0.5, 0))
+        assert [r["t"] for r in rows] == times
 
     def test_off_grid_moment_horizon_is_rejected(self):
         cfg = InteractionStudyConfig(eps_ladder=(0.4, 0.2), theta=2.0, n_replicas=2,
