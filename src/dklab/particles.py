@@ -24,13 +24,13 @@ Generator on the b-th child spawned off SeedSequence(seed), so a block's
 numbers depend only on (seed, b) and its row count, not on other blocks.
 
 Start and burn-in.  The VFP force table has burn_steps rows (plus
-main_steps rows for a coupled run) and is taken, before the first block,
-from a per-process memo keyed on the potential's coefficients, gamma, sigma,
-the row count and dt.  The table does not depend on n_particles, so every
-cell of an N ladder shares one table, built once; its coefficients are
-read-only because every caller gets the same object.  Each
-block samples q ~ U(0, 2 pi) and then p ~ N(0, sigma^2 / (2 gamma)), or
-takes its rows of `initial`, sets the lift to q and runs burn_steps
+main_steps rows for a coupled run).  It is taken before the first block
+from `_force_table`, a per-process lru_cache memo keyed on the potential's
+coefficients, gamma, sigma, the row count and dt.  The table does not depend
+on n_particles, so every cell of an N ladder shares one table, built once;
+its coefficients are read-only because every caller gets the same object.
+Each block samples q ~ U(0, 2 pi) and then p ~ N(0, sigma^2 / (2 gamma)),
+or takes its rows of `initial`, sets the lift to q and runs burn_steps
 mean-field steps against the table.  The clock then restarts at s = 0.
 
 Yield contract.  For s = 0 ... main_steps the driver yields

@@ -291,14 +291,11 @@ class TestForceTableMemo:
         dict(cosine=[0.1, 1.0, 0.2]), dict(cosine=[0.0, 1.1, 0.2]),
         dict(sine=[0.0, 0.0, 0.4]), dict(sine=[0.0, 0.2, 0.3])])
     def test_any_key_change_gives_another_table(self, change):
-        kw = dict(gamma=1.0, sigma=1.0, dt=5e-3, n_rows=4,
-                  cosine=self.W.cosine, sine=self.W.sine)
-        base = _force_table(small_params(gamma=1.0, sigma=1.0, dt=5e-3), self.W, 4)
-        kw.update(change)
-        w = PotentialSpec(np.array(kw["cosine"]), np.array(kw["sine"]))
-        params = small_params(gamma=kw["gamma"], sigma=kw["sigma"], dt=kw["dt"])
-        other = _force_table(params, w, kw["n_rows"])
-        assert other is not base
+        kw = {"n_rows": 4, "cosine": self.W.cosine, "sine": self.W.sine, **change}
+        w = PotentialSpec(np.array(kw.pop("cosine")), np.array(kw.pop("sine")))
+        n_rows = kw.pop("n_rows")
+        base = _force_table(small_params(), self.W, 4)
+        assert _force_table(small_params(**kw), w, n_rows) is not base
 
     def test_cached_coefficients_are_read_only(self):
         table = _force_table(small_params(), self.W, 4)
