@@ -252,6 +252,12 @@ class TestMollifierStudy:
         assert report.checks["bound_every_point"]
         assert report.verdict == "pass"
 
+    def test_raw_csv_is_pinned(self):
+        cfg = MollifierConfig(eps_ladder=(0.4, 0.2, 0.1), n_anchors=9,
+                              n_quad=1 << 12)
+        assert raw_sha256(run_mollifier_study(cfg, seed=0)) == (
+            "8d5b6d57a959992ca3eeb098a020428cf605b0297ffc796b263f0777713cfa2b")
+
 
 class TestEvolutionIdentity:
     def test_dt_ladder_needs_three_points(self):
