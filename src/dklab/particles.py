@@ -151,9 +151,42 @@ class CoupledTrajectory:
         return self.q_int.shape[2]
 
 
-def pairwise_force(q: np.ndarray, w: PotentialSpec) -> np.ndarray:
-    """Interacting drift -(1/N) sum_j W'(q_i - q_j), self term included."""
-    return -mean_w1_at(w, q, q)
+def pairwise_force(q: np.ndarray, w: PotentialSpec,
+                   cos_sin_q: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Interacting drift -(1/N) sum_j W'(q_i - q_j), self term included.
+
+    cos_sin_q, when given, is (np.cos(q), np.sin(q)), already computed.
+    """
+    return -mean_w1_at(w, q, q, cos_sin_q=cos_sin_q)
+
+
+class StepPhase:
+    """cos q and sin q of one step's interacting positions, computed on demand.
+
+    Calling the handle computes (np.cos(q), np.sin(q)) on the first call and
+    returns the same pair after that.  The step s -> s+1 calls `release`,
+    which hands the pair, if computed, to the pairwise force and drops every
+    reference the handle holds, so the force takes no trig of its own for
+    wavenumber 1 and nothing is kept alive past the step.  A handle is valid
+    while its step is yielded.
+    """
+
+    __slots__ = ("_q", "_cos_sin")
+
+    def __init__(self, q: np.ndarray):
+        self._q = q
+        self._cos_sin = None
+
+    def __call__(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._cos_sin is None:
+            if self._q is None:
+                raise RuntimeError("the phase of a step that has already been taken")
+            self._cos_sin = (np.cos(self._q), np.sin(self._q))
+        return self._cos_sin
+
+    def release(self) -> tuple[np.ndarray, np.ndarray] | None:
+        cos_sin, self._q, self._cos_sin = self._cos_sin, None, None
+        return cos_sin
 
 
 def meanfield_force(q: np.ndarray, density: PhaseSpaceDensity, w: PotentialSpec) -> np.ndarray:
@@ -171,23 +204,42 @@ def meanfield_force(q: np.ndarray, density: PhaseSpaceDensity, w: PotentialSpec)
 
 
 def _advance(q, p, lift, force_fn, params: ModelParams, dw):
-    """One Euler-Maruyama (or Strang) step for a batch of ensembles."""
+    """One Euler-Maruyama (or Strang) step for a batch of ensembles.
+
+    The new state is built in fresh arrays by in-place ufuncs in the order of
+
+        p_new = p + (-gamma p + force) dt + sigma dw,
+        euler:  lift_new = lift + p dt,  q_new = wrap(q + p dt),
+        strang: q_half = wrap(q + p dt/2), force at q_half,
+                lift_new = lift + p dt/2 + p_new dt/2,
+                q_new = wrap(q_half + p_new dt/2),
+
+    so every bit is that of the formula.  Inputs, and the array force_fn
+    returns, are never written to: a force function may return an array it
+    shares with its caller.
+    """
     dt, gamma, sigma = params.dt, params.gamma, params.sigma
-    if params.scheme == "euler":
-        force = force_fn(q)
-        dq = p * dt
-        p_new = p + (-gamma * p + force) * dt + sigma * dw
-        lift_new = lift + dq
-        q_new = wrap(q + dq)
+    euler = params.scheme == "euler"
+    if euler:
+        q_kick = q
     else:  # strang: half drift in q, full kick, half drift with the new p
         half = p * (dt / 2.0)
-        q_half = wrap(q + half)
-        force = force_fn(q_half)
-        p_new = p + (-gamma * p + force) * dt + sigma * dw
-        second = p_new * (dt / 2.0)
-        lift_new = lift + half + second
-        q_new = wrap(q_half + second)
-    worst = float(np.abs(p_new).max()) if p_new.size else 0.0
+        q_kick = wrap(q + half)
+    p_new = np.multiply(p, -gamma)
+    p_new += force_fn(q_kick)
+    p_new *= dt
+    p_new += p
+    p_new += sigma * dw
+    if euler:
+        drift = p * dt
+        lift_new = lift + drift
+    else:
+        drift = p_new * (dt / 2.0)
+        lift_new = lift + half
+        lift_new += drift
+    drift += q_kick
+    q_new = wrap(drift)
+    worst = max(float(p_new.max()), -float(p_new.min())) if p_new.size else 0.0
     if worst > params.momentum_guard:
         raise TimeStepError(
             f"momentum {worst:.3e} exceeded guard {params.momentum_guard:.1e}"
@@ -272,7 +324,7 @@ def replica_steps(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
                   initial: tuple[np.ndarray, np.ndarray] | None = None):
     """Step the interacting system (and its coupled mean-field twin) block by block.
 
-    Yields (lo, hi, s, branches, xi, rng) for s = 0 ... main_steps of each
+    Yields (lo, hi, s, branches, xi, rng, phase) for s = 0 ... main_steps of each
     replica block [lo, hi) in turn; see the module docstring for the contract.
     `initial` replaces the sampled start with explicit (q0, p0) arrays of
     shape (n_replicas, n_particles).
@@ -283,8 +335,12 @@ def replica_steps(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
     main_steps = _steps_from_time(params.t_horizon, dt, "t_horizon")
     table = _force_table(params, w, burn_steps + (main_steps if coupled else 0))
 
-    def interacting(x):
-        return pairwise_force(x, w)
+    # the Euler step evaluates the pairwise force at q itself, so it can take
+    # cos q and sin q from the step's phase; Strang evaluates it at q_half
+    shares_phase = params.scheme == "euler" and not w.is_zero
+
+    def interacting(phase):
+        return lambda x: pairwise_force(x, w, phase.release() if phase else None)
 
     def mean_field(row):
         return lambda x: table.force_at(row, x)
@@ -304,10 +360,11 @@ def replica_steps(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
             branches += (tuple(a.copy() for a in branches[0]),)
         for s in range(main_steps):
             xi = rng.standard_normal(shape)
-            yield lo, hi, s, branches, xi, rng
-            branches = step(branches, [interacting, mean_field(burn_steps + s)],
+            phase = StepPhase(branches[0][0]) if shares_phase else None
+            yield lo, hi, s, branches, xi, rng, phase
+            branches = step(branches, [interacting(phase), mean_field(burn_steps + s)],
                             xi * sqdt)
-        yield lo, hi, main_steps, branches, None, rng
+        yield lo, hi, main_steps, branches, None, rng, None
 
 
 def simulate_coupled(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
@@ -328,7 +385,7 @@ def simulate_coupled(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
     names = ("q_int", "p_int", "lift_int", "q_mf", "p_mf", "lift_mf")
     shape = (len(snap_steps), n_replicas, params.n_particles)
     out = {name: np.zeros(shape) for name in names}
-    for lo, hi, s, (interacting, meanfield), _xi, _rng in replica_steps(
+    for lo, hi, s, (interacting, meanfield), _xi, _rng, _phase in replica_steps(
             params, w, n_replicas=n_replicas, seed=seed,
             replica_block=replica_block, coupled=True):
         for k, target in enumerate(snap_steps):
@@ -359,7 +416,7 @@ def simulate_interacting(params: ModelParams, w: PotentialSpec, *, n_replicas: i
                  "xi": np.zeros((main_steps,) + shape)}
     else:
         q_all, p_all = np.zeros(shape), np.zeros(shape)
-    for lo, hi, s, ((q, p, _lift),), xi, _rng in replica_steps(
+    for lo, hi, s, ((q, p, _lift),), xi, _rng, _phase in replica_steps(
             params, w, n_replicas=n_replicas, seed=seed,
             replica_block=replica_block, initial=initial):
         if record_path:

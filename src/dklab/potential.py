@@ -107,7 +107,8 @@ class PotentialSpec:
         return mult
 
 
-def mean_w1_at(w: PotentialSpec, q: np.ndarray, at: np.ndarray) -> np.ndarray:
+def mean_w1_at(w: PotentialSpec, q: np.ndarray, at: np.ndarray,
+               cos_sin_q: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Ensemble average (1/N) sum_j W'(at - q_j), vectorised in both arguments.
 
     q has shape (..., N) and `at` either (M,) or a batch-compatible (..., M);
@@ -120,6 +121,10 @@ def mean_w1_at(w: PotentialSpec, q: np.ndarray, at: np.ndarray) -> np.ndarray:
     term W'(0), which is the convention used by the pairwise force, and
     reuses the cos(k q), sin(k q) arrays of the totals as the evaluation
     trig, with the same bits as evaluating at a copy of q.
+
+    cos_sin_q, when given, is the pair (np.cos(q), np.sin(q)) that a caller
+    has already computed; it serves as the k = 1 arrays in place of new ones.
+    cos(1 * q) has the bits of cos(q), so the result does not change.
     """
     q = np.asarray(q, dtype=float)
     at = np.asarray(at, dtype=float)
@@ -130,8 +135,11 @@ def mean_w1_at(w: PotentialSpec, q: np.ndarray, at: np.ndarray) -> np.ndarray:
         a, b = w.cosine[k], w.sine[k]
         if a == 0.0 and b == 0.0:
             continue
-        cos_q = np.cos(k * q)
-        sin_q = np.sin(k * q)
+        if k == 1 and cos_sin_q is not None:
+            cos_q, sin_q = cos_sin_q
+        else:
+            kq = q if k == 1 else k * q
+            cos_q, sin_q = np.cos(kq), np.sin(kq)
         ck = cos_q.sum(axis=-1, keepdims=True)
         sk = sin_q.sum(axis=-1, keepdims=True)
         cos_at = cos_q if shared else np.cos(k * at)

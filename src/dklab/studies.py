@@ -260,7 +260,7 @@ def _moment_cell(args):
     snap_steps = {s: s * cfg.moment_t_horizon / n_steps
                   for s in (0, n_steps // 2, n_steps)}
     rows = []
-    for lo, _hi, s, ((q, p, _lift),), _xi, _rng in replica_steps(
+    for lo, _hi, s, ((q, p, _lift),), _xi, _rng, _phase in replica_steps(
             params, w, n_replicas=cfg.moment_replicas, seed=seed, replica_block=4):
         if s not in snap_steps:
             continue
@@ -366,18 +366,18 @@ class CovarianceStudyConfig:
             raise ValueError("covariance study needs >= 1000 replicas")
 
 
-def _pair_exp(kappa: float, x_eval: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _pair_exp(kappa: float, x_eval: np.ndarray, cos_q: np.ndarray,
+              sin_q: np.ndarray) -> np.ndarray:
     """e[a, ..., j] = exp(kappa * (cos(x_a - q[..., j]) - 1)), built in place.
 
     For the kernel of concentration kappa and normalisation z_eps, e / z_eps
     is the kernel at x_a - q and (e / z_eps)**2 its square; e**2 / z_half is
     the kernel of concentration 2 kappa (width eps / sqrt 2, normalisation
     z_half) at the same separations.  cos(x_a - q) comes by angle addition
-    from per-particle cos q, sin q and per-point cos x_a, sin x_a, and e is
-    the only array of its size that the call allocates.
+    from per-particle cos_q = cos q, sin_q = sin q and per-point cos x_a,
+    sin x_a, and e is the only array of its size that the call allocates.
     """
-    sin_q = np.sin(q)
-    e = np.multiply.outer(kappa * np.cos(x_eval), np.cos(q))
+    e = np.multiply.outer(kappa * np.cos(x_eval), cos_q)
     for e_a, ks_a in zip(e, kappa * np.sin(x_eval)):
         e_a += ks_a * sin_q
     e -= kappa
@@ -408,7 +408,7 @@ def _covariance_cell(args):
     band = geometry.n_modes - 1
 
     sums = {k: np.zeros(len(idx)) for k in ("pz", "pz2", "py", "py2", "z2", "iso")}
-    for lo, hi, s, ((q, _p, _lift),), xi, rng in replica_steps(
+    for lo, hi, s, ((q, _p, _lift),), xi, rng, phase in replica_steps(
             params, w, n_replicas=cfg.n_replicas, seed=seed,
             replica_block=cfg.replica_block):
         rows = hi - lo
@@ -426,7 +426,9 @@ def _covariance_cell(args):
             sums["z2"] += (z ** 2).sum(axis=0)
             sums["iso"] += iso.sum(axis=0)
             continue
-        e = _pair_exp(kern.kappa, x_eval, q)                # (A, rows, n)
+        # through the phase, the step's pairwise force reuses this cos q, sin q
+        e = _pair_exp(kern.kappa, x_eval,
+                      *(phase() if phase else (np.cos(q), np.sin(q))))  # (A, rows, n)
         z += (cfg.sigma / (n * kern.z_eps)) * np.einsum("abn,bn->ba", e, xi * sqdt)
         e *= e  # the kernel at concentration 2 kappa, up to z_half
         e2_sum = e.sum(axis=-1).T                           # (rows, A)

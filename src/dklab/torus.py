@@ -43,13 +43,31 @@ class ResolutionError(ValueError):
 def wrap(x):
     """Map angles onto the fundamental domain [0, 2*pi).
 
-    Accepts scalars or arrays; the output always satisfies 0 <= wrap(x) < 2*pi
-    and wrap(x + 2*pi*m) == wrap(x) for integer m up to roundoff.  For tiny
-    negative inputs np.mod rounds to exactly 2*pi, which would land outside
-    the half-open interval, hence the explicit fold back to zero.
+    Accepts scalars or arrays and returns a new float64 array; the output
+    always satisfies 0 <= wrap(x) < 2*pi and wrap(x + 2*pi*m) == wrap(x) for
+    integer m up to roundoff.  For tiny negative inputs np.mod rounds to
+    exactly 2*pi, which would land outside the half-open interval, hence the
+    fold of 2*pi back to zero.
+
+    The result has the bits of np.mod(x, 2*pi) with that fold, but inputs in
+    [-2*pi, 4*pi), which is where one particle step leaves a wrapped
+    position, take a compare and one shift instead of a floating-point
+    remainder, about a tenth of its cost.  The shifts are exact or round
+    like np.mod: np.mod returns fmod(x, 2*pi), which is exact, plus 2*pi when
+    that is negative.  On [2*pi, 4*pi) fmod is x - 2*pi, and that difference
+    is exact by the Sterbenz lemma; on [-2*pi, 0) fmod is x itself, so both
+    round the same sum x + 2*pi, and a sum that rounds to 2*pi meets the
+    subtraction and folds to 0.  The copy x + 0.0 turns -0.0 into +0.0, as
+    np.mod does.  Any other input (far angles, inf, NaN) goes through np.mod.
     """
-    out = np.mod(x, TWO_PI)
-    return np.where(out == TWO_PI, 0.0, out)
+    out = np.add(x, 0.0, out=np.empty(np.shape(x)))
+    # NaN fails both comparisons, as min and max propagate it
+    if out.size and not (out.min() >= -TWO_PI and out.max() < 2.0 * TWO_PI):
+        out = np.mod(x, TWO_PI)
+        return np.where(out == TWO_PI, 0.0, out)
+    np.add(out, TWO_PI, out=out, where=out < 0.0)
+    np.subtract(out, TWO_PI, out=out, where=out >= TWO_PI)
+    return out
 
 
 def wrap_centered(x):

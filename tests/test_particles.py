@@ -225,7 +225,7 @@ class TestReplicaSteps:
         # 6 replicas in blocks of 4: the second block holds rows 4 and 5
         params = small_params(t_horizon=0.02, burn_in=0.01)
         seen = []
-        for lo, hi, s, branches, xi, _rng in replica_steps(
+        for lo, hi, s, branches, xi, _rng, _phase in replica_steps(
                 params, W_COS, n_replicas=6, seed=2, replica_block=4, coupled=True):
             seen.append((lo, hi, s, xi is None))
             assert len(branches) == 2
@@ -243,7 +243,7 @@ class TestReplicaSteps:
         params = small_params(n_particles=3, t_horizon=0.01)
         plain = list(replica_steps(params, W_COS, n_replicas=2, seed=4))
         mixed, extra = [], []
-        for lo, hi, s, branches, xi, rng in replica_steps(params, W_COS,
+        for lo, hi, s, branches, xi, rng, _phase in replica_steps(params, W_COS,
                                                           n_replicas=2, seed=4):
             mixed.append((s, branches, xi))
             if xi is not None:
@@ -256,6 +256,41 @@ class TestReplicaSteps:
         assert np.array_equal(ref.standard_normal((2, 3)), mixed[0][2])
         assert ref.standard_normal() == extra[0]
         assert np.array_equal(ref.standard_normal((2, 3)), mixed[1][2])
+
+    @pytest.mark.parametrize("w", [W_COS, PotentialSpec([0.0, 0.7, 0.2],
+                                                         [0.0, 0.4, -0.3])])
+    def test_phase_is_the_trig_of_q_and_changes_no_bit(self, w):
+        params = small_params(t_horizon=0.02, burn_in=0.01)
+        kw = dict(n_replicas=5, seed=3, replica_block=4, coupled=True)
+        asked, plain = [], []
+        for lo, hi, s, branches, xi, _rng, phase in replica_steps(params, w, **kw):
+            q = branches[0][0]
+            if xi is None:
+                assert phase is None
+            else:
+                cos_q, sin_q = phase()
+                assert np.array_equal(cos_q.view(np.int64), np.cos(q).view(np.int64))
+                assert np.array_equal(sin_q.view(np.int64), np.sin(q).view(np.int64))
+                assert phase() is phase()
+            asked.append([a.tobytes() for b in branches for a in b])
+        for lo, hi, s, branches, xi, _rng, phase in replica_steps(params, w, **kw):
+            plain.append([a.tobytes() for b in branches for a in b])
+        assert asked == plain
+        assert len(plain) == 2 * 5
+
+    def test_phase_of_a_taken_step_is_refused(self):
+        steps = replica_steps(small_params(), W_COS, n_replicas=1, seed=0)
+        *_, phase = next(steps)
+        next(steps)
+        with pytest.raises(RuntimeError):
+            phase()
+
+    @pytest.mark.parametrize("params, w", [
+        (small_params(scheme="strang"), W_COS),
+        (small_params(), PotentialSpec.zero())])
+    def test_no_phase_without_a_shared_euler_force(self, params, w):
+        for *_, phase in replica_steps(params, w, n_replicas=2, seed=0):
+            assert phase is None
 
     def test_block_numbers_depend_only_on_seed_and_index(self):
         params = small_params()

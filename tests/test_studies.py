@@ -208,7 +208,7 @@ class TestCovarianceStudy:
         kern_half = make_kernel(eps / np.sqrt(2.0), geometry)
         arg = x_eval[:, None, None] - q[None]
         kv_ref = von_mises_eval(kern, arg)
-        e = _pair_exp(kern.kappa, x_eval, q)
+        e = _pair_exp(kern.kappa, x_eval, np.cos(q), np.sin(q))
         assert e.shape == (5, 7, 40)
 
         def rel(got, ref):

@@ -31,6 +31,25 @@ class TestWrap:
         assert wrap(-0.5) == pytest.approx(TWO_PI - 0.5)
         assert wrap_centered(1.5 * np.pi) == pytest.approx(-0.5 * np.pi)
 
+    def test_bits_equal_np_mod_with_the_fold(self):
+        def reference(x):
+            out = np.mod(x, TWO_PI)
+            return np.where(out == TWO_PI, 0.0, out)
+
+        rng = np.random.default_rng(0)
+        edges = [0.0, -0.0, TWO_PI, 2 * TWO_PI, -TWO_PI, 5e-324, -5e-324]
+        edges += [np.nextafter(v, d) for v in (0.0, TWO_PI, 2 * TWO_PI, -TWO_PI)
+                  for d in (-np.inf, np.inf)]
+        fallback = [1e6, -1e6, np.inf, -np.inf, np.nan]
+        cases = [rng.uniform(-TWO_PI, 2 * TWO_PI, (64, 1000)),
+                 rng.uniform(-1e-15, 1e-15, 1000),
+                 np.array(edges), np.array(edges + fallback)]
+        with np.errstate(invalid="ignore"):
+            for x in cases + edges + fallback:
+                got, ref = wrap(x), reference(x)
+                assert got.shape == ref.shape
+                assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
 
 class TestGeometry:
     def test_requires_power_of_two(self):
