@@ -718,23 +718,29 @@ def _triangle(y: np.ndarray) -> np.ndarray:
     return np.abs(wrap_centered(y))
 
 
-def run_mollifier_study(cfg: MollifierConfig, seed: int | None = None,
-                        jobs: int = 1) -> StudyReport:
-    t0 = time.perf_counter()
+def _mollifier_cell(args):
+    """Max smoothing error of each Lipschitz test function at one width."""
+    cfg, eps = args
     anchors = np.linspace(0.0, TWO_PI, cfg.n_anchors, endpoint=False)
     y = np.linspace(-math.pi, math.pi, cfg.n_quad, endpoint=False)
     h = TWO_PI / cfg.n_quad
-    tests = {"cos": (np.cos, 1.0), "triangle": (_triangle, 1.0)}
+    kern = make_kernel(eps, TorusGeometry.for_epsilon(eps, oversample=2))
+    kv = von_mises_eval(kern, y)
     rows = []
-    for eps in cfg.eps_ladder:
-        kern = make_kernel(eps, TorusGeometry.for_epsilon(eps, oversample=2))
-        kv = von_mises_eval(kern, y)
-        for name, (f, lip) in tests.items():
-            vals = f(anchors[:, None] + y[None, :])
-            err = float(np.abs(vals @ kv * h - f(anchors)).max())
-            rows.append({"epsilon": eps, "function": name, "lipschitz": lip,
-                         "max_error": err,
-                         "bound": 2.0 * lip * math.sqrt(eps)})
+    for name, (f, lip) in {"cos": (np.cos, 1.0), "triangle": (_triangle, 1.0)}.items():
+        vals = f(anchors[:, None] + y[None, :])
+        err = float(np.abs(vals @ kv * h - f(anchors)).max())
+        rows.append({"epsilon": eps, "function": name, "lipschitz": lip,
+                     "max_error": err,
+                     "bound": 2.0 * lip * math.sqrt(eps)})
+    return rows
+
+
+def run_mollifier_study(cfg: MollifierConfig, seed: int | None = None,
+                        jobs: int = 1) -> StudyReport:
+    t0 = time.perf_counter()
+    cells = [(cfg, eps) for eps in cfg.eps_ladder]
+    rows = [r for cell in _map_ordered(_mollifier_cell, cells, jobs) for r in cell]
     checks = {"bound_every_point": all(r["max_error"] <= r["bound"] for r in rows)}
     tri = [(r["epsilon"], r["max_error"]) for r in rows if r["function"] == "triangle"]
     fit = fit_loglog([e for e, _ in tri], [v for _, v in tri])

@@ -258,6 +258,13 @@ class TestMollifierStudy:
         assert raw_sha256(run_mollifier_study(cfg, seed=0)) == (
             "8d5b6d57a959992ca3eeb098a020428cf605b0297ffc796b263f0777713cfa2b")
 
+    def test_jobs_do_not_change_the_table(self):
+        cfg = MollifierConfig(eps_ladder=(0.4, 0.2, 0.1), n_anchors=9,
+                              n_quad=1 << 12)
+        serial = run_mollifier_study(cfg, seed=0, jobs=1)
+        parallel = run_mollifier_study(cfg, seed=0, jobs=2)
+        assert rows_to_csv(serial.raw_table) == rows_to_csv(parallel.raw_table)
+
 
 class TestEvolutionIdentity:
     def test_dt_ladder_needs_three_points(self):
