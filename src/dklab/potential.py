@@ -144,5 +144,23 @@ def mean_w1_at(w: PotentialSpec, q: np.ndarray, at: np.ndarray,
         sk = sin_q.sum(axis=-1, keepdims=True)
         cos_at = cos_q if shared else np.cos(k * at)
         sin_at = sin_q if shared else np.sin(k * at)
-        out += k * (-a * (ck * sin_at - sk * cos_at) + b * (ck * cos_at + sk * sin_at))
-    return out / n_part
+        # k * (-a (C sin - S cos) + b (C cos + S sin)) in place, in that order;
+        # a zero coefficient's term is skipped, which only changes the sign of
+        # a zero that out (never -0.0) absorbs
+        term = None
+        if a != 0.0:
+            term = ck * sin_at
+            term -= sk * cos_at
+            term *= -a
+        if b != 0.0:
+            cos_term = ck * cos_at
+            cos_term += sk * sin_at
+            cos_term *= b
+            if term is None:
+                term = cos_term
+            else:
+                term += cos_term
+        term *= k
+        out += term
+    out /= n_part
+    return out

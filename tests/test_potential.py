@@ -77,6 +77,36 @@ class TestMeanW1:
         for r in range(3):
             assert got[r] == pytest.approx(mean_w1_at(w, q[r], at))
 
+    @pytest.mark.parametrize("cosine, sine", [
+        ([0.0, 1.0], [0.0, 0.0]), ([0.0, 0.0], [0.0, 1.0]),
+        ([0.3, 0.7, 0.0, 0.2], [0.0, 0.4, -0.3, 0.0])])
+    @pytest.mark.parametrize("at_shape", [None, (13,), (4, 9)])
+    def test_bits_equal_the_one_expression_sum(self, cosine, sine, at_shape):
+        # the terms are built in place and zero coefficients skipped; the
+        # result keeps the bits of the one-expression form, with or without
+        # the caller's cos q, sin q
+        def reference(w, q, at):
+            out = np.zeros(np.broadcast_shapes(q.shape[:-1] + (1,), at.shape))
+            for k in range(1, w.k_max + 1):
+                a, b = w.cosine[k], w.sine[k]
+                ck = np.cos(k * q).sum(axis=-1, keepdims=True)
+                sk = np.sin(k * q).sum(axis=-1, keepdims=True)
+                cos_at, sin_at = np.cos(k * at), np.sin(k * at)
+                out += k * (-a * (ck * sin_at - sk * cos_at)
+                            + b * (ck * cos_at + sk * sin_at))
+            return out / q.shape[-1]
+
+        rng = np.random.default_rng(6)
+        w = PotentialSpec(np.array(cosine), np.array(sine))
+        q = rng.uniform(0, TWO_PI, (4, 21))
+        q[0] = 0.0  # a zero total makes signed zeros
+        at = q if at_shape is None else rng.uniform(-1.0, 7.0, at_shape)
+        ref = reference(w, q, at).view(np.int64)
+        assert np.array_equal(mean_w1_at(w, q, at).view(np.int64), ref)
+        if at_shape is None:
+            got = mean_w1_at(w, q, q, cos_sin_q=(np.cos(q), np.sin(q)))
+            assert np.array_equal(got.view(np.int64), ref)
+
     @given(st.integers(0, 2 ** 32 - 1))
     def test_uniform_lattice_averages_to_zero(self, seed):
         # W' has no k=0 mode, so a full lattice of particles cancels exactly
