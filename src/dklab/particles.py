@@ -34,14 +34,23 @@ or takes its rows of `initial`, sets the lift to q and runs burn_steps
 mean-field steps against the table.  The clock then restarts at s = 0.
 
 Yield contract.  For s = 0 ... main_steps the driver yields
-(lo, hi, s, branches, xi, rng): `branches` holds the (q, p, lift) state of
-rows [lo, hi) at step s, first the interacting branch and, for a coupled
-run, the mean-field branch started from a copy of the same state; `xi` is
-the standard-normal array that drives step s -> s+1 of every branch (None at
-s = main_steps); `rng` is the block's Generator.  The yielded arrays are
-replaced, never modified, by the next step.  A caller's loop variables keep
-step s alive until step s+1 is yielded; a caller that must not hold two
-states at once drops them at the end of its loop body.
+(lo, hi, s, branches, xi, rng, phase): `branches` holds the (q, p, lift)
+state of rows [lo, hi) at step s, first the interacting branch and, for a
+coupled run, the mean-field branch started from a copy of the same state;
+`xi` is the standard-normal array that drives step s -> s+1 of every branch
+(None at s = main_steps); `rng` is the block's Generator.  The yielded
+arrays are replaced, never modified, by the next step.  A caller's loop
+variables keep step s alive until step s+1 is yielded; a caller that must
+not hold two states at once drops them at the end of its loop body.
+
+`phase` is a `StepPhase` handle on the interacting q of step s when the
+step s -> s+1 is an Euler step with a nonzero potential, and None otherwise
+(Strang, the zero potential, s = main_steps).  Calling it returns
+(np.cos(q), np.sin(q)), computed on the first call.  The step then takes
+those arrays as the wavenumber-1 trig of the pairwise force instead of
+computing its own, and the bits of every branch are the same whether or not
+the caller asked.  A caller that never calls it pays nothing and holds
+nothing more; the handle drops its arrays when the step runs.
 
 Draw order per block: the start, one standard-normal array per burn-in
 step, then per main step `xi` followed by whatever the caller draws from
