@@ -450,7 +450,12 @@ def chaos_distance(traj: CoupledTrajectory, alpha: int = 2) -> np.ndarray:
         raise ValueError("alpha must be an even integer >= 2")
     if traj.n_replicas < 2:
         raise ValueError("need at least two replicas for a Monte Carlo estimate")
-    dq = traj.lift_int - traj.lift_mf
+    # |dq|^alpha + |dp|^alpha in place: two (S, R, N) arrays instead of five,
+    # as these temporaries set the chaos study's peak memory
+    per = traj.lift_int - traj.lift_mf
     dp = traj.p_int - traj.p_mf
-    per = np.abs(dq) ** alpha + np.abs(dp) ** alpha
+    for d in (per, dp):
+        np.abs(d, out=d)
+        d **= alpha
+    per += dp
     return per.mean(axis=(1, 2)) ** (1.0 / alpha)

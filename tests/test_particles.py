@@ -373,3 +373,13 @@ class TestChaosDistance:
     def test_needs_replicas(self):
         with pytest.raises(ValueError):
             chaos_distance(self._toy(0.1, 0.1, n_replicas=1))
+
+    @pytest.mark.parametrize("alpha", [2, 4])
+    def test_bits_equal_the_formula(self, alpha):
+        rng = np.random.default_rng(2)
+        traj = self._toy(rng.normal(size=(2, 3, 5)), rng.normal(size=(2, 3, 5)))
+        per = (np.abs(traj.lift_int - traj.lift_mf) ** alpha
+               + np.abs(traj.p_int - traj.p_mf) ** alpha)
+        ref = per.mean(axis=(1, 2)) ** (1.0 / alpha)
+        got = chaos_distance(traj, alpha=alpha)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
