@@ -3,7 +3,7 @@
 
 Usage: python scripts/run_all_studies.py [--out DIR] [--seed N] [--jobs N]
 
-Expect about two and a half minutes single-process (158 s on a 2-vCPU x86
+Expect about two and a half minutes single-process (152 s on a 2-vCPU x86
 host); the interaction study takes more than half of it.  Exit code follows the
 CLI convention (2 if any verdict fails).
 """
