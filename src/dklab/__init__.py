@@ -3,12 +3,11 @@ torus and the regularised density/momentum system they generate."""
 
 __version__ = "0.1.0"
 
-from .fields import (DensityField, empirical_field, holder_quotient,
-                     interaction_decomposition, sobolev_norm)
+from .fields import (DensityField, empirical_field, interaction_decomposition,
+                     sobolev_norm)
 from .particles import (ConfigurationError, CoupledTrajectory, ModelParams,
                         TimeStepError, chaos_distance, ladder_from_thetas,
-                        meanfield_force, pairwise_force, simulate_coupled,
-                        simulate_interacting)
+                        pairwise_force, simulate_coupled, simulate_interacting)
 from .potential import PotentialSpec, mean_w1_at
 from .ratefit import PowerLawFit, fit_loglog
 from .spde import (PersistenceReport, SpdeConfig, SpdeTrajectory,
@@ -19,7 +18,7 @@ from .studies import STUDY_NAMES, STUDY_REGISTRY, StudyReport
 from .torus import (KernelParams, ResolutionError, TorusGeometry, make_kernel,
                     normalization_constant, von_mises_eval, wrap,
                     wrap_centered)
-from .vfp import PhaseSpaceDensity, VfpSolver, solve_vfp, uniform_maxwellian
+from .vfp import PhaseSpaceDensity, VfpSolver, uniform_maxwellian
 
 __all__ = [
     "__version__",
@@ -30,10 +29,10 @@ __all__ = [
     "StoppingStatus", "StudyReport", "TimeStepError", "TorusGeometry",
     "VfpSolver", "chaos_distance",
     "convolution_bound_check", "empirical_field", "fit_loglog", "h_delta",
-    "holder_quotient", "interaction_decomposition", "ladder_from_thetas",
-    "make_kernel", "mean_w1_at", "meanfield_force", "normalization_constant",
+    "interaction_decomposition", "ladder_from_thetas",
+    "make_kernel", "mean_w1_at", "normalization_constant",
     "pairwise_force", "simulate_coupled", "simulate_interacting",
-    "sobolev_norm", "solve_noise_free", "solve_spde", "solve_vfp", "step_mild",
+    "sobolev_norm", "solve_noise_free", "solve_spde", "step_mild",
     "total_mass", "uniform_maxwellian", "von_mises_eval", "wrap",
     "wrap_centered",
 ]

@@ -9,10 +9,11 @@ unknown keys anywhere are an error.  Each run writes
     <out>/<name>/<timestamp>/config.json  the resolved configuration
 
 report.json embeds the seed, the code version, the resolved config, and the
-sha256 of raw.csv, so the directory is self-describing.  Wall-clock timing
-goes to stdout only: identical (config, seed) must give identical artifact
-bytes no matter how many worker processes ran, and the parallelism degree is
-likewise kept out of the resolved config.
+sha256 of raw.csv, so the directory is self-describing.  `cmd_study` times
+the study runner itself and prints the wall-clock time to stdout only; the
+runners and their reports carry no timing.  Identical (config, seed) must
+give identical artifact bytes no matter how many worker processes ran, so
+the parallelism degree is likewise kept out of the resolved config.
 
 Exit codes: 0 success, 2 study verdict fail, 1 configuration/runtime error.
 """
@@ -25,6 +26,7 @@ import hashlib
 import json
 import math
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -152,10 +154,13 @@ def _strict_block(block: dict, allowed: set, what: str) -> dict:
 def model_from_block(block: dict):
     names = {f.name for f in dataclasses.fields(ModelParams)}
     block = _strict_block(block, names | MODEL_EXTRA_KEYS, "model")
-    w = potential_from_config(block.get("potential", "cos"))
-    params = ModelParams(**{k: v for k, v in block.items() if k in names})
-    n_replicas = int(block.get("n_replicas", 16))
-    n_snapshots = int(block.get("n_snapshots", 10))
+    try:
+        w = potential_from_config(block.get("potential", "cos"))
+        params = ModelParams(**{k: v for k, v in block.items() if k in names})
+        n_replicas = int(block.get("n_replicas", 16))
+        n_snapshots = int(block.get("n_snapshots", 10))
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"bad model config: {exc}") from exc
     if n_replicas < 1 or n_snapshots < 1:
         raise CliError("n_replicas and n_snapshots must be positive")
     return params, w, n_replicas, n_snapshots
@@ -165,23 +170,30 @@ def kernel_from_block(block: dict):
     block = _strict_block(block, {"epsilon", "n_grid", "oversample"}, "kernel")
     if "epsilon" not in block:
         raise CliError("kernel block needs an epsilon")
-    eps = float(block["epsilon"])
-    if "n_grid" in block:
-        geometry = TorusGeometry(int(block["n_grid"]))
-        geometry.require_admissible(eps)
-    else:
-        geometry = TorusGeometry.for_epsilon(eps, int(block.get("oversample", 0)))
-    return make_kernel(eps, geometry)
+    try:
+        eps = float(block["epsilon"])
+        if "n_grid" in block:
+            geometry = TorusGeometry(int(block["n_grid"]))
+            geometry.require_admissible(eps)
+        else:
+            geometry = TorusGeometry.for_epsilon(eps, int(block.get("oversample", 0)))
+        return make_kernel(eps, geometry)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"bad kernel config: {exc}") from exc
 
 
 def spde_from_block(block: dict):
     names = {f.name for f in dataclasses.fields(SpdeConfig)}
     block = _strict_block(block, names | {"potential"}, "spde")
-    w = potential_from_config(block.get("potential", "cos"))
     kwargs = {k: v for k, v in block.items() if k in names}
     if kwargs.get("n_particles") == "inf":
         kwargs["n_particles"] = math.inf
-    return SpdeConfig(**kwargs), w
+    try:
+        w = potential_from_config(block.get("potential", "cos"))
+        cfg = SpdeConfig(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"bad spde config: {exc}") from exc
+    return cfg, w
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +277,12 @@ def cmd_study(name: str, config: dict, seed: int, out_root: Path, jobs: int) -> 
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad study config: {exc}") from exc
 
+    t0 = time.perf_counter()
     report = runner(study_cfg, seed=seed, jobs=jobs)
-    art = report.to_dict()
-    runtime = art.pop("runtime_seconds")
+    runtime = time.perf_counter() - t0
     resolved = dataclasses.asdict(study_cfg)
     resolved["seed"] = seed
-    run_dir = write_artifacts(out_root, name, report.raw_table, art, resolved)
+    run_dir = write_artifacts(out_root, name, report.raw_table, report.to_dict(), resolved)
     print(f"study {name}: verdict {report.verdict} ({runtime:.1f} s)")
     for check, ok in report.checks.items():
         if not ok:

@@ -36,7 +36,6 @@ tail beyond the Nyquist mode is cut off, which costs up to ~4e-11 relative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -84,21 +83,6 @@ class DensityField:
     def mass(self) -> float:
         """Quadrature of the field over the torus (spectrally accurate)."""
         return float(self.values.sum() * self.geometry.spacing)
-
-    def deriv(self, order: int = 1) -> "DensityField":
-        """Spectral derivative; the Nyquist mode is zeroed for odd orders."""
-        k = np.arange(self.geometry.n_modes)
-        coeffs = self.fourier * (1j * k) ** order
-        if order % 2 == 1:
-            coeffs[-1] = 0.0
-        return DensityField.from_fourier(self.geometry, coeffs)
-
-    def convolve_vm(self, kern: KernelParams) -> "DensityField":
-        """Convolution with a von Mises kernel through its coefficients."""
-        weights = np.zeros(self.geometry.n_modes)
-        m = min(len(kern.fourier_coeffs), self.geometry.n_modes)
-        weights[:m] = kern.fourier_coeffs[:m]
-        return DensityField.from_fourier(self.geometry, self.fourier * weights)
 
 
 def convolve_potential(field: DensityField, w: PotentialSpec, derivative: int = 0) -> DensityField:
@@ -212,24 +196,6 @@ def sobolev_norm(field: DensityField, k: int = 0, p: float = 2.0) -> float:
         raise ValueError("p must be positive")
     h = field.geometry.spacing
     return float((np.abs(field.values) ** p).sum() * h) ** (1.0 / p)
-
-
-def holder_quotient(fields: Sequence[DensityField], times: Iterable[float], beta: float) -> float:
-    """max over snapshot pairs of ||f(t) - f(s)||_{H^-1} / |t - s|^beta."""
-    times = np.asarray(list(times), dtype=float)
-    if len(fields) != len(times) or len(times) < 2:
-        raise ValueError("need at least two snapshots with matching times")
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie in (0, 1)")
-    best = 0.0
-    for i in range(len(times)):
-        for j in range(i + 1, len(times)):
-            dt = abs(times[j] - times[i])
-            if dt == 0.0:
-                raise ValueError("snapshot times must be distinct")
-            diff = DensityField(fields[i].geometry, fields[j].values - fields[i].values)
-            best = max(best, sobolev_norm(diff, k=-1) / dt ** beta)
-    return best
 
 
 def interaction_decomposition(q: np.ndarray, kern: KernelParams, w: PotentialSpec,

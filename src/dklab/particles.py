@@ -198,20 +198,6 @@ class StepPhase:
         return cos_sin
 
 
-def meanfield_force(q: np.ndarray, density: PhaseSpaceDensity, w: PotentialSpec) -> np.ndarray:
-    """Mean-field drift -(W' * rho[f])(q) from a phase-space density."""
-    mass = density.mass()
-    if abs(mass - 1.0) > 1e-6:
-        raise ValueError(f"density mass {mass} is not normalised")
-    kmax = w.k_max
-    if kmax == 0 or w.is_zero:
-        return np.zeros(np.shape(q))
-    marg = density.marginal()
-    c = np.fft.rfft(marg)[: kmax + 1] / density.geometry.n_grid
-    coeffs = (c * w.conv_multiplier(kmax + 1, derivative=1))[1:]
-    return meanfield_force_from_coeffs(coeffs, np.asarray(q, dtype=float))
-
-
 def _advance(q, p, lift, force_fn, params: ModelParams, dw):
     """One Euler-Maruyama (or Strang) step for a batch of ensembles.
 
@@ -388,9 +374,9 @@ def simulate_coupled(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
     """
     snap_times = np.asarray(sorted(snapshot_times), dtype=float)
     snap_steps = [_steps_from_time(t, params.dt, "snapshot time") for t in snap_times]
-    if snap_steps and snap_steps[-1] > _steps_from_time(params.t_horizon, params.dt,
-                                                        "t_horizon"):
-        raise ConfigurationError("snapshot time beyond t_horizon")
+    main_steps = _steps_from_time(params.t_horizon, params.dt, "t_horizon")
+    if any(not 0 <= s <= main_steps for s in snap_steps):
+        raise ConfigurationError("snapshot time outside [0, t_horizon]")
     names = ("q_int", "p_int", "lift_int", "q_mf", "p_mf", "lift_mf")
     shape = (len(snap_steps), n_replicas, params.n_particles)
     out = {name: np.zeros(shape) for name in names}

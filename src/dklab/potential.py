@@ -54,13 +54,6 @@ class PotentialSpec:
     def is_zero(self) -> bool:
         return bool(np.all(self.cosine[1:] == 0.0) and np.all(self.sine[1:] == 0.0))
 
-    def w(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.full(x.shape, self.cosine[0])
-        for k in range(1, self.k_max + 1):
-            out = out + self.cosine[k] * np.cos(k * x) + self.sine[k] * np.sin(k * x)
-        return out
-
     def w1(self, x) -> np.ndarray:
         """First derivative W'."""
         x = np.asarray(x, dtype=float)
@@ -69,22 +62,10 @@ class PotentialSpec:
             out = out + k * (-self.cosine[k] * np.sin(k * x) + self.sine[k] * np.cos(k * x))
         return out
 
-    def w2(self, x) -> np.ndarray:
-        """Second derivative W''."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        for k in range(1, self.k_max + 1):
-            out = out - k * k * (self.cosine[k] * np.cos(k * x) + self.sine[k] * np.sin(k * x))
-        return out
-
     def max_abs_w1(self, n_scan: int = 4096) -> float:
         """sup |W'| by dense scan (exact enough for low-order polynomials)."""
         x = np.arange(n_scan) * (TWO_PI / n_scan)
         return float(np.abs(self.w1(x)).max())
-
-    def max_abs_w2(self, n_scan: int = 4096) -> float:
-        x = np.arange(n_scan) * (TWO_PI / n_scan)
-        return float(np.abs(self.w2(x)).max())
 
     def conv_multiplier(self, n_modes: int, derivative: int = 0) -> np.ndarray:
         """Fourier multiplier of f -> W^(derivative) * f (circular convolution).

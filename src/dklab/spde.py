@@ -216,10 +216,6 @@ class PersistenceReport:
     def norm_margin(self) -> float:
         return self.c2 - self.max_norm
 
-    @property
-    def satisfied(self) -> bool:
-        return self.density_margin > 0 and self.norm_margin > 0
-
 
 def linear_propagator(k: int, gamma: float, csq: float, dt: float) -> np.ndarray:
     """Dense 2x2 exp(dt A_k), for cross-checks and the defective fallback."""
@@ -288,24 +284,23 @@ def h_delta(r: np.ndarray, delta: float) -> np.ndarray:
     return np.where(r >= delta, np.sqrt(np.maximum(r, delta)), inner)
 
 
-def _q_wiener_coeffs(rngs: Sequence[np.random.Generator], lam: np.ndarray,
-                     geometry: TorusGeometry, dt: float, band: int) -> np.ndarray:
-    """rfft coefficients of one increment per generator, shape (len(rngs), n_modes).
+def _q_wiener_coeffs(z_dc: np.ndarray, z_re: np.ndarray, z_im: np.ndarray,
+                     lam: np.ndarray, geometry: TorusGeometry, dt: float) -> np.ndarray:
+    """rfft coefficients of one increment per row, shape (R, n_modes).
 
-    Each generator draws, in this order, the DC normal and then the real and
-    the imaginary parts of modes 1..band.
+    z_dc (R,), z_re and z_im (R, band) are standard normals: the DC mode and
+    the real and imaginary parts of modes 1..band.  Each caller draws them in
+    the order its generators must follow.
     """
+    band = z_re.shape[-1]
     if band >= geometry.n_modes:
         raise ValueError("band exceeds the grid's mode count")
     lam = np.asarray(lam, dtype=float)[: band + 1]
     if lam.min() < 0:
         raise ValueError("covariance eigenvalues must be nonnegative")
-    z = np.empty((len(rngs), 2 * band + 1))
-    for row, rng in zip(z, rngs):
-        rng.standard_normal(out=row)
-    coeffs = np.zeros((len(rngs), geometry.n_modes), dtype=complex)
-    coeffs[:, 0] = math.sqrt(lam[0] * dt / TWO_PI) * z[:, 0]
-    g = z[:, 1: band + 1] + 1j * z[:, band + 1:]
+    coeffs = np.zeros((len(z_dc), geometry.n_modes), dtype=complex)
+    coeffs[:, 0] = math.sqrt(lam[0] * dt / TWO_PI) * z_dc
+    g = z_re + 1j * z_im
     coeffs[:, 1: band + 1] = np.sqrt(lam[1:] * dt / (2.0 * TWO_PI)) * g
     return coeffs
 
@@ -318,7 +313,9 @@ def q_wiener_increment(rng: np.random.Generator, lam: np.ndarray,
     `band` are dropped.  The synthesised field satisfies
     E[dW(x) dW(y)] = dt * sum_{|k| <= band} lam_k e^{i k (x - y)} / (2 pi).
     """
-    coeffs = _q_wiener_coeffs([rng], lam, geometry, dt, band)[0]
+    z = rng.standard_normal(2 * band + 1)  # DC, then modes 1..band real, then imaginary
+    coeffs = _q_wiener_coeffs(z[:1], z[None, 1: band + 1], z[None, band + 1:],
+                              lam, geometry, dt)[0]
     return np.fft.irfft(coeffs * geometry.n_grid, n=geometry.n_grid)
 
 
@@ -466,6 +463,7 @@ def solve_replicas(cfg: SpdeConfig, w: PotentialSpec, seeds: Sequence[int | None
     if draw:
         rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
         lam = make_kernel(math.sqrt(2.0) * cfg.epsilon, geometry).fourier_coeffs
+        band = cfg.dealias_band
 
     rho_values = state.rho_values()
     norms = state.norm_h1()
@@ -488,8 +486,12 @@ def solve_replicas(cfg: SpdeConfig, w: PotentialSpec, seeds: Sequence[int | None
                 geometry, state.rho_hat[rows], state.j_hat[rows], state.t)
             dw = None
             if draw:
-                coeffs = _q_wiener_coeffs([rngs[r] for r in rows], lam, geometry,
-                                          cfg.dt, cfg.dealias_band)
+                # each row's generator draws as q_wiener_increment's does
+                z = np.empty((rows.size, 2 * band + 1))
+                for row, r in zip(z, rows):
+                    rngs[r].standard_normal(out=row)
+                coeffs = _q_wiener_coeffs(z[:, 0], z[:, 1: band + 1], z[:, band + 1:],
+                                          lam, geometry, cfg.dt)
                 dw = np.fft.irfft(coeffs * n, n=n)
             elif noisy:
                 dw = noise_increments[s]
@@ -538,7 +540,7 @@ def solve_spde(cfg: SpdeConfig, w: PotentialSpec, *, seed: int | None = None,
     snap_at: dict[int, list[int]] = {}
     for idx, t in enumerate(snap_times):
         step = int(round(t / cfg.dt))
-        if abs(step * cfg.dt - t) > 1e-9 * max(1.0, abs(t)) or step > n_steps:
+        if abs(step * cfg.dt - t) > 1e-9 * max(1.0, abs(t)) or not 0 <= step <= n_steps:
             raise ValueError(f"snapshot time {t} is not a step multiple within the horizon")
         snap_at.setdefault(step, []).append(idx)
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -30,13 +29,9 @@ from .particles import (ModelParams, _advance, _steps_from_time,  # noqa: F401
                         replica_steps, simulate_coupled, simulate_interacting)
 from .potential import PotentialSpec
 from .ratefit import PowerLawFit, fit_loglog
-from .spde import SpdeConfig, solve_noise_free, solve_replicas
+from .spde import SpdeConfig, _q_wiener_coeffs, solve_noise_free, solve_replicas
 from .torus import (TWO_PI, TorusGeometry, make_kernel, normalization_constant,
                     von_mises_eval, wrap_centered)
-
-STUDY_NAMES = ("chaos", "interaction", "covariance", "j2_closure",
-               "small_noise", "mollifier", "evolution_identity")
-
 
 # ---------------------------------------------------------------------------
 # plumbing
@@ -83,10 +78,12 @@ class StudyReport:
     raw_table: list
     slopes: dict
     checks: dict
-    verdict: str
     details: dict
-    runtime_seconds: float
     seed: int | None
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if all(self.checks.values()) else "fail"
 
     def to_dict(self) -> dict:
         return {
@@ -96,14 +93,9 @@ class StudyReport:
             "checks": self.checks,
             "verdict": self.verdict,
             "details": self.details,
-            "runtime_seconds": self.runtime_seconds,
             "seed": self.seed,
             "n_rows": len(self.raw_table),
         }
-
-
-def _verdict(checks: dict) -> str:
-    return "pass" if all(checks.values()) else "fail"
 
 
 def _slope_entry(fit: PowerLawFit | None) -> dict | None:
@@ -175,7 +167,6 @@ def _chaos_cell(args):
 
 def run_chaos_study(cfg: ChaosStudyConfig, seed: int | None = None,
                     jobs: int = 1) -> StudyReport:
-    t0 = time.perf_counter()
     w = potential_from_config(cfg.potential)
     seeds = _child_seeds(seed, len(cfg.n_ladder))
     cells = [(cfg, int(n), s) for n, s in zip(cfg.n_ladder, seeds)]
@@ -194,8 +185,7 @@ def run_chaos_study(cfg: ChaosStudyConfig, seed: int | None = None,
     return StudyReport("chaos", {"n_ladder": list(cfg.n_ladder),
                                  "alpha": cfg.alpha, "n_replicas": cfg.n_replicas},
                        rows, {"distance_vs_n": _slope_entry(fit)}, checks,
-                       _verdict(checks), details,
-                       time.perf_counter() - t0, seed)
+                       details, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +273,6 @@ def _moment_cell(args):
 
 def run_interaction_study(cfg: InteractionStudyConfig, seed: int | None = None,
                           jobs: int = 1) -> StudyReport:
-    t0 = time.perf_counter()
     w = potential_from_config(cfg.potential)
     rem_ladder = ladder_from_thetas(cfg.eps_ladder, cfg.theta)
     mom_ladder = ladder_from_thetas(cfg.moment_eps_ladder, cfg.moment_theta)
@@ -338,8 +327,7 @@ def run_interaction_study(cfg: InteractionStudyConfig, seed: int | None = None,
     grid = {"remainder_ladder": [[n, e] for n, e in rem_ladder],
             "moment_ladder": [[n, e] for n, e in mom_ladder],
             "theta": cfg.theta, "moment_theta": cfg.moment_theta}
-    return StudyReport("interaction", grid, rows, slopes, checks,
-                       _verdict(checks), details, time.perf_counter() - t0, seed)
+    return StudyReport("interaction", grid, rows, slopes, checks, details, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +423,12 @@ def _covariance_cell(args):
         del e  # freed before the Q-Wiener temporaries
         iso += (cfg.sigma / (n * kern.z_eps)) ** 2 * cfg.dt * e2_sum
         rho_half = e2_sum / (n * z_half)
-        coeffs = np.zeros((rows, geometry.n_modes), dtype=complex)
-        coeffs[:, 0] = (math.sqrt(lam[0] * cfg.dt / TWO_PI)
-                        * rng.standard_normal(rows))
-        g = rng.standard_normal((rows, band)) + 1j * rng.standard_normal((rows, band))
-        coeffs[:, 1:] = np.sqrt(lam[1: band + 1] * cfg.dt / (2.0 * TWO_PI)) * g
+        # the block's one generator draws the DC normals of every row, then
+        # the real block, then the imaginary block
+        z_dc = rng.standard_normal(rows)
+        z_re = rng.standard_normal((rows, band))
+        z_im = rng.standard_normal((rows, band))
+        coeffs = _q_wiener_coeffs(z_dc, z_re, z_im, lam, geometry, cfg.dt)
         dwq = np.fft.irfft(coeffs * geometry.n_grid, n=geometry.n_grid, axis=-1)
         y += (cfg.sigma / math.sqrt(n)) * np.sqrt(rho_half) * dwq[:, idx]
 
@@ -474,7 +463,6 @@ def _covariance_cell(args):
 
 def run_covariance_study(cfg: CovarianceStudyConfig, seed: int | None = None,
                          jobs: int = 1) -> StudyReport:
-    t0 = time.perf_counter()
     ladder = ladder_from_thetas(cfg.eps_ladder, cfg.theta)
     seeds = _child_seeds(seed, len(ladder))
     cells = [(cfg, n, eps, s) for (n, eps), s in zip(ladder, seeds)]
@@ -487,8 +475,7 @@ def run_covariance_study(cfg: CovarianceStudyConfig, seed: int | None = None,
         checks["degenerate_zero_covariance"] = all(
             r["cov_z"] == 0.0 and r["cov_y"] == 0.0 for r in rows)
         return StudyReport("covariance", {"ladder": [[n, e] for n, e in ladder]},
-                           rows, {}, checks, _verdict(checks), details,
-                           time.perf_counter() - t0, seed)
+                           rows, {}, checks, details, seed)
 
     for (n, eps), (_r, (iso_lhs, iso_rhs)) in zip(ladder, results):
         rel = abs(iso_lhs - iso_rhs) / iso_rhs
@@ -516,8 +503,7 @@ def run_covariance_study(cfg: CovarianceStudyConfig, seed: int | None = None,
     return StudyReport("covariance", {"ladder": [[n, e] for n, e in ladder],
                                       "separations": list(cfg.separations),
                                       "n_replicas": cfg.n_replicas},
-                       rows, slopes, checks, _verdict(checks), details,
-                       time.perf_counter() - t0, seed)
+                       rows, slopes, checks, details, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +553,6 @@ def _j2_cell(args):
 
 def run_j2_closure_study(cfg: J2ClosureConfig, seed: int | None = None,
                          jobs: int = 1) -> StudyReport:
-    t0 = time.perf_counter()
     seeds = _child_seeds(seed, len(cfg.m2_ladder))
     cells = [(cfg, float(m2), s) for m2, s in zip(cfg.m2_ladder, seeds)]
     results = _map_ordered(_j2_cell, cells, jobs)
@@ -584,8 +569,7 @@ def run_j2_closure_study(cfg: J2ClosureConfig, seed: int | None = None,
     return StudyReport("j2_closure", {"m2_ladder": list(cfg.m2_ladder),
                                       "n_particles": cfg.n_particles,
                                       "epsilon": cfg.epsilon},
-                       rows, {}, checks, _verdict(checks), details,
-                       time.perf_counter() - t0, seed)
+                       rows, {}, checks, details, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -618,14 +602,15 @@ class SmallNoiseConfig:
                           k_norm=self.k_norm, c2=self.c2)
 
 
-def _sup_deviation(spde_cfg: SpdeConfig, w, seeds, ref) -> tuple[np.ndarray, list]:
-    """max over steps of |X - X_ref|_{H1 x H1} for replicas run from `seeds`.
+def _sup_deviation(args) -> tuple[np.ndarray, list]:
+    """max over steps of |X - X_ref|_{H1 x H1} for one cell (spde_cfg, w, seeds, ref).
 
-    The replicas step together; after every step their grid values are
-    compared with the noise-free run `ref`, which holds a snapshot at every
-    step, and only the running maximum is kept.  Also returns the replicas'
-    stopping statuses.
+    The replicas, run from `seeds`, step together; after every step their
+    grid values are compared with the noise-free run `ref`, which holds a
+    snapshot at every step, and only the running maximum is kept.  Also
+    returns the replicas' stopping statuses.
     """
+    spde_cfg, w, seeds, ref = args
     n = spde_cfg.n_grid
     worst = np.zeros(len(seeds))
 
@@ -637,10 +622,6 @@ def _sup_deviation(spde_cfg: SpdeConfig, w, seeds, ref) -> tuple[np.ndarray, lis
 
     run = solve_replicas(spde_cfg, w, seeds, observe=accumulate)
     return worst, run.status
-
-
-def _small_noise_cell(args):
-    return _sup_deviation(*args)
 
 
 def _small_noise_ladder(cfg: SmallNoiseConfig, w, sigma: float, n_ladder, seeds,
@@ -657,7 +638,7 @@ def _small_noise_ladder(cfg: SmallNoiseConfig, w, sigma: float, n_ladder, seeds,
               seeds[n_idx * reps:(n_idx + 1) * reps], ref)
              for n_idx, n_part in enumerate(n_ladder)]
     rows = []
-    for n_part, (worst, status) in zip(n_ladder, _map_ordered(_small_noise_cell, cells, jobs)):
+    for n_part, (worst, status) in zip(n_ladder, _map_ordered(_sup_deviation, cells, jobs)):
         rows += [{"sigma": sigma, "n_particles": float(n_part), "replica": r,
                   "sup_deviation": float(worst[r]), "stopped": int(st.stopped)}
                  for r, st in enumerate(status)]
@@ -666,7 +647,6 @@ def _small_noise_ladder(cfg: SmallNoiseConfig, w, sigma: float, n_ladder, seeds,
 
 def run_small_noise_study(cfg: SmallNoiseConfig, seed: int | None = None,
                           jobs: int = 1) -> StudyReport:
-    t0 = time.perf_counter()
     w = potential_from_config(cfg.potential)
     n_primary = len(cfg.n_ladder) * cfg.n_replicas
     seeds = _child_seeds(seed, n_primary + cfg.n_replicas)
@@ -698,8 +678,7 @@ def run_small_noise_study(cfg: SmallNoiseConfig, seed: int | None = None,
 
     return StudyReport("small_noise", {"n_ladder": list(cfg.n_ladder),
                                        "n_replicas": cfg.n_replicas},
-                       rows, {}, checks, _verdict(checks), details,
-                       time.perf_counter() - t0, seed)
+                       rows, {}, checks, details, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +717,6 @@ def _mollifier_cell(args):
 
 def run_mollifier_study(cfg: MollifierConfig, seed: int | None = None,
                         jobs: int = 1) -> StudyReport:
-    t0 = time.perf_counter()
     cells = [(cfg, eps) for eps in cfg.eps_ladder]
     rows = [r for cell in _map_ordered(_mollifier_cell, cells, jobs) for r in cell]
     checks = {"bound_every_point": all(r["max_error"] <= r["bound"] for r in rows)}
@@ -747,9 +725,7 @@ def run_mollifier_study(cfg: MollifierConfig, seed: int | None = None,
     slopes = {"triangle_error_vs_eps": _slope_entry(fit)}
     checks["triangle_slope"] = slope_within(fit, lo=cfg.slope_min)
     return StudyReport("mollifier", {"eps_ladder": list(cfg.eps_ladder)},
-                       rows, slopes, checks, _verdict(checks),
-                       {"triangle_slope": fit.slope},
-                       time.perf_counter() - t0, seed)
+                       rows, slopes, checks, {"triangle_slope": fit.slope}, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +805,6 @@ def _identity_residuals(args):
 def run_evolution_identity_check(cfg: EvolutionIdentityConfig,
                                  seed: int | None = None,
                                  jobs: int = 1) -> StudyReport:
-    t0 = time.perf_counter()
     seeds = _child_seeds(seed, len(cfg.dt_ladder))
     cells = [(cfg, float(dt), s) for dt, s in zip(cfg.dt_ladder, seeds)]
     rows = [{"dt": dt, "res_density": ra, "res_momentum": rb, "res_flux": rc}
@@ -841,9 +816,8 @@ def run_evolution_identity_check(cfg: EvolutionIdentityConfig,
         return StudyReport("evolution_identity",
                            {"dt_ladder": list(cfg.dt_ladder),
                             "n_particles": cfg.n_particles},
-                           rows, {}, checks, _verdict(checks),
-                           {"note": "all residuals vanish identically"},
-                           time.perf_counter() - t0, seed)
+                           rows, {}, checks,
+                           {"note": "all residuals vanish identically"}, seed)
     dts = [r["dt"] for r in rows]
     fit_a = fit_loglog(dts, [r["res_density"] for r in rows])
     fit_b = fit_loglog(dts, [r["res_momentum"] for r in rows])
@@ -855,9 +829,8 @@ def run_evolution_identity_check(cfg: EvolutionIdentityConfig,
               "momentum_order": slope_within(fit_b, lo=cfg.order_min_momentum)}
     return StudyReport("evolution_identity", {"dt_ladder": list(cfg.dt_ladder),
                                               "n_particles": cfg.n_particles},
-                       rows, slopes, checks, _verdict(checks),
-                       {"flux_order_informational": fit_c.slope},
-                       time.perf_counter() - t0, seed)
+                       rows, slopes, checks,
+                       {"flux_order_informational": fit_c.slope}, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -872,3 +845,4 @@ STUDY_REGISTRY = {
     "mollifier": (MollifierConfig, run_mollifier_study),
     "evolution_identity": (EvolutionIdentityConfig, run_evolution_identity_check),
 }
+STUDY_NAMES = tuple(STUDY_REGISTRY)

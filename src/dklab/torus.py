@@ -226,13 +226,6 @@ def von_mises_eval(params: KernelParams, x, order: int = 0) -> np.ndarray:
     raise ValueError(f"order must be 0, 1 or 2, got {order}")
 
 
-def kernel_fourier(params: KernelParams, k_max: int) -> np.ndarray:
-    """Fourier coefficients w_hat_k for k = 0 .. k_max (clamped to [0, 1])."""
-    if k_max < 0 or k_max > params.geometry.n_grid // 2:
-        raise ValueError(f"k_max={k_max} outside the resolved band")
-    return params.fourier_coeffs[: k_max + 1].copy()
-
-
 def kernel_residual_sup(epsilon: float, n_points: int = 1 << 16) -> float:
     """Sup-norm distance on [-pi, pi] between w_eps and the line Gaussian.
 
@@ -258,13 +251,3 @@ def kernel_residual_sup(epsilon: float, n_points: int = 1 << 16) -> float:
     gauss = np.exp(-x ** 2 / (2.0 * epsilon ** 2)) / (epsilon * np.sqrt(TWO_PI))
     return float(np.abs(w - gauss).max())
 
-
-def kernel_moment(epsilon: float, m: int, n_points: int = 1 << 14) -> float:
-    """Quadrature of the centred absolute moment integral |x|^m w_eps(x) dx."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    kappa = epsilon ** -2.0
-    z = normalization_constant(epsilon)
-    x = -np.pi + np.arange(n_points) * (TWO_PI / n_points)
-    w = von_mises_raw(kappa, x) / z
-    return float((np.abs(x) ** m * w).sum() * (TWO_PI / n_points))

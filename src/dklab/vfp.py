@@ -75,11 +75,6 @@ class PhaseSpaceDensity:
     def mass(self) -> float:
         return float(self.marginal().sum() * self.geometry.spacing)
 
-    def p_moment(self, m: int) -> float:
-        """Integral of p^m f over the whole phase space."""
-        pm = self.p_centers() ** m
-        return float((self.values @ pm).sum() * self.dp * self.geometry.spacing)
-
     def copy(self) -> "PhaseSpaceDensity":
         return PhaseSpaceDensity(self.geometry, self.p_max, self.values.copy(), self.t)
 
@@ -142,8 +137,9 @@ class VfpSolver:
     """Strang-split integrator holding one PhaseSpaceDensity.
 
     The self-consistent force coefficients are refreshed once per step (from
-    the marginal after the first half transport) and cached so callers can
-    evaluate the force at off-grid positions for the particle dynamics.
+    the marginal after the first half transport) and cached; `conv_coeffs`
+    hands them out, and `meanfield_force_from_coeffs` turns them into the
+    force at off-grid positions for the particle dynamics.
     """
 
     def __init__(self, density: PhaseSpaceDensity, w: PotentialSpec,
@@ -174,10 +170,6 @@ class VfpSolver:
     def conv_coeffs(self) -> np.ndarray:
         """Current coefficients g_k with (W'*rho)(x) = 2 Re sum_k g_k e^{ikx}."""
         return self._conv_coeffs.copy()
-
-    def force_at(self, q_pts: np.ndarray) -> np.ndarray:
-        """Mean-field force -(W' * rho[f])(q) at arbitrary positions."""
-        return meanfield_force_from_coeffs(self._conv_coeffs, q_pts)
 
     def _transport(self, h: float) -> None:
         dens = self.density
@@ -230,14 +222,6 @@ class VfpSolver:
         if drift > MASS_DRIFT_TOL:
             raise MassLossError(f"mass drifted by {drift:.2e} at t={self.density.t}")
 
-    def run(self, t_end: float, dt: float) -> PhaseSpaceDensity:
-        n_steps = int(round(t_end / dt))
-        if abs(n_steps * dt - t_end) > 1e-12 * max(1.0, t_end):
-            raise ValueError("t_end must be an integer number of steps")
-        for _ in range(n_steps):
-            self.step(dt)
-        return self.density
-
 
 def meanfield_conv_from_coeffs(coeffs: np.ndarray, q_pts: np.ndarray) -> np.ndarray:
     """(W' * rho)(q) from cached complex coefficients g_1 .. g_kmax."""
@@ -250,10 +234,3 @@ def meanfield_conv_from_coeffs(coeffs: np.ndarray, q_pts: np.ndarray) -> np.ndar
 
 def meanfield_force_from_coeffs(coeffs: np.ndarray, q_pts: np.ndarray) -> np.ndarray:
     return -meanfield_conv_from_coeffs(coeffs, q_pts)
-
-
-def solve_vfp(f0: PhaseSpaceDensity, w: PotentialSpec, gamma: float, sigma: float,
-              t_end: float, dt: float) -> PhaseSpaceDensity:
-    """Evolve a phase-space datum to time t_end; returns the final density."""
-    solver = VfpSolver(f0.copy(), w, gamma, sigma)
-    return solver.run(t_end, dt)

@@ -130,6 +130,18 @@ class TestExitCodes:
         assert main(["spde", "--config", cfg]) == 1
         assert "stopping ordering" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", [
+        {"model": {"n_particles": "10", "t_horizon": 0.1, "burn_in": 0.0}},
+        {"spde": {"n_grid": 128, "epsilon": 0.2, "n_particles": "infinity"}},
+        {"model": {"n_particles": 8, "t_horizon": 0.1, "burn_in": 0.0},
+         "kernel": {"epsilon": [0.25]}},
+    ])
+    def test_wrong_typed_value_is_a_config_error(self, tmp_path, capsys, config):
+        command = "spde" if "spde" in config else "simulate"
+        assert main([command, "--config", write_config(tmp_path, config)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_report_without_runs(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "empty")]) == 1
         assert "no studies found" in capsys.readouterr().err

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dklab.fields import (DensityField, convolve_potential, empirical_field,
-                          holder_quotient, interaction_decomposition,
-                          sobolev_norm, weighted_field_values)
+                          interaction_decomposition, sobolev_norm,
+                          weighted_field_values)
 from dklab.potential import PotentialSpec
 from dklab.torus import TWO_PI, TorusGeometry, make_kernel, von_mises_eval
 
@@ -33,21 +33,9 @@ class TestDensityField:
         f = DensityField(G64, np.full(64, 0.5))
         assert f.mass() == pytest.approx(np.pi * 2.0 * 0.5)
 
-    def test_spectral_derivative_of_cosine(self):
-        df = cos_field().deriv()
-        assert df.values == pytest.approx(-np.sin(G64.nodes()), abs=1e-12)
-
     def test_shape_guard(self):
         with pytest.raises(ValueError):
             DensityField(G64, np.zeros(65))
-
-    def test_convolve_vm_damps_single_mode(self):
-        kern = make_kernel(0.2, TorusGeometry.for_epsilon(0.2))
-        g = kern.geometry
-        f = DensityField(g, np.cos(g.nodes()))
-        got = f.convolve_vm(kern)
-        assert got.values == pytest.approx(
-            kern.fourier_coeffs[1] * np.cos(g.nodes()), abs=1e-12)
 
 
 class TestEmpiricalField:
@@ -165,22 +153,6 @@ class TestNorms:
             sobolev_norm(f, k=1, p=np.inf)
         with pytest.raises(ValueError):
             sobolev_norm(f, p=-2.0)
-
-    def test_holder_quotient_two_snapshots(self):
-        base = cos_field()
-        f0 = DensityField(G64, 0.0 * base.values)
-        f1 = DensityField(G64, 2.0 * base.values)
-        got = holder_quotient([f0, f1], [0.0, 0.25], beta=0.5)
-        assert got == pytest.approx(2.0 * np.sqrt(np.pi / 2.0) / 0.25 ** 0.5)
-
-    def test_holder_quotient_guards(self):
-        f = cos_field()
-        with pytest.raises(ValueError):
-            holder_quotient([f], [0.0], beta=0.5)
-        with pytest.raises(ValueError):
-            holder_quotient([f, f], [0.0, 1.0], beta=1.5)
-        with pytest.raises(ValueError):
-            holder_quotient([f, f], [1.0, 1.0], beta=0.5)
 
 
 class TestConvolvePotential:

