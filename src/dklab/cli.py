@@ -157,12 +157,12 @@ def model_from_block(block: dict):
     try:
         w = potential_from_config(block.get("potential", "cos"))
         params = ModelParams(**{k: v for k, v in block.items() if k in names})
-        n_replicas = int(block.get("n_replicas", 16))
-        n_snapshots = int(block.get("n_snapshots", 10))
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad model config: {exc}") from exc
-    if n_replicas < 1 or n_snapshots < 1:
-        raise CliError("n_replicas and n_snapshots must be positive")
+    n_replicas = block.get("n_replicas", 16)
+    n_snapshots = block.get("n_snapshots", 10)
+    if not all(type(n) is int and n >= 1 for n in (params.n_particles, n_replicas, n_snapshots)):
+        raise CliError("n_particles, n_replicas and n_snapshots must be positive integers")
     return params, w, n_replicas, n_snapshots
 
 
@@ -202,11 +202,11 @@ def spde_from_block(block: dict):
 
 def cmd_simulate(config: dict, seed: int, out_root: Path, jobs: int) -> int:
     params, w, n_replicas, n_snapshots = model_from_block(config.get("model", {}))
+    kern = kernel_from_block(config["kernel"]) if "kernel" in config else None
     snap_times = np.linspace(0.0, params.t_horizon, n_snapshots + 1)
     traj = simulate_coupled(params, w, n_replicas=n_replicas,
                             snapshot_times=snap_times, seed=seed)
     dist = chaos_distance(traj)
-    kern = kernel_from_block(config["kernel"]) if "kernel" in config else None
 
     rows = []
     for s, t in enumerate(traj.times):
@@ -344,12 +344,13 @@ def main(argv=None) -> int:
             raise CliError("this command needs --config")
 
         seed = args.seed if args.seed is not None else config.get("seed", 0)
-        if not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
+        # type(), not isinstance: JSON's true and false load as bools, which are ints
+        if type(seed) is not int or not 0 <= seed < 2 ** 64:
             raise CliError("seed must be an unsigned 64-bit integer")
         out_root = Path(args.out if args.out is not None
                         else config.get("out", "runs"))
         jobs = args.jobs if args.jobs is not None else config.get("jobs", 1)
-        if not isinstance(jobs, int) or jobs < 1:
+        if type(jobs) is not int or jobs < 1:
             raise CliError("jobs must be a positive integer")
 
         if args.command == "simulate":

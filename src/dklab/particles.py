@@ -17,6 +17,9 @@ measured through the lift; the torus distance would fold excursions longer
 than half a period back onto [0, pi] and corrupt the measured rate.
 
 Every particle run goes through one driver, `replica_steps`, a generator.
+`simulate_coupled` and `simulate_interacting` are thin callers of its
+snapshot recorder `_record`, and `torus.step_index` turns every time into a
+step, raising ConfigurationError for a time off the dt grid or the horizon.
 
 Block seeding.  Replicas are simulated in vectorised blocks of
 `replica_block` rows (the last block may be shorter).  Block b draws from a
@@ -66,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potential import PotentialSpec, mean_w1_at
-from .torus import TWO_PI, TorusGeometry, wrap
+from .torus import TWO_PI, ConfigurationError, TorusGeometry, step_index, wrap
 from .vfp import (PhaseSpaceDensity, VfpSolver, meanfield_force_from_coeffs,
                   uniform_maxwellian)
 
@@ -75,10 +78,6 @@ DEFAULT_MOMENTUM_GUARD = 1e3
 
 class TimeStepError(RuntimeError):
     """A momentum left the guard interval; the step size is too coarse."""
-
-
-class ConfigurationError(ValueError):
-    """Inconsistent simulation parameters."""
 
 
 @dataclass(frozen=True)
@@ -91,8 +90,6 @@ class ModelParams:
     t_horizon: float = 1.0
     dt: float = 5e-3
     burn_in: float = 0.5
-    epsilon: float | None = None
-    theta: float | None = None
     momentum_guard: float = DEFAULT_MOMENTUM_GUARD
     scheme: str = "euler"
 
@@ -109,8 +106,6 @@ class ModelParams:
             raise ConfigurationError("t_horizon and burn_in must be nonnegative")
         if self.scheme not in ("euler", "strang"):
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ConfigurationError("epsilon must be positive when given")
 
     @property
     def temperature(self) -> float:
@@ -268,13 +263,6 @@ def build_force_table(f0: PhaseSpaceDensity, w: PotentialSpec, gamma: float,
     return VfpForceTable(rows)
 
 
-def _steps_from_time(t: float, dt: float, what: str) -> int:
-    n = int(round(t / dt))
-    if abs(n * dt - t) > 1e-9 * max(1.0, abs(t)):
-        raise ConfigurationError(f"{what}={t} is not an integer multiple of dt={dt}")
-    return n
-
-
 def default_datum(gamma: float, sigma: float) -> PhaseSpaceDensity:
     """Uniform-in-q, Maxwellian-in-p datum at the stationary temperature."""
     m2 = stationary_temperature(gamma, sigma)
@@ -326,8 +314,8 @@ def replica_steps(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
     """
     dt = params.dt
     sqdt = math.sqrt(dt)
-    burn_steps = _steps_from_time(params.burn_in, dt, "burn_in")
-    main_steps = _steps_from_time(params.t_horizon, dt, "t_horizon")
+    burn_steps = step_index(params.burn_in, dt, "burn_in")
+    main_steps = step_index(params.t_horizon, dt, "t_horizon")
     table = _force_table(params, w, burn_steps + (main_steps if coupled else 0))
 
     # the Euler step evaluates the pairwise force at q itself, so it can take
@@ -362,6 +350,23 @@ def replica_steps(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
         yield lo, hi, main_steps, branches, None, rng, None
 
 
+def _record(params: ModelParams, w: PotentialSpec, snapshot_times, n_arrays: int, **driver):
+    """Sorted snapshot times and the (n_arrays, S, R, N) snapshots of a run:
+    the first n_arrays of the (q, p, lift) of each branch, interacting first.
+    `driver` holds the keywords of `replica_steps`.
+    """
+    times = np.asarray(sorted(snapshot_times), dtype=float)
+    last = step_index(params.t_horizon, params.dt, "t_horizon")
+    steps = [step_index(t, params.dt, "snapshot time", last) for t in times]
+    out = np.zeros((n_arrays, len(steps), driver["n_replicas"], params.n_particles))
+    for lo, hi, s, branches, *rest in replica_steps(params, w, **driver):
+        for k in [k for k, target in enumerate(steps) if target == s]:
+            for snaps, a in zip(out, (a for b in branches for a in b)):
+                snaps[k, lo:hi] = a
+        del branches, rest  # hold no state while the driver steps
+    return times, out
+
+
 def simulate_coupled(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
                      snapshot_times, seed: int | None = None,
                      replica_block: int = 16) -> CoupledTrajectory:
@@ -372,58 +377,24 @@ def simulate_coupled(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
     branches are set to the common warm state, and from then on they share
     every Brownian increment.  Snapshots are taken on the post-restart clock.
     """
-    snap_times = np.asarray(sorted(snapshot_times), dtype=float)
-    snap_steps = [_steps_from_time(t, params.dt, "snapshot time") for t in snap_times]
-    main_steps = _steps_from_time(params.t_horizon, params.dt, "t_horizon")
-    if any(not 0 <= s <= main_steps for s in snap_steps):
-        raise ConfigurationError("snapshot time outside [0, t_horizon]")
-    names = ("q_int", "p_int", "lift_int", "q_mf", "p_mf", "lift_mf")
-    shape = (len(snap_steps), n_replicas, params.n_particles)
-    out = {name: np.zeros(shape) for name in names}
-    for lo, hi, s, (interacting, meanfield), _xi, _rng, _phase in replica_steps(
-            params, w, n_replicas=n_replicas, seed=seed,
-            replica_block=replica_block, coupled=True):
-        for k, target in enumerate(snap_steps):
-            if target == s:
-                for name, a in zip(names, interacting + meanfield):
-                    out[name][k, lo:hi] = a
-    return CoupledTrajectory(times=snap_times, seed=seed, **out)
+    times, out = _record(params, w, snapshot_times, 6, n_replicas=n_replicas,
+                         seed=seed, replica_block=replica_block, coupled=True)
+    return CoupledTrajectory(times, *out, seed=seed)
 
 
 def simulate_interacting(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
-                         seed: int | None = None, replica_block: int = 16,
-                         initial: tuple[np.ndarray, np.ndarray] | None = None,
-                         record_path: bool = False):
-    """Integrate only the interacting system, optionally keeping every step.
+                         snapshot_times, seed: int | None = None,
+                         replica_block: int = 16,
+                         initial: tuple[np.ndarray, np.ndarray] | None = None):
+    """Integrate only the interacting system; (q, p) snapshots of shape (S, R, N).
 
-    Burn-in (when params.burn_in > 0) evolves the mean-field dynamics to
-    produce an equilibrated start, exactly as simulate_coupled does, and is
-    never recorded.  With record_path=True the return value is a dict with
-    q/p paths of shape (main_steps + 1, R, N) and the standard-normal
-    increments (main_steps, R, N) that generated them; otherwise only the
-    final (q, p) arrays are returned.
+    The burn-in, the clock and `initial` are those of simulate_coupled and
+    replica_steps; the snapshots, in ascending time order, are the bits of
+    simulate_coupled's interacting branch, but no mean-field branch is run.
     """
-    main_steps = _steps_from_time(params.t_horizon, params.dt, "t_horizon")
-    shape = (n_replicas, params.n_particles)
-    if record_path:
-        paths = {"q": np.zeros((main_steps + 1,) + shape),
-                 "p": np.zeros((main_steps + 1,) + shape),
-                 "xi": np.zeros((main_steps,) + shape)}
-    else:
-        q_all, p_all = np.zeros(shape), np.zeros(shape)
-    for lo, hi, s, ((q, p, _lift),), xi, _rng, _phase in replica_steps(
-            params, w, n_replicas=n_replicas, seed=seed,
-            replica_block=replica_block, initial=initial):
-        if record_path:
-            paths["q"][s, lo:hi] = q
-            paths["p"][s, lo:hi] = p
-            if xi is not None:
-                paths["xi"][s, lo:hi] = xi
-        elif s == main_steps:
-            q_all[lo:hi] = q
-            p_all[lo:hi] = p
-        del q, p, _lift  # hold no state while the driver steps
-    return paths if record_path else (q_all, p_all)
+    _times, (q, p) = _record(params, w, snapshot_times, 2, n_replicas=n_replicas,
+                             seed=seed, replica_block=replica_block, initial=initial)
+    return q, p
 
 
 def chaos_distance(traj: CoupledTrajectory, alpha: int = 2) -> np.ndarray:

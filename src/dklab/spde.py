@@ -42,14 +42,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
 from .fields import DensityField, convolve_potential, sobolev_norms
 from .potential import PotentialSpec
-from .torus import TWO_PI, TorusGeometry, make_kernel
+from .torus import TWO_PI, TorusGeometry, make_kernel, step_index
 
 PROPAGATOR_GAP_TOL = 1e-8
 MASS_IMAG_TOL = 1e-14
@@ -412,13 +412,6 @@ def initial_state(cfg: SpdeConfig, rho0=None, j0=None) -> SpectralState:
     return state
 
 
-def _step_count(cfg: SpdeConfig) -> int:
-    n_steps = int(round(cfg.t_horizon / cfg.dt))
-    if abs(n_steps * cfg.dt - cfg.t_horizon) > 1e-9 * max(1.0, cfg.t_horizon):
-        raise ValueError("t_horizon must be an integer multiple of dt")
-    return n_steps
-
-
 @dataclass
 class ReplicaRun:
     """Per-step monitors of replicas stepped together, one column per replica."""
@@ -445,7 +438,7 @@ def solve_replicas(cfg: SpdeConfig, w: PotentialSpec, seeds: Sequence[int | None
     (R, n_modes) state and its (R, n_grid) rho grid values; both are only
     valid during the call.
     """
-    n_steps = _step_count(cfg)
+    n_steps = step_index(cfg.t_horizon, cfg.dt, "t_horizon")
     geometry = cfg.geometry
     n = geometry.n_grid
     n_rows = len(seeds)
@@ -533,16 +526,13 @@ def solve_spde(cfg: SpdeConfig, w: PotentialSpec, *, seed: int | None = None,
     noise_increments.  Snapshots requested after a stop repeat the frozen
     state.
     """
-    n_steps = _step_count(cfg)
+    n_steps = step_index(cfg.t_horizon, cfg.dt, "t_horizon")
     if snapshot_times is None:
         snapshot_times = [0.0, cfg.t_horizon]
     snap_times = np.asarray(sorted(snapshot_times), dtype=float)
     snap_at: dict[int, list[int]] = {}
     for idx, t in enumerate(snap_times):
-        step = int(round(t / cfg.dt))
-        if abs(step * cfg.dt - t) > 1e-9 * max(1.0, abs(t)) or not 0 <= step <= n_steps:
-            raise ValueError(f"snapshot time {t} is not a step multiple within the horizon")
-        snap_at.setdefault(step, []).append(idx)
+        snap_at.setdefault(step_index(t, cfg.dt, "snapshot time", n_steps), []).append(idx)
 
     rho_snap = np.zeros((len(snap_times), cfg.n_grid))
     j_snap = np.zeros_like(rho_snap)
@@ -566,11 +556,8 @@ def solve_spde(cfg: SpdeConfig, w: PotentialSpec, *, seed: int | None = None,
 def solve_noise_free(cfg: SpdeConfig, w: PotentialSpec, *, snapshot_times=None,
                      rho0=None, j0=None) -> tuple[SpdeTrajectory, PersistenceReport]:
     """Deterministic limit run plus its floor/cap margins."""
-    quiet = SpdeConfig(n_grid=cfg.n_grid, epsilon=cfg.epsilon, gamma=cfg.gamma,
-                       sigma=cfg.sigma, n_particles=math.inf, dt=cfg.dt,
-                       t_horizon=cfg.t_horizon, delta=cfg.delta, c1=cfg.c1,
-                       k_norm=cfg.k_norm, c2=cfg.c2)
-    traj = solve_spde(quiet, w, snapshot_times=snapshot_times, rho0=rho0, j0=j0)
+    traj = solve_spde(replace(cfg, n_particles=math.inf), w,
+                      snapshot_times=snapshot_times, rho0=rho0, j0=j0)
     report = PersistenceReport(min_density=float(traj.min_rho_path.min()),
                                max_norm=float(traj.norm_path.max()),
                                c1=cfg.c1, c2=cfg.c2)

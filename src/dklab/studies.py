@@ -24,14 +24,14 @@ import numpy as np
 from .fields import (DensityField, convolve_potential, interaction_decomposition,
                      sobolev_norm, sobolev_norms, weighted_field_values)
 # _advance is unused here; perfbench's tracer test reads it from this module
-from .particles import (ModelParams, _advance, _steps_from_time,  # noqa: F401
+from .particles import (ModelParams, _advance,  # noqa: F401
                         chaos_distance, ladder_from_thetas, pairwise_force,
                         replica_steps, simulate_coupled, simulate_interacting)
 from .potential import PotentialSpec
 from .ratefit import PowerLawFit, fit_loglog
 from .spde import SpdeConfig, _q_wiener_coeffs, solve_noise_free, solve_replicas
 from .torus import (TWO_PI, TorusGeometry, make_kernel, normalization_constant,
-                    von_mises_eval, wrap_centered)
+                    step_index, von_mises_eval, wrap_centered)
 
 # ---------------------------------------------------------------------------
 # plumbing
@@ -55,8 +55,22 @@ def potential_from_config(value) -> PotentialSpec:
     raise ValueError(f"cannot interpret potential {value!r}")
 
 
+def _fits(value, default) -> bool:
+    """Whether a config value has the type of its field's default.
+
+    Other defaults (None, the potential's name) are validated where used.
+    """
+    if isinstance(default, bool):
+        return isinstance(value, bool)
+    if isinstance(default, (int, float)):  # type(), as bools are ints
+        return type(value) is int or isinstance(default, float) and isinstance(value, float)
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    return True
+
+
 def config_from_dict(cls, data: dict):
-    """Strict dataclass construction: unknown keys are an error."""
+    """Strict dataclass construction: unknown keys and wrong types are an error."""
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - names
     if unknown:
@@ -65,6 +79,8 @@ def config_from_dict(cls, data: dict):
     for f in dataclasses.fields(cls):
         if f.name in data:
             v = data[f.name]
+            if not _fits(v, f.default):
+                raise ValueError(f"{f.name}={v!r} does not have the type of {f.default!r}")
             kwargs[f.name] = tuple(v) if isinstance(v, list) else v
     return cls(**kwargs)
 
@@ -216,7 +232,8 @@ def _interaction_cell(args):
     w = potential_from_config(cfg.potential)
     params = ModelParams(n_particles=n, gamma=cfg.gamma, sigma=cfg.sigma,
                          t_horizon=cfg.t_measure, dt=cfg.dt, burn_in=0.0)
-    q, _p = simulate_interacting(params, w, n_replicas=cfg.n_replicas, seed=seed)
+    (q,), _p = simulate_interacting(params, w, n_replicas=cfg.n_replicas,
+                                    snapshot_times=[cfg.t_measure], seed=seed)
     geometry = TorusGeometry.for_epsilon(eps)
     kern = make_kernel(eps, geometry)
     rows = []
@@ -246,7 +263,7 @@ def _moment_cell(args):
                          t_horizon=cfg.moment_t_horizon, dt=cfg.dt, burn_in=0.0)
     geometry = TorusGeometry.for_epsilon(eps)
     kern = make_kernel(eps, geometry)
-    n_steps = _steps_from_time(cfg.moment_t_horizon, cfg.dt, "moment_t_horizon")
+    n_steps = step_index(cfg.moment_t_horizon, cfg.dt, "moment_t_horizon")
     snap_steps = {s: s * cfg.moment_t_horizon / n_steps
                   for s in (0, n_steps // 2, n_steps)}
     rows = []
@@ -531,21 +548,19 @@ def _j2_cell(args):
     params = ModelParams(n_particles=cfg.n_particles, gamma=cfg.gamma, sigma=sigma,
                          t_horizon=cfg.t_horizon, dt=cfg.dt, burn_in=cfg.burn_in)
     snap = np.linspace(cfg.t_horizon / cfg.n_snapshots, cfg.t_horizon, cfg.n_snapshots)
-    traj = simulate_coupled(params, w, n_replicas=cfg.n_replicas,
-                            snapshot_times=snap, seed=seed)
+    q_snaps, p_snaps = simulate_interacting(params, w, n_replicas=cfg.n_replicas,
+                                            snapshot_times=snap, seed=seed)
     geometry = TorusGeometry.for_epsilon(cfg.epsilon)
     kern = make_kernel(cfg.epsilon, geometry)
     rel_per_replica = np.zeros(cfg.n_replicas)
     rows = []
-    for si, t in enumerate(traj.times):
-        q = traj.q_int[si]
-        p = traj.p_int[si]
+    for t, q, p in zip(snap, q_snaps, p_snaps):
         drho = weighted_field_values(q, np.ones_like(q), kern, geometry, deriv=1)
         j2 = weighted_field_values(q, p ** 2, kern, geometry, deriv=1)
         resid = j2 - m2 * drho
         h = geometry.spacing
         rel = np.sqrt((resid ** 2).sum(axis=-1) * h) / np.sqrt((drho ** 2).sum(axis=-1) * h)
-        rel_per_replica += rel / len(traj.times)
+        rel_per_replica += rel / len(snap)
         rows.append({"m2": m2, "t": float(t), "rel_error": float(rel.mean())})
     mean, se = _mean_se(rel_per_replica)
     return rows, (mean, se)
@@ -759,47 +774,42 @@ def _identity_residuals(args):
                          burn_in=0.0)
     geometry = TorusGeometry.for_epsilon(cfg.epsilon)
     kern = make_kernel(cfg.epsilon, geometry)
-    paths = simulate_interacting(params, w, n_replicas=cfg.n_replicas, seed=seed,
-                                 record_path=True)
     h = geometry.spacing
-    ones = np.ones((cfg.n_replicas, cfg.n_particles))
 
     def l2(vals):
         return float(np.sqrt((vals ** 2).sum(axis=-1) * h).max())
 
-    def fields(q, p):
+    res = [0.0, 0.0, 0.0]
+    for _lo, _hi, s, ((q, p, _lift),), xi, _rng, _phase in replica_steps(
+            params, w, n_replicas=cfg.n_replicas, seed=seed):
+        ones = np.ones_like(q)
         rho = weighted_field_values(q, ones, kern, geometry, 0)
         jf = weighted_field_values(q, p, kern, geometry, 0)
         j2f = weighted_field_values(q, p ** 2, kern, geometry, 1)
-        return rho, jf, j2f
-
-    res_a = res_b = res_c = 0.0
-    n_steps = paths["xi"].shape[0]
-    for s in range(n_steps):
-        q0, p0, xi = paths["q"][s], paths["p"][s], paths["xi"][s]
-        q1, p1 = paths["q"][s + 1], paths["p"][s + 1]
-        rho0, j0, j2f0 = fields(q0, p0)
-        rho1, j1, j2f1 = fields(q1, p1)
+        if s > 0:  # each field's change over the step just taken
+            for k, (now, (before, rhs)) in enumerate(zip((rho, jf, j2f), carried)):
+                res[k] = max(res[k], l2((now - before) - rhs))
+        if xi is None:
+            continue
         # density identity: transport by the momentum field
-        jderiv0 = weighted_field_values(q0, p0, kern, geometry, 1)
-        res_a = max(res_a, l2((rho1 - rho0) + dt * jderiv0))
+        rhs_a = -dt * weighted_field_values(q, p, kern, geometry, 1)
         # momentum identity: flux + friction + interaction + noise
-        force = pairwise_force(q0, w)
-        inter = weighted_field_values(q0, -force, kern, geometry, 0)
-        noise = cfg.sigma * weighted_field_values(q0, xi * math.sqrt(dt), kern,
+        force = pairwise_force(q, w)
+        inter = weighted_field_values(q, -force, kern, geometry, 0)
+        noise = cfg.sigma * weighted_field_values(q, xi * math.sqrt(dt), kern,
                                                   geometry, 0)
-        rhs_b = dt * (-j2f0 - cfg.gamma * j0 - inter) + noise
-        res_b = max(res_b, l2((j1 - j0) - rhs_b))
+        rhs_b = dt * (-j2f - cfg.gamma * jf - inter) + noise
         # flux identity (informational): next moment up the ladder
-        j3f0 = weighted_field_values(q0, p0 ** 3, kern, geometry, 2)
-        drho0 = weighted_field_values(q0, ones, kern, geometry, 1)
-        cross = weighted_field_values(q0, force * p0, kern, geometry, 1)
+        j3f = weighted_field_values(q, p ** 3, kern, geometry, 2)
+        drho = weighted_field_values(q, ones, kern, geometry, 1)
+        cross = weighted_field_values(q, force * p, kern, geometry, 1)
         noise_c = 2.0 * cfg.sigma * weighted_field_values(
-            q0, p0 * xi * math.sqrt(dt), kern, geometry, 1)
-        rhs_c = dt * (-j3f0 - 2.0 * cfg.gamma * j2f0 + cfg.sigma ** 2 * drho0
+            q, p * xi * math.sqrt(dt), kern, geometry, 1)
+        rhs_c = dt * (-j3f - 2.0 * cfg.gamma * j2f + cfg.sigma ** 2 * drho
                       + 2.0 * cross) + noise_c
-        res_c = max(res_c, l2((j2f1 - j2f0) - rhs_c))
-    return res_a, res_b, res_c
+        # to step s+1, so that each state's fields are estimated once
+        carried = ((rho, rhs_a), (jf, rhs_b), (j2f, rhs_c))
+    return tuple(res)
 
 
 def run_evolution_identity_check(cfg: EvolutionIdentityConfig,

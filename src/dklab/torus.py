@@ -40,6 +40,23 @@ class ResolutionError(ValueError):
     """Raised when a grid is too coarse for the requested kernel width."""
 
 
+class ConfigurationError(ValueError):
+    """Inconsistent simulation parameters."""
+
+
+def step_index(t: float, dt: float, what: str, last: float = np.inf) -> int:
+    """The step n with n * dt = t, to 1e-9 relative, of the time named `what`.
+
+    ConfigurationError when t is off that grid or n lies outside [0, last].
+    """
+    n = int(round(t / dt))
+    if abs(n * dt - t) > 1e-9 * max(1.0, abs(t)):
+        raise ConfigurationError(f"{what}={t} is not an integer multiple of dt={dt}")
+    if not 0 <= n <= last:
+        raise ConfigurationError(f"{what}={t} is step {n}, outside the steps [0, {last}]")
+    return n
+
+
 def wrap(x):
     """Map angles onto the fundamental domain [0, 2*pi).
 

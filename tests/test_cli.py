@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from dklab import cli
 from dklab.cli import _sanitize, main, rows_to_csv
 
 TINY_CHAOS = {
@@ -20,6 +21,9 @@ TINY_CHAOS = {
         "n_snapshots": 2,
     },
 }
+
+
+TINY_MODEL = {"n_particles": 8, "t_horizon": 0.1, "burn_in": 0.0}
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -133,14 +137,44 @@ class TestExitCodes:
     @pytest.mark.parametrize("config", [
         {"model": {"n_particles": "10", "t_horizon": 0.1, "burn_in": 0.0}},
         {"spde": {"n_grid": 128, "epsilon": 0.2, "n_particles": "infinity"}},
-        {"model": {"n_particles": 8, "t_horizon": 0.1, "burn_in": 0.0},
-         "kernel": {"epsilon": [0.25]}},
+        {"model": TINY_MODEL, "kernel": {"epsilon": [0.25]}},
+        {"seed": True, "model": TINY_MODEL},
+        {"jobs": True, "model": TINY_MODEL},
+        {"model": {**TINY_MODEL, "n_replicas": 2.7}},
+        {"model": {**TINY_MODEL, "n_snapshots": 2.7}},
+        {"model": {**TINY_MODEL, "n_particles": 2.5}},
     ])
     def test_wrong_typed_value_is_a_config_error(self, tmp_path, capsys, config):
         command = "spde" if "spde" in config else "simulate"
         assert main([command, "--config", write_config(tmp_path, config)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("study", [
+        {"n_replicas": "4"}, {"n_replicas": 2.5},
+        {"n_ladder": ["16", "32", "64", "128"]}])
+    def test_wrong_typed_study_value_is_a_config_error(self, tmp_path, capsys, study):
+        cfg = write_config(tmp_path, {"study": study})
+        assert main(["study", "chaos", "--config", cfg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bad study config")
+
+    def test_model_block_has_no_epsilon_or_theta(self, tmp_path, capsys):
+        for key in ("epsilon", "theta"):
+            cfg = write_config(tmp_path, {"model": {**TINY_MODEL, key: 0.1}})
+            assert main(["simulate", "--config", cfg]) == 1
+            assert "unknown model keys" in capsys.readouterr().err
+
+    def test_bad_kernel_block_is_rejected_before_the_run(self, tmp_path, capsys,
+                                                         monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "simulate_coupled", lambda *a, **k: calls.append(a))
+        cfg = write_config(tmp_path, {"model": TINY_MODEL,
+                                      "kernel": {"epsilon": 0.01, "n_grid": 64}})
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert calls == []
 
     def test_report_without_runs(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "empty")]) == 1
@@ -218,6 +252,7 @@ class TestArtifacts:
         assert "h1_rho_mean" in header
         assert resolved["n_particles"] == 16
         assert resolved["n_replicas"] == 4
+        assert "epsilon" not in resolved and "theta" not in resolved
 
     def test_spde_command(self, tmp_path):
         cfg = write_config(tmp_path, {

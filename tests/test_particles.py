@@ -39,7 +39,7 @@ class TestModelParams:
         dict(dt=6e-3, gamma=2.0),
         dict(burn_in=-0.5),
         dict(scheme="leapfrog"),
-        dict(epsilon=0.0),
+        dict(t_horizon=-0.1),
     ])
     def test_rejects(self, kw):
         with pytest.raises(ConfigurationError):
@@ -139,8 +139,8 @@ class TestSchemeOrder:
         q0 = np.array([[0.5, 2.0]])
         p0 = np.array([[0.3, -0.2]])
         q, _ = simulate_interacting(params, W_COS, n_replicas=1, seed=0,
-                                    initial=(q0, p0))
-        return q[0]
+                                    snapshot_times=[0.2], initial=(q0, p0))
+        return q[0, 0]
 
     def test_euler_is_first_order(self):
         sols = [self._final_q("euler", 1.0, dt) for dt in (4e-3, 2e-3, 1e-3)]
@@ -212,11 +212,23 @@ class TestCoupledRuns:
             simulate_coupled(params, W_COS, n_replicas=2,
                              snapshot_times=[-0.005, 0.01], seed=0)
 
+    def test_interacting_run_is_the_coupled_interacting_branch(self):
+        # after a burn-in, in blocks of 4 and 2
+        params = small_params(burn_in=0.05, t_horizon=0.05)
+        kw = dict(n_replicas=6, snapshot_times=[0.05, 0.0, 0.025], seed=9,
+                  replica_block=4)
+        traj = simulate_coupled(params, W_COS, **kw)
+        q, p = simulate_interacting(params, W_COS, **kw)
+        assert q.shape == p.shape == (3, 6, 8)
+        assert np.array_equal(q.view(np.int64), traj.q_int.view(np.int64))
+        assert np.array_equal(p.view(np.int64), traj.p_int.view(np.int64))
+
     def test_ou_momentum_variance(self):
         # zero potential: p is an OU process, stationary variance sigma^2/(2 gamma)
         params = small_params(n_particles=256, t_horizon=1.0)
         _, p = simulate_interacting(params, PotentialSpec.zero(),
-                                    n_replicas=16, seed=0)
+                                    n_replicas=16, snapshot_times=[1.0], seed=0)
+        assert p.shape == (1, 16, 256)
         assert p.var() == pytest.approx(0.5, rel=0.05)
 
 
@@ -294,23 +306,22 @@ class TestReplicaSteps:
 
     def test_block_numbers_depend_only_on_seed_and_index(self):
         params = small_params()
-        q4, p4 = simulate_interacting(params, W_COS, n_replicas=4, seed=6,
-                                      replica_block=2)
-        q5, p5 = simulate_interacting(params, W_COS, n_replicas=5, seed=6,
-                                      replica_block=2)
-        assert np.array_equal(q4, q5[:4])
-        assert np.array_equal(p4, p5[:4])
+        kw = dict(snapshot_times=[0.1], seed=6, replica_block=2)
+        q4, p4 = simulate_interacting(params, W_COS, n_replicas=4, **kw)
+        q5, p5 = simulate_interacting(params, W_COS, n_replicas=5, **kw)
+        assert np.array_equal(q4, q5[:, :4])
+        assert np.array_equal(p4, p5[:, :4])
 
     def test_recorded_path_follows_its_increments(self):
         params = small_params(n_particles=5, t_horizon=0.02)
-        paths = simulate_interacting(params, W_COS, n_replicas=3, seed=1,
-                                     record_path=True)
-        for s in range(4):
-            q, p = paths["q"][s], paths["p"][s]
-            q1, p1, _ = _advance(q, p, q, lambda x: pairwise_force(x, W_COS),
-                                 params, paths["xi"][s] * np.sqrt(params.dt))
-            assert np.array_equal(q1, paths["q"][s + 1])
-            assert np.array_equal(p1, paths["p"][s + 1])
+        path = [(state, xi) for *_, (state,), xi, _rng, _phase
+                in replica_steps(params, W_COS, n_replicas=3, seed=1)]
+        assert len(path) == 5
+        for (state, xi), (after, _) in zip(path, path[1:]):
+            stepped = _advance(*state, lambda x: pairwise_force(x, W_COS),
+                               params, xi * np.sqrt(params.dt))
+            for a, b in zip(stepped, after):
+                assert np.array_equal(a, b)
 
 
 class TestForceTableMemo:

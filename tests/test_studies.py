@@ -243,6 +243,14 @@ class TestJ2ClosureStudy:
         assert raw_sha256(run_j2_closure_study(cfg, seed=0)) == (
             "ee810ade75f6f714e167c7c3eea10b3e25ccff3bd7ad691a02c3fec196b1334e")
 
+    def test_raw_csv_with_a_ragged_block_is_pinned(self):
+        # 20 replicas run as blocks of 16 and 4, after a burn-in
+        cfg = J2ClosureConfig(m2_ladder=(1.0, 0.25), n_particles=200,
+                              n_replicas=20, t_horizon=0.1, burn_in=0.1,
+                              n_snapshots=2)
+        assert raw_sha256(run_j2_closure_study(cfg, seed=0)) == (
+            "8d0bccf416fe0e6644cba1d54bc39580615a04ee5ac2bd1cb59c8eda92b54b1b")
+
 
 class TestMollifierStudy:
     def test_reduced_run_passes(self):
@@ -293,6 +301,13 @@ class TestEvolutionIdentity:
                                       t_horizon=0.05)
         assert raw_sha256(run_evolution_identity_check(cfg, seed=0)) == (
             "5ac2669debdf1d8c251f1f994ce98f90342a4c946846fa761621f0c843eb4fdc")
+
+    def test_raw_csv_with_a_ragged_block_is_pinned(self):
+        # 20 replicas run as blocks of 16 and 4
+        cfg = EvolutionIdentityConfig(n_particles=16, n_replicas=20,
+                                      t_horizon=0.05)
+        assert raw_sha256(run_evolution_identity_check(cfg, seed=0)) == (
+            "054f23e2377e41339870226e884abc8324c3963e1c71c6f543a53b2daebbb087")
 
     def test_jobs_do_not_change_the_table(self):
         cfg = EvolutionIdentityConfig(n_particles=16, n_replicas=2,

@@ -6,9 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import ive
 
-from dklab.torus import (TWO_PI, ResolutionError, TorusGeometry, kernel_residual_sup,
-                         make_kernel, normalization_constant, von_mises_eval, wrap,
-                         wrap_centered)
+from dklab import particles
+from dklab.torus import (TWO_PI, ConfigurationError, ResolutionError, TorusGeometry,
+                         kernel_residual_sup, make_kernel, normalization_constant,
+                         step_index, von_mises_eval, wrap, wrap_centered)
 
 EPS_LADDER = (0.4, 0.2, 0.1, 0.05)
 
@@ -48,6 +49,25 @@ class TestWrap:
                 got, ref = wrap(x), reference(x)
                 assert got.shape == ref.shape
                 assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+class TestStepIndex:
+    def test_times_on_the_grid(self):
+        assert step_index(0.0, 5e-3, "t_horizon") == 0
+        assert step_index(0.1, 5e-3, "snapshot time", 20) == 20
+        assert step_index(0.3, 0.1, "t_horizon") == 3  # 0.3 / 0.1 is 2.9999999999999996
+
+    @pytest.mark.parametrize("t, message", [
+        (0.0123, "not an integer multiple of dt"),
+        (-0.005, "outside the steps"),
+        (0.105, "outside the steps")], ids=["off_grid", "negative", "past_horizon"])
+    def test_rejects(self, t, message):
+        with pytest.raises(ConfigurationError, match=f"snapshot time={t} .*{message}"):
+            step_index(t, 5e-3, "snapshot time", 20)
+
+    def test_error_is_a_value_error_that_particles_reexports(self):
+        assert issubclass(ConfigurationError, ValueError)
+        assert particles.ConfigurationError is ConfigurationError
 
 
 class TestGeometry:
