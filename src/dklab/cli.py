@@ -156,13 +156,13 @@ def model_from_block(block: dict):
     block = _strict_block(block, names | MODEL_EXTRA_KEYS, "model")
     try:
         w = potential_from_config(block.get("potential", "cos"))
-        params = ModelParams(**{k: v for k, v in block.items() if k in names})
+        params = config_from_dict(ModelParams, {k: v for k, v in block.items() if k in names})
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad model config: {exc}") from exc
     n_replicas = block.get("n_replicas", 16)
     n_snapshots = block.get("n_snapshots", 10)
-    if not all(type(n) is int and n >= 1 for n in (params.n_particles, n_replicas, n_snapshots)):
-        raise CliError("n_particles, n_replicas and n_snapshots must be positive integers")
+    if not all(type(n) is int and n >= 1 for n in (n_replicas, n_snapshots)):
+        raise CliError("n_replicas and n_snapshots must be positive integers")
     return params, w, n_replicas, n_snapshots
 
 
@@ -190,7 +190,7 @@ def spde_from_block(block: dict):
         kwargs["n_particles"] = math.inf
     try:
         w = potential_from_config(block.get("potential", "cos"))
-        cfg = SpdeConfig(**kwargs)
+        cfg = config_from_dict(SpdeConfig, kwargs)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad spde config: {exc}") from exc
     return cfg, w

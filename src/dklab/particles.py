@@ -144,15 +144,10 @@ class CoupledTrajectory:
     q_mf: np.ndarray
     p_mf: np.ndarray
     lift_mf: np.ndarray
-    seed: int | None = None
 
     @property
     def n_replicas(self) -> int:
         return self.q_int.shape[1]
-
-    @property
-    def n_particles(self) -> int:
-        return self.q_int.shape[2]
 
 
 def pairwise_force(q: np.ndarray, w: PotentialSpec,
@@ -379,7 +374,7 @@ def simulate_coupled(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
     """
     times, out = _record(params, w, snapshot_times, 6, n_replicas=n_replicas,
                          seed=seed, replica_block=replica_block, coupled=True)
-    return CoupledTrajectory(times, *out, seed=seed)
+    return CoupledTrajectory(times, *out)
 
 
 def simulate_interacting(params: ModelParams, w: PotentialSpec, *, n_replicas: int,

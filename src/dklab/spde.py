@@ -6,7 +6,8 @@ The state X = (rho, j) lives in rfft coefficient space on a torus of period
     d/dt (rho_k, j_k) = A_k (rho_k, j_k),
     A_k = [[0, -i k], [-i k csq, -gamma]],   csq = sigma^2 / (2 gamma),
 
-which is applied exactly through the closed-form matrix exponential.  The
+which is applied exactly through the closed-form matrix exponential, or its
+gap -> 0 limit where the two eigenvalues collide.  The
 interaction drift and the multiplicative noise enter through one exponential
 Euler-Maruyama step per dt:
 
@@ -45,7 +46,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .fields import DensityField, convolve_potential, sobolev_norms
 from .potential import PotentialSpec
@@ -217,12 +217,6 @@ class PersistenceReport:
         return self.c2 - self.max_norm
 
 
-def linear_propagator(k: int, gamma: float, csq: float, dt: float) -> np.ndarray:
-    """Dense 2x2 exp(dt A_k), for cross-checks and the defective fallback."""
-    a = np.array([[0.0, -1j * k], [-1j * k * csq, -gamma]], dtype=complex)
-    return scipy.linalg.expm(dt * a)
-
-
 @dataclass
 class PropagatorBank:
     """exp(dt A_k) for every retained mode, stored entrywise."""
@@ -238,9 +232,10 @@ def build_propagator_bank(geometry: TorusGeometry, gamma: float, csq: float,
                           dt: float) -> PropagatorBank:
     """Closed-form exp(dt A_k) over the rfft band, exact mass row at k = 0.
 
-    Eigenvalues are (-gamma +- sqrt(gamma^2 - 4 k^2 csq)) / 2; the spectral
-    projector formula breaks down when the two collide, so nearly defective
-    modes fall back to a dense matrix exponential.
+    Eigenvalues are (-gamma +- sqrt(gamma^2 - 4 k^2 csq)) / 2.  The spectral
+    projector formula breaks down when the two collide, so modes whose gap
+    sits below PROPAGATOR_GAP_TOL take its gap -> 0 limit,
+    exp(dt A) = e^{-gamma dt / 2} (I + dt (A + gamma / 2 I)).
     """
     k = np.arange(geometry.n_modes, dtype=float)
     disc = gamma ** 2 - 4.0 * k ** 2 * csq
@@ -251,14 +246,12 @@ def build_propagator_bank(geometry: TorusGeometry, gamma: float, csq: float,
     e_m = np.exp(dt * lam_m)
     safe = np.abs(gap) >= PROPAGATOR_GAP_TOL
     denom = np.where(safe, gap, 1.0)
-    m00 = (-e_p * lam_m + e_m * lam_p) / denom
-    m01 = (e_p - e_m) * (-1j * k) / denom
-    m10 = (e_p - e_m) * (-1j * k * csq) / denom
-    m11 = (e_p * (-gamma - lam_m) + e_m * (lam_p + gamma)) / denom
-    for idx in np.nonzero(~safe)[0]:
-        mat = linear_propagator(int(idx), gamma, csq, dt)
-        m00[idx], m01[idx] = mat[0, 0], mat[0, 1]
-        m10[idx], m11[idx] = mat[1, 0], mat[1, 1]
+    e_c = math.exp(-gamma * dt / 2.0)
+    m00 = np.where(safe, (-e_p * lam_m + e_m * lam_p) / denom, e_c * (1.0 + dt * gamma / 2.0))
+    m01 = np.where(safe, (e_p - e_m) * (-1j * k) / denom, e_c * dt * (-1j * k))
+    m10 = np.where(safe, (e_p - e_m) * (-1j * k * csq) / denom, e_c * dt * (-1j * k * csq))
+    m11 = np.where(safe, (e_p * (-gamma - lam_m) + e_m * (lam_p + gamma)) / denom,
+                   e_c * (1.0 - dt * gamma / 2.0))
     # Pin the mass row so rho_hat[0] is carried through bit for bit.
     m00[0] = 1.0
     m01[0] = 0.0
@@ -380,7 +373,6 @@ class SpdeTrajectory:
     min_rho_path: np.ndarray
     status: StoppingStatus
     config: SpdeConfig
-    seed: int | None = None
     final: SpectralState | None = None
 
 
@@ -391,12 +383,9 @@ def default_datum(geometry: TorusGeometry) -> tuple[np.ndarray, np.ndarray]:
     return rho, np.zeros_like(rho)
 
 
-def initial_state(cfg: SpdeConfig, rho0=None, j0=None) -> SpectralState:
+def initial_state(cfg: SpdeConfig) -> SpectralState:
     geometry = cfg.geometry
-    if rho0 is None and j0 is None:
-        rho0, j0 = default_datum(geometry)
-    elif rho0 is None or j0 is None:
-        raise ValueError("give both rho0 and j0 or neither")
+    rho0, j0 = default_datum(geometry)
     state = SpectralState.from_values(geometry, rho0, j0, band=cfg.dealias_band)
     if state.min_rho() < cfg.c1:
         raise ValueError(
@@ -424,7 +413,7 @@ class ReplicaRun:
 
 
 def solve_replicas(cfg: SpdeConfig, w: PotentialSpec, seeds: Sequence[int | None], *,
-                   rho0=None, j0=None, noise_increments: np.ndarray | None = None,
+                   noise_increments: np.ndarray | None = None,
                    observe: Callable[[int, SpectralState, np.ndarray], None] | None = None
                    ) -> ReplicaRun:
     """Integrate R = len(seeds) replicas over [0, t_horizon], freezing each
@@ -442,7 +431,7 @@ def solve_replicas(cfg: SpdeConfig, w: PotentialSpec, seeds: Sequence[int | None
     geometry = cfg.geometry
     n = geometry.n_grid
     n_rows = len(seeds)
-    start = initial_state(cfg, rho0, j0)
+    start = initial_state(cfg)
     state = SpectralState(geometry, np.tile(start.rho_hat, (n_rows, 1)),
                           np.tile(start.j_hat, (n_rows, 1)))
     bank = build_propagator_bank(geometry, cfg.gamma, cfg.csq, cfg.dt)
@@ -518,7 +507,7 @@ def solve_replicas(cfg: SpdeConfig, w: PotentialSpec, seeds: Sequence[int | None
 
 
 def solve_spde(cfg: SpdeConfig, w: PotentialSpec, *, seed: int | None = None,
-               snapshot_times=None, rho0=None, j0=None,
+               snapshot_times=None,
                noise_increments: np.ndarray | None = None) -> SpdeTrajectory:
     """Integrate one run over [0, t_horizon], freezing the state if a guard trips.
 
@@ -542,22 +531,21 @@ def solve_spde(cfg: SpdeConfig, w: PotentialSpec, *, seed: int | None = None,
             rho_snap[idx] = rho_values[0]
             j_snap[idx] = state.j_values()[0]
 
-    run = solve_replicas(cfg, w, [seed], rho0=rho0, j0=j0,
-                         noise_increments=noise_increments, observe=record)
+    run = solve_replicas(cfg, w, [seed], noise_increments=noise_increments,
+                         observe=record)
     status = run.status[0]
     final = SpectralState(cfg.geometry, run.final.rho_hat[0], run.final.j_hat[0],
                           status.time if status.stopped else run.final.t)
     return SpdeTrajectory(times=snap_times, rho=rho_snap, j=j_snap,
                           step_times=run.step_times, norm_path=run.norm_path[:, 0],
                           min_rho_path=run.min_rho_path[:, 0], status=status,
-                          config=cfg, seed=seed, final=final)
+                          config=cfg, final=final)
 
 
-def solve_noise_free(cfg: SpdeConfig, w: PotentialSpec, *, snapshot_times=None,
-                     rho0=None, j0=None) -> tuple[SpdeTrajectory, PersistenceReport]:
+def solve_noise_free(cfg: SpdeConfig, w: PotentialSpec, *,
+                     snapshot_times=None) -> tuple[SpdeTrajectory, PersistenceReport]:
     """Deterministic limit run plus its floor/cap margins."""
-    traj = solve_spde(replace(cfg, n_particles=math.inf), w,
-                      snapshot_times=snapshot_times, rho0=rho0, j0=j0)
+    traj = solve_spde(replace(cfg, n_particles=math.inf), w, snapshot_times=snapshot_times)
     report = PersistenceReport(min_density=float(traj.min_rho_path.min()),
                                max_norm=float(traj.norm_path.max()),
                                c1=cfg.c1, c2=cfg.c2)

@@ -70,7 +70,10 @@ def _fits(value, default) -> bool:
 
 
 def config_from_dict(cls, data: dict):
-    """Strict dataclass construction: unknown keys and wrong types are an error."""
+    """Strict dataclass construction: unknown keys and wrong types are an error.
+
+    A field without a default is checked against a zero of its annotated type.
+    """
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - names
     if unknown:
@@ -79,8 +82,11 @@ def config_from_dict(cls, data: dict):
     for f in dataclasses.fields(cls):
         if f.name in data:
             v = data[f.name]
-            if not _fits(v, f.default):
-                raise ValueError(f"{f.name}={v!r} does not have the type of {f.default!r}")
+            like = f.default
+            if like is dataclasses.MISSING:
+                like = {"int": 0, "float": 0.0}.get(f.type)
+            if not _fits(v, like):
+                raise ValueError(f"{f.name}={v!r} does not have the type of {like!r}")
             kwargs[f.name] = tuple(v) if isinstance(v, list) else v
     return cls(**kwargs)
 

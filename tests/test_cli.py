@@ -143,6 +143,9 @@ class TestExitCodes:
         {"model": {**TINY_MODEL, "n_replicas": 2.7}},
         {"model": {**TINY_MODEL, "n_snapshots": 2.7}},
         {"model": {**TINY_MODEL, "n_particles": 2.5}},
+        {"spde": {"n_grid": 128, "epsilon": 0.2, "dt": True, "t_horizon": 1.0}},
+        {"spde": {"n_grid": 64.0, "epsilon": 0.3, "t_horizon": 0.01}},
+        {"model": {**TINY_MODEL, "gamma": "1"}},
     ])
     def test_wrong_typed_value_is_a_config_error(self, tmp_path, capsys, config):
         command = "spde" if "spde" in config else "simulate"
