@@ -1,8 +1,10 @@
 """Command line driver: config ingestion, reproducible runs, artifacts.
 
 One JSON document configures everything.  Top-level keys are `seed`, `out`,
-`jobs` plus the per-command blocks `model`, `kernel`, `spde`, `study`;
-unknown keys anywhere are an error.  Each run writes
+`jobs` plus the per-command blocks `model`, `kernel`, `spde`, `study`.  The
+document, with the `--seed`, `--out` and `--jobs` flags laid over it, and each
+block are read by one rule, `studies.config_from_dict`: an object, no unknown
+key, every value of its field's type.  Each run writes
 
     <out>/<name>/<timestamp>/raw.csv      bare header + rows, %.17g floats
     <out>/<name>/<timestamp>/report.json  verdict, checks, fitted slopes
@@ -21,12 +23,14 @@ Exit codes: 0 success, 2 study verdict fail, 1 configuration/runtime error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
 import sys
 import time
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -39,10 +43,6 @@ from .particles import (ConfigurationError, ModelParams, TimeStepError,
 from .spde import DivergenceError, SpdeConfig, solve_spde, total_mass
 from .studies import STUDY_REGISTRY, config_from_dict, potential_from_config
 from .torus import ResolutionError, TorusGeometry, make_kernel
-
-TOP_LEVEL_KEYS = {"seed", "out", "jobs", "model", "kernel", "spde", "study"}
-MODEL_EXTRA_KEYS = {"potential", "n_replicas", "n_snapshots"}
-
 
 class CliError(Exception):
     """Configuration or usage error; maps to exit code 1."""
@@ -126,6 +126,54 @@ def write_artifacts(out_root: Path, name: str, rows: list[dict],
 # config ingestion
 
 
+@dataclass
+class RunConfig:
+    """The top level of the config document, flags applied."""
+
+    seed: int = 0
+    out: str = "runs"
+    jobs: int = 1
+    model: dict = field(default_factory=dict)
+    kernel: dict | None = None
+    spde: dict | None = None
+    study: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError("seed must be an unsigned 64-bit integer")
+        if self.jobs < 1:
+            raise ValueError("jobs must be a positive integer")
+
+
+@dataclass(frozen=True)
+class ModelBlock(ModelParams):
+    """The model block: particle parameters plus the ensemble to run."""
+
+    potential: object = "cos"
+    n_replicas: int = 16
+    n_snapshots: int = 10
+
+    def __post_init__(self):
+        super().__post_init__()
+        if min(self.n_replicas, self.n_snapshots) < 1:
+            raise ConfigurationError("n_replicas and n_snapshots must be at least 1")
+
+
+@dataclass
+class KernelBlock:
+    """The kernel block; without n_grid the coarsest admissible grid is used."""
+
+    epsilon: float
+    n_grid: int | None = None
+
+
+@dataclass(frozen=True)
+class SpdeBlock(SpdeConfig):
+    """The spde block: solver parameters plus the potential."""
+
+    potential: object = "cos"
+
+
 def load_config(path: str) -> dict:
     p = Path(path)
     if not p.exists():
@@ -136,76 +184,35 @@ def load_config(path: str) -> dict:
         raise CliError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise CliError("config must be a JSON object")
-    unknown = set(data) - TOP_LEVEL_KEYS
-    if unknown:
-        raise CliError(f"unknown config keys: {sorted(unknown)}")
     return data
 
 
-def _strict_block(block: dict, allowed: set, what: str) -> dict:
-    if not isinstance(block, dict):
-        raise CliError(f"{what} block must be a JSON object")
-    unknown = set(block) - allowed
-    if unknown:
-        raise CliError(f"unknown {what} keys: {sorted(unknown)}")
-    return block
-
-
-def model_from_block(block: dict):
-    names = {f.name for f in dataclasses.fields(ModelParams)}
-    block = _strict_block(block, names | MODEL_EXTRA_KEYS, "model")
+@contextlib.contextmanager
+def _reading(block: str):
+    """Report a wrong value read from `block` as one config error."""
     try:
-        w = potential_from_config(block.get("potential", "cos"))
-        params = config_from_dict(ModelParams, {k: v for k, v in block.items() if k in names})
+        yield
     except (TypeError, ValueError) as exc:
-        raise CliError(f"bad model config: {exc}") from exc
-    n_replicas = block.get("n_replicas", 16)
-    n_snapshots = block.get("n_snapshots", 10)
-    if not all(type(n) is int and n >= 1 for n in (n_replicas, n_snapshots)):
-        raise CliError("n_replicas and n_snapshots must be positive integers")
-    return params, w, n_replicas, n_snapshots
-
-
-def kernel_from_block(block: dict):
-    block = _strict_block(block, {"epsilon", "n_grid", "oversample"}, "kernel")
-    if "epsilon" not in block:
-        raise CliError("kernel block needs an epsilon")
-    try:
-        eps = float(block["epsilon"])
-        if "n_grid" in block:
-            geometry = TorusGeometry(int(block["n_grid"]))
-            geometry.require_admissible(eps)
-        else:
-            geometry = TorusGeometry.for_epsilon(eps, int(block.get("oversample", 0)))
-        return make_kernel(eps, geometry)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad kernel config: {exc}") from exc
-
-
-def spde_from_block(block: dict):
-    names = {f.name for f in dataclasses.fields(SpdeConfig)}
-    block = _strict_block(block, names | {"potential"}, "spde")
-    kwargs = {k: v for k, v in block.items() if k in names}
-    if kwargs.get("n_particles") == "inf":
-        kwargs["n_particles"] = math.inf
-    try:
-        w = potential_from_config(block.get("potential", "cos"))
-        cfg = config_from_dict(SpdeConfig, kwargs)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad spde config: {exc}") from exc
-    return cfg, w
+        raise CliError(f"bad {block} config: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_simulate(config: dict, seed: int, out_root: Path, jobs: int) -> int:
-    params, w, n_replicas, n_snapshots = model_from_block(config.get("model", {}))
-    kern = kernel_from_block(config["kernel"]) if "kernel" in config else None
-    snap_times = np.linspace(0.0, params.t_horizon, n_snapshots + 1)
-    traj = simulate_coupled(params, w, n_replicas=n_replicas,
-                            snapshot_times=snap_times, seed=seed)
+def cmd_simulate(run: RunConfig) -> int:
+    with _reading("model"):
+        params = config_from_dict(ModelBlock, run.model, "model")
+        w = potential_from_config(params.potential)
+    kern = None
+    if run.kernel is not None:
+        with _reading("kernel"):
+            kb = config_from_dict(KernelBlock, run.kernel, "kernel")
+            grid = None if kb.n_grid is None else TorusGeometry(kb.n_grid)
+            kern = make_kernel(kb.epsilon, grid)
+    snap_times = np.linspace(0.0, params.t_horizon, params.n_snapshots + 1)
+    traj = simulate_coupled(params, w, n_replicas=params.n_replicas,
+                            snapshot_times=snap_times, seed=run.seed)
     dist = chaos_distance(traj)
 
     rows = []
@@ -223,38 +230,38 @@ def cmd_simulate(config: dict, seed: int, out_root: Path, jobs: int) -> int:
             row["h1_rho_mean"] = float(np.mean(norms))
         rows.append(row)
 
-    resolved = dataclasses.asdict(params)
-    resolved.update({"potential": config.get("model", {}).get("potential", "cos"),
-                     "n_replicas": n_replicas, "n_snapshots": n_snapshots,
-                     "seed": seed})
+    resolved = {**dataclasses.asdict(params), "seed": run.seed}
     report = {"command": "simulate", "verdict": "pass",
-              "checks": {"completed": True}, "seed": seed,
+              "checks": {"completed": True}, "seed": run.seed,
               "details": {"sup_chaos_distance": float(dist.max())}}
-    run_dir = write_artifacts(out_root, "simulate", rows, report, resolved)
-    print(f"simulate: {n_replicas} replicas of {params.n_particles} particles, "
+    run_dir = write_artifacts(Path(run.out), "simulate", rows, report, resolved)
+    print(f"simulate: {params.n_replicas} replicas of {params.n_particles} particles, "
           f"sup coupling distance {dist.max():.6g}")
     print(f"artifacts: {run_dir}")
     return 0
 
 
-def cmd_spde(config: dict, seed: int, out_root: Path, jobs: int) -> int:
-    if "spde" not in config:
+def cmd_spde(run: RunConfig) -> int:
+    if run.spde is None:
         raise CliError("spde command needs an spde block")
-    cfg, w = spde_from_block(config["spde"])
-    traj = solve_spde(cfg, w, seed=seed)
+    block = dict(run.spde)
+    if block.get("n_particles") == "inf":
+        block["n_particles"] = math.inf
+    with _reading("spde"):
+        cfg = config_from_dict(SpdeBlock, block, "spde")
+        w = potential_from_config(cfg.potential)
+    traj = solve_spde(cfg, w, seed=run.seed)
     rows = [{"t": float(t), "h1_norm": float(n), "min_rho": float(m)}
             for t, n, m in zip(traj.step_times, traj.norm_path, traj.min_rho_path)]
     status = {"stopped": traj.status.stopped, "reason": traj.status.reason,
               "time": traj.status.time}
     report = {"command": "spde", "verdict": "pass",
-              "checks": {"completed": True}, "seed": seed,
+              "checks": {"completed": True}, "seed": run.seed,
               "details": {"status": status,
                           "final_mass": total_mass(traj.final),
                           "final_norm": float(traj.norm_path[-1])}}
-    resolved = dataclasses.asdict(cfg)
-    resolved["potential"] = config["spde"].get("potential", "cos")
-    resolved["seed"] = seed
-    run_dir = write_artifacts(out_root, "spde", rows, report, resolved)
+    resolved = {**dataclasses.asdict(cfg), "seed": run.seed}
+    run_dir = write_artifacts(Path(run.out), "spde", rows, report, resolved)
     stop_note = (f"stopped at t = {traj.status.time:.6g} ({traj.status.reason})"
                  if traj.status.stopped else "ran to the horizon")
     print(f"spde: {stop_note}, final norm {traj.norm_path[-1]:.6g}")
@@ -262,27 +269,25 @@ def cmd_spde(config: dict, seed: int, out_root: Path, jobs: int) -> int:
     return 0
 
 
-def cmd_study(name: str, config: dict, seed: int, out_root: Path, jobs: int) -> int:
+def cmd_study(name: str, run: RunConfig) -> int:
     if name not in STUDY_REGISTRY:
         raise CliError(f"unknown study {name!r}; choose from "
                        f"{', '.join(sorted(STUDY_REGISTRY))}")
-    block = dict(config.get("study", {}))
+    block = dict(run.study)
     block_name = block.pop("name", None)
     if block_name is not None and block_name != name:
         raise CliError(f"study block names {block_name!r} but the command "
                        f"asked for {name!r}")
     cfg_cls, runner = STUDY_REGISTRY[name]
-    try:
-        study_cfg = config_from_dict(cfg_cls, block)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad study config: {exc}") from exc
+    with _reading("study"):
+        study_cfg = config_from_dict(cfg_cls, block, "study")
 
     t0 = time.perf_counter()
-    report = runner(study_cfg, seed=seed, jobs=jobs)
+    report = runner(study_cfg, seed=run.seed, jobs=run.jobs)
     runtime = time.perf_counter() - t0
-    resolved = dataclasses.asdict(study_cfg)
-    resolved["seed"] = seed
-    run_dir = write_artifacts(out_root, name, report.raw_table, report.to_dict(), resolved)
+    resolved = {**dataclasses.asdict(study_cfg), "seed": run.seed}
+    run_dir = write_artifacts(Path(run.out), name, report.raw_table, report.to_dict(),
+                              resolved)
     print(f"study {name}: verdict {report.verdict} ({runtime:.1f} s)")
     for check, ok in report.checks.items():
         if not ok:
@@ -343,23 +348,17 @@ def main(argv=None) -> int:
         if args.command != "report" and not args.config:
             raise CliError("this command needs --config")
 
-        seed = args.seed if args.seed is not None else config.get("seed", 0)
-        # type(), not isinstance: JSON's true and false load as bools, which are ints
-        if type(seed) is not int or not 0 <= seed < 2 ** 64:
-            raise CliError("seed must be an unsigned 64-bit integer")
-        out_root = Path(args.out if args.out is not None
-                        else config.get("out", "runs"))
-        jobs = args.jobs if args.jobs is not None else config.get("jobs", 1)
-        if type(jobs) is not int or jobs < 1:
-            raise CliError("jobs must be a positive integer")
+        flags = {k: getattr(args, k) for k in ("seed", "out", "jobs")
+                 if getattr(args, k) is not None}
+        run = config_from_dict(RunConfig, {**config, **flags}, "config")
 
         if args.command == "simulate":
-            return cmd_simulate(config, seed, out_root, jobs)
+            return cmd_simulate(run)
         if args.command == "spde":
-            return cmd_spde(config, seed, out_root, jobs)
+            return cmd_spde(run)
         if args.command == "study":
-            return cmd_study(args.name, config, seed, out_root, jobs)
-        return cmd_report(out_root)
+            return cmd_study(args.name, run)
+        return cmd_report(Path(run.out))
     except (CliError, ConfigurationError, ResolutionError, DivergenceError,
             TimeStepError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

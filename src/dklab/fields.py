@@ -178,24 +178,12 @@ def sobolev_norms(coeffs: np.ndarray, k: int = 0) -> np.ndarray:
     return np.sqrt(TWO_PI * sums).reshape(c.shape[:-1])
 
 
-def sobolev_norm(field: DensityField, k: int = 0, p: float = 2.0) -> float:
-    """Sobolev or Lebesgue norm of a grid field.
+def sobolev_norm(field: DensityField, k: int = 0) -> float:
+    """H^k norm of a grid field through Fourier weights (1 + m^2)^k.
 
-    p == 2 gives the H^k norm through Fourier weights (1 + m^2)^k, including
-    the m = 0 term (so k may be negative, e.g. H^{-1}).  p == inf gives the
-    grid sup-norm and any other positive p the L^p quadrature norm; k must
-    be 0 in those cases.
+    The m = 0 term is included, so k may be negative, e.g. H^{-1}.
     """
-    if p == 2.0:
-        return float(sobolev_norms(field.fourier, k))
-    if k != 0:
-        raise ValueError("derivative index k is only meaningful for p = 2")
-    if np.isinf(p):
-        return float(np.abs(field.values).max())
-    if p <= 0:
-        raise ValueError("p must be positive")
-    h = field.geometry.spacing
-    return float((np.abs(field.values) ** p).sum() * h) ** (1.0 / p)
+    return float(sobolev_norms(field.fourier, k))
 
 
 def interaction_decomposition(q: np.ndarray, kern: KernelParams, w: PotentialSpec,

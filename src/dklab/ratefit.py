@@ -16,9 +16,6 @@ class PowerLawFit:
     slope_stderr: float
     residual_rms: float
 
-    def within(self, lo: float, hi: float) -> bool:
-        return lo <= self.slope <= hi
-
 
 def fit_loglog(x, y) -> PowerLawFit:
     """Fit log y = a + b log x; both inputs must be positive.

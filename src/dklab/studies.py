@@ -55,40 +55,52 @@ def potential_from_config(value) -> PotentialSpec:
     raise ValueError(f"cannot interpret potential {value!r}")
 
 
-def _fits(value, default) -> bool:
-    """Whether a config value has the type of its field's default.
+# a value of each annotated type; a tuple field takes its default instead
+_TYPE_SAMPLES = {"int": 0, "float": 0.0, "bool": False, "str": "", "dict": {}}
 
-    Other defaults (None, the potential's name) are validated where used.
+
+def _fits(value, like) -> bool:
+    """Whether a config value has the type of `like`, a value of its field's type.
+
+    `object` fields (the potential) have no sample and are validated where used.
     """
-    if isinstance(default, bool):
+    if isinstance(like, bool):
         return isinstance(value, bool)
-    if isinstance(default, (int, float)):  # type(), as bools are ints
-        return type(value) is int or isinstance(default, float) and isinstance(value, float)
-    if isinstance(default, tuple):
-        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    if isinstance(like, (int, float)):  # type(), as bools are ints
+        return type(value) is int or isinstance(like, float) and isinstance(value, float)
+    if isinstance(like, tuple):
+        return isinstance(value, list) and all(_fits(v, like[0]) for v in value)
+    if isinstance(like, (str, dict)):
+        return isinstance(value, type(like))
     return True
 
 
-def config_from_dict(cls, data: dict):
-    """Strict dataclass construction: unknown keys and wrong types are an error.
+def config_from_dict(cls, data: dict, block: str | None = None):
+    """Strict dataclass construction from one JSON object, `block` of the document.
 
-    A field without a default is checked against a zero of its annotated type.
+    The one rule for config input: the block is an object, every key names a
+    field, every field without a default is given, and every value has its
+    field's annotated type (an int passes as a float; `X | None` also admits
+    null).  The items of a tuple field's list have the type of its default's.
     """
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
+    what = block or cls.__name__
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} block must be a JSON object")
+    fields = dataclasses.fields(cls)
+    unknown = set(data) - {f.name for f in fields}
     if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name in data:
-            v = data[f.name]
-            like = f.default
-            if like is dataclasses.MISSING:
-                like = {"int": 0, "float": 0.0}.get(f.type)
-            if not _fits(v, like):
-                raise ValueError(f"{f.name}={v!r} does not have the type of {like!r}")
-            kwargs[f.name] = tuple(v) if isinstance(v, list) else v
-    return cls(**kwargs)
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    for f in fields:
+        if f.name not in data:
+            if f.default is f.default_factory is dataclasses.MISSING:
+                raise ValueError(f"{what} block needs {f.name}")
+            continue
+        v = data[f.name]
+        kind = f.type.removesuffix(" | None")
+        like = f.default if kind == "tuple" else _TYPE_SAMPLES.get(kind)
+        if not (_fits(v, like) or v is None and kind != f.type):
+            raise ValueError(f"{f.name}={v!r} does not have the type {f.type}")
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
 
 @dataclass
@@ -343,7 +355,7 @@ def run_interaction_study(cfg: InteractionStudyConfig, seed: int | None = None,
         for key, vals in metrics.items():
             fit = fit_loglog(inv_eps, vals)
             slopes[f"{key}_vs_inv_eps"] = _slope_entry(fit)
-            checks[f"{key}_bounded"] = fit.slope <= cfg.moment_slope_max + 2 * fit.slope_stderr
+            checks[f"{key}_bounded"] = slope_within(fit, hi=cfg.moment_slope_max)
         details["moment_tables"] = {key: [float(v) for v in vals]
                                     for key, vals in metrics.items()}
 

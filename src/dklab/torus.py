@@ -142,8 +142,7 @@ class TorusGeometry:
         """Smallest admissible power-of-two grid for a kernel width.
 
         oversample doubles the node count that many extra times.  The
-        mollifier study passes oversample=2, and a config's kernel block may
-        set it; the field estimator needs none.
+        mollifier study passes oversample=2; the field estimator needs none.
         """
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")

@@ -146,6 +146,10 @@ class TestExitCodes:
         {"spde": {"n_grid": 128, "epsilon": 0.2, "dt": True, "t_horizon": 1.0}},
         {"spde": {"n_grid": 64.0, "epsilon": 0.3, "t_horizon": 0.01}},
         {"model": {**TINY_MODEL, "gamma": "1"}},
+        {"model": TINY_MODEL, "kernel": {"epsilon": True}},
+        {"model": TINY_MODEL, "kernel": {"epsilon": "0.1"}},
+        {"model": TINY_MODEL, "kernel": {"epsilon": 0.25, "n_grid": 256.0}},
+        {"model": TINY_MODEL, "kernel": {"epsilon": 0.25, "n_grid": 64.7}},
     ])
     def test_wrong_typed_value_is_a_config_error(self, tmp_path, capsys, config):
         command = "spde" if "spde" in config else "simulate"
@@ -161,6 +165,28 @@ class TestExitCodes:
         assert main(["study", "chaos", "--config", cfg]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: bad study config")
+
+    @pytest.mark.parametrize("argv, config, key", [
+        (["study", "chaos"], {"study": [1]}, "study"),
+        (["study", "chaos"], {"study": 5}, "study"),
+        (["study", "chaos"], {**TINY_CHAOS, "out": 5}, "out"),
+        (["study", "small_noise"], {"study": {"c2": "x"}}, "c2"),
+        (["spde"], {"spde": {"n_grid": 128, "epsilon": 0.2, "t_horizon": 0.01,
+                             "c2": "x"}}, "c2"),
+    ])
+    def test_wrong_typed_value_names_its_key(self, tmp_path, capsys, monkeypatch,
+                                             argv, config, key):
+        monkeypatch.chdir(tmp_path)  # a run that got through would write here
+        assert main([*argv, "--config", write_config(tmp_path, config)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_kernel_oversample_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"model": TINY_MODEL,
+                                      "kernel": {"epsilon": 0.25, "oversample": 1.9}})
+        assert main(["simulate", "--config", cfg]) == 1
+        assert "unknown kernel keys: ['oversample']" in capsys.readouterr().err
 
     def test_model_block_has_no_epsilon_or_theta(self, tmp_path, capsys):
         for key in ("epsilon", "theta"):

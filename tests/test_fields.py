@@ -140,20 +140,6 @@ class TestNorms:
         assert sobolev_norm(f, k=1) == pytest.approx(np.sqrt(2.0 * np.pi))
         assert sobolev_norm(f, k=-1) == pytest.approx(np.sqrt(np.pi / 2.0))
 
-    def test_lebesgue_norms(self):
-        f = cos_field()
-        assert sobolev_norm(f, p=np.inf) == pytest.approx(1.0)
-        # |cos| has kinks, so the node quadrature is only O(h^2) accurate
-        assert sobolev_norm(f, p=1.0) == pytest.approx(4.0, abs=5e-3)
-        assert sobolev_norm(f, p=2.0) == pytest.approx(np.sqrt(np.pi), rel=1e-10)
-
-    def test_guards(self):
-        f = cos_field()
-        with pytest.raises(ValueError):
-            sobolev_norm(f, k=1, p=np.inf)
-        with pytest.raises(ValueError):
-            sobolev_norm(f, p=-2.0)
-
 
 class TestConvolvePotential:
     def test_cosine_mode_oracle(self):

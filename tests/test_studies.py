@@ -54,6 +54,14 @@ class TestPlumbing:
         with pytest.raises(ValueError, match="unknown"):
             config_from_dict(ChaosStudyConfig, {"ladder": [8, 16]})
 
+    def test_config_from_dict_checks_optional_fields_by_annotation(self):
+        assert config_from_dict(SmallNoiseConfig, {"c2": 1}).c2 == 1
+        assert config_from_dict(SmallNoiseConfig, {"c2": None}).c2 is None
+        with pytest.raises(ValueError, match=r"c2='x' does not have the type float \| None"):
+            config_from_dict(SmallNoiseConfig, {"c2": "x"})
+        with pytest.raises(ValueError, match="study block must be a JSON object"):
+            config_from_dict(SmallNoiseConfig, [1], "study")
+
     def test_child_seeds_deterministic_and_distinct(self):
         a = _child_seeds(7, 6)
         b = _child_seeds(7, 6)
@@ -79,7 +87,7 @@ class TestRateFit:
         assert fit.slope == pytest.approx(-0.5, abs=1e-12)
         assert fit.prefactor == pytest.approx(3.0, rel=1e-12)
         assert fit.slope_stderr == pytest.approx(0.0, abs=1e-12)
-        assert fit.within(-0.6, -0.4)
+        assert slope_within(fit, -0.6, -0.4)
 
     def test_rejects_nonpositive_data(self):
         with pytest.raises(ValueError):
