@@ -348,9 +348,10 @@ def main(argv=None) -> int:
         if args.command != "report" and not args.config:
             raise CliError("this command needs --config")
 
+        # the file passes the rule before the flags override it, so no flag hides a bad value
         flags = {k: getattr(args, k) for k in ("seed", "out", "jobs")
                  if getattr(args, k) is not None}
-        run = config_from_dict(RunConfig, {**config, **flags}, "config")
+        run = dataclasses.replace(config_from_dict(RunConfig, config, "config"), **flags)
 
         if args.command == "simulate":
             return cmd_simulate(run)

@@ -35,6 +35,7 @@ tail beyond the Nyquist mode is cut off, which costs up to ~4e-11 relative.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,24 +159,31 @@ def empirical_field(q, p, kern: KernelParams, geometry: TorusGeometry | None = N
     return DensityField(geometry, values)
 
 
-def sobolev_norms(coeffs: np.ndarray, k: int = 0) -> np.ndarray:
-    """H^k norm of every row of rfft-layout coefficients of shape (..., n_modes).
-
-    Parseval with Fourier weights (1 + m^2)^k, the m = 0 term included.  The
-    weighted squares are summed one row at a time, so each row's norm has the
-    same bits as a 1-D call on that row, whatever the batch shape.
-    """
-    c = np.asarray(coeffs)
-    n_modes = c.shape[-1]
+@functools.lru_cache(maxsize=16)
+def _sobolev_weights(n_modes: int, k: int) -> np.ndarray:
+    """(1 + m^2)^k times the negative-frequency twin count of every rfft mode."""
     m = np.arange(n_modes)
     weights = (1.0 + m.astype(float) ** 2) ** k
     # negative-frequency twins: double every mode except DC and Nyquist
     mult = np.full(n_modes, 2.0)
     mult[0] = 1.0
     mult[-1] = 1.0
-    terms = weights * mult * np.abs(c) ** 2
-    sums = np.array([np.add.reduce(row) for row in terms.reshape(-1, n_modes)])
-    return np.sqrt(TWO_PI * sums).reshape(c.shape[:-1])
+    table = weights * mult
+    table.flags.writeable = False  # every caller gets this object
+    return table
+
+
+def sobolev_norms(coeffs: np.ndarray, k: int = 0) -> np.ndarray:
+    """H^k norm of every row of rfft-layout coefficients of shape (..., n_modes).
+
+    Parseval with Fourier weights (1 + m^2)^k, the m = 0 term included.  The
+    weighted squares are laid out C-contiguously and summed by one reduce over
+    the last axis, which sums each row as a 1-D call does, so each row's norm
+    has the same bits as a 1-D call on that row, whatever the batch shape.
+    """
+    c = np.asarray(coeffs)
+    terms = np.multiply(_sobolev_weights(c.shape[-1], k), np.abs(c) ** 2, order="C")
+    return np.sqrt(TWO_PI * np.add.reduce(terms, axis=-1))
 
 
 def sobolev_norm(field: DensityField, k: int = 0) -> float:

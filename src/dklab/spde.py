@@ -37,6 +37,14 @@ the step and then the next step's drift and h_delta, while the H1 x H1 norm
 comes from the coefficients by Parseval.  Row r draws its increments from
 its own Generator seeded with seeds[r] and has the bits of a single run with
 that seed.  `solve_spde` is the R = 1 caller that records snapshots.
+
+What a step reads that is fixed for the run is built once per
+`solve_replicas` call, before the loop: the propagator bank, the `StepPlan`
+(dealiasing band, noise amplitude and the W' multiplier, None for a zero
+potential) and the `QWienerScales` of the increments, their eigenvalue check
+included.  The Sobolev weights behind the norm are memoised per
+(n_modes, k) in `fields`.  Each per-step operation then runs once over the
+whole (R, n) batch.
 """
 
 from __future__ import annotations
@@ -267,35 +275,60 @@ def h_delta(r: np.ndarray, delta: float) -> np.ndarray:
     sqrt(delta) * P(|r| / delta) with the quartic
     P(s) = 35/48 + (7/12) s^3 - (5/16) s^4, which matches value, first and
     second derivative of sqrt at r = delta, is even and flat at r = 0, and
-    never drops below sqrt(delta) * 35/48.
+    never drops below sqrt(delta) * 35/48.  The quartic is evaluated on the
+    cells below the floor only; NaN cells stay NaN.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     r = np.asarray(r, dtype=float)
-    s = np.minimum(np.abs(r) / delta, 1.0)
-    inner = math.sqrt(delta) * (35.0 / 48.0 + (7.0 / 12.0) * s ** 3 - (5.0 / 16.0) * s ** 4)
-    return np.where(r >= delta, np.sqrt(np.maximum(r, delta)), inner)
+    out = np.maximum(r, delta, out=np.empty(r.shape))
+    np.sqrt(out, out=out)
+    low = r < delta
+    s = np.minimum(np.abs(r[low]) / delta, 1.0)
+    out[low] = math.sqrt(delta) * (35.0 / 48.0 + (7.0 / 12.0) * s ** 3 - (5.0 / 16.0) * s ** 4)
+    return out
 
 
-def _q_wiener_coeffs(z_dc: np.ndarray, z_re: np.ndarray, z_im: np.ndarray,
-                     lam: np.ndarray, geometry: TorusGeometry, dt: float) -> np.ndarray:
-    """rfft coefficients of one increment per row, shape (R, n_modes).
+@dataclass(frozen=True)
+class QWienerScales:
+    """Standard deviations of the rfft modes 0..band of one Q-Wiener increment.
 
-    z_dc (R,), z_re and z_im (R, band) are standard normals: the DC mode and
-    the real and imaginary parts of modes 1..band.  Each caller draws them in
-    the order its generators must follow.
+    Fixed by the eigenvalues, dt and band, so a run builds them once.
     """
-    band = z_re.shape[-1]
+
+    dc: float
+    modes: np.ndarray   # (band,) modes 1..band, read-only
+    n_modes: int
+
+    def coeffs(self, z_dc: np.ndarray, z_re: np.ndarray, z_im: np.ndarray) -> np.ndarray:
+        """rfft coefficients of one increment per row, shape (R, n_modes).
+
+        z_dc (R,), z_re and z_im (R, band) are standard normals: the DC mode
+        and the real and imaginary parts of modes 1..band.  Each caller draws
+        them in the order its generators must follow.
+        """
+        coeffs = np.zeros((len(z_dc), self.n_modes), dtype=complex)
+        coeffs[:, 0] = self.dc * z_dc
+        g = z_re + 1j * z_im
+        coeffs[:, 1: len(self.modes) + 1] = self.modes * g
+        return coeffs
+
+
+def q_wiener_scales(lam: np.ndarray, geometry: TorusGeometry, dt: float,
+                    band: int) -> QWienerScales:
+    """Mode scales sqrt(lam_0 dt / 2 pi) and sqrt(lam_k dt / 4 pi), k = 1..band.
+
+    lam[k] are the kernel Fourier coefficients (its eigenvalues); a negative
+    one is rejected.
+    """
     if band >= geometry.n_modes:
         raise ValueError("band exceeds the grid's mode count")
     lam = np.asarray(lam, dtype=float)[: band + 1]
     if lam.min() < 0:
         raise ValueError("covariance eigenvalues must be nonnegative")
-    coeffs = np.zeros((len(z_dc), geometry.n_modes), dtype=complex)
-    coeffs[:, 0] = math.sqrt(lam[0] * dt / TWO_PI) * z_dc
-    g = z_re + 1j * z_im
-    coeffs[:, 1: band + 1] = np.sqrt(lam[1:] * dt / (2.0 * TWO_PI)) * g
-    return coeffs
+    modes = np.sqrt(lam[1:] * dt / (2.0 * TWO_PI))
+    modes.flags.writeable = False
+    return QWienerScales(math.sqrt(lam[0] * dt / TWO_PI), modes, geometry.n_modes)
 
 
 def q_wiener_increment(rng: np.random.Generator, lam: np.ndarray,
@@ -306,53 +339,78 @@ def q_wiener_increment(rng: np.random.Generator, lam: np.ndarray,
     `band` are dropped.  The synthesised field satisfies
     E[dW(x) dW(y)] = dt * sum_{|k| <= band} lam_k e^{i k (x - y)} / (2 pi).
     """
+    scales = q_wiener_scales(lam, geometry, dt, band)
     z = rng.standard_normal(2 * band + 1)  # DC, then modes 1..band real, then imaginary
-    coeffs = _q_wiener_coeffs(z[:1], z[None, 1: band + 1], z[None, band + 1:],
-                              lam, geometry, dt)[0]
+    coeffs = scales.coeffs(z[:1], z[None, 1: band + 1], z[None, band + 1:])[0]
     return np.fft.irfft(coeffs * geometry.n_grid, n=geometry.n_grid)
 
 
-def nonlinear_drift(state: SpectralState, w: PotentialSpec, band: int,
+@dataclass(frozen=True)
+class StepPlan:
+    """What a step reads of (cfg, w) beyond the propagator bank.
+
+    Fixed for a whole run, so `solve_replicas` builds it once.  w1_hat is the
+    multiplier of f -> W' * f on modes 0..min(k_max, n_modes - 1), read-only,
+    or None when W' is zero.
+    """
+
+    band: int
+    amplitude: float
+    w1_hat: np.ndarray | None
+
+
+def step_plan(cfg: SpdeConfig, w: PotentialSpec) -> StepPlan:
+    w1_hat = None
+    if not w.is_zero:
+        kmax = min(w.k_max, cfg.geometry.n_modes - 1)
+        w1_hat = w.conv_multiplier(kmax + 1, derivative=1)
+        w1_hat.flags.writeable = False
+    return StepPlan(cfg.dealias_band, cfg.noise_amplitude, w1_hat)
+
+
+def nonlinear_drift(state: SpectralState, plan: StepPlan,
                     rho_values: np.ndarray) -> np.ndarray:
     """Coefficients of the momentum drift -(W' * rho) rho, dealiased.
 
     rho_values must be state.rho_values().
     """
     n = state.geometry.n_grid
-    if w.is_zero:
+    if plan.w1_hat is None:
         return np.zeros(state.rho_hat.shape, dtype=complex)
-    kmax = min(w.k_max, state.geometry.n_modes - 1)
+    kept = len(plan.w1_hat)
     conv_hat = np.zeros(state.rho_hat.shape, dtype=complex)
-    conv_hat[..., : kmax + 1] = (state.rho_hat[..., : kmax + 1]
-                                 * w.conv_multiplier(kmax + 1, derivative=1))
+    conv_hat[..., :kept] = state.rho_hat[..., :kept] * plan.w1_hat
     conv_vals = np.fft.irfft(conv_hat * n, n=n)
     drift_hat = np.fft.rfft(-conv_vals * rho_values) / n
-    drift_hat[..., band + 1:] = 0.0
+    drift_hat[..., plan.band + 1:] = 0.0
     return drift_hat
 
 
 def step_mild(state: SpectralState, cfg: SpdeConfig, bank: PropagatorBank,
               w: PotentialSpec, dw_values: np.ndarray | None,
-              rho_values: np.ndarray | None = None) -> SpectralState:
+              rho_values: np.ndarray | None = None,
+              plan: StepPlan | None = None) -> SpectralState:
     """One exponential Euler-Maruyama step; dw_values None means no noise.
 
     Works on every row of a batch; dw_values holds one increment per row or
-    one shared by all.  rho_values, when given, must be state.rho_values().
-    The drift and noise act on the momentum component only, so the
-    pre-propagator density coefficients are literally state.rho_hat, and the
-    pinned mass row keeps rho_hat[..., 0] unchanged to the last bit.
+    one shared by all.  rho_values, when given, must be state.rho_values(),
+    and plan, when given, step_plan(cfg, w).  The drift and noise act on the
+    momentum component only, so the pre-propagator density coefficients are
+    literally state.rho_hat, and the pinned mass row keeps rho_hat[..., 0]
+    unchanged to the last bit.
     """
     n = state.geometry.n_grid
-    band = cfg.dealias_band
+    if plan is None:
+        plan = step_plan(cfg, w)
     if rho_values is None:
         rho_values = state.rho_values()
-    drift = nonlinear_drift(state, w, band, rho_values)
+    drift = nonlinear_drift(state, plan, rho_values)
     pre_rho = state.rho_hat
     pre_j = state.j_hat + bank.dt * drift
     if dw_values is not None:
-        forcing = cfg.noise_amplitude * h_delta(rho_values, cfg.delta) * dw_values
+        forcing = plan.amplitude * h_delta(rho_values, cfg.delta) * dw_values
         forcing_hat = np.fft.rfft(forcing) / n
-        forcing_hat[..., band + 1:] = 0.0
+        forcing_hat[..., plan.band + 1:] = 0.0
         pre_j = pre_j + forcing_hat
     new_rho = bank.m00 * pre_rho + bank.m01 * pre_j
     new_j = bank.m10 * pre_rho + bank.m11 * pre_j
@@ -435,6 +493,7 @@ def solve_replicas(cfg: SpdeConfig, w: PotentialSpec, seeds: Sequence[int | None
     state = SpectralState(geometry, np.tile(start.rho_hat, (n_rows, 1)),
                           np.tile(start.j_hat, (n_rows, 1)))
     bank = build_propagator_bank(geometry, cfg.gamma, cfg.csq, cfg.dt)
+    plan = step_plan(cfg, w)
 
     noisy = cfg.noise_amplitude > 0.0
     if noise_increments is not None:
@@ -444,8 +503,10 @@ def solve_replicas(cfg: SpdeConfig, w: PotentialSpec, seeds: Sequence[int | None
     draw = noisy and noise_increments is None
     if draw:
         rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
-        lam = make_kernel(math.sqrt(2.0) * cfg.epsilon, geometry).fourier_coeffs
         band = cfg.dealias_band
+        scales = q_wiener_scales(
+            make_kernel(math.sqrt(2.0) * cfg.epsilon, geometry).fourier_coeffs,
+            geometry, cfg.dt, band)
 
     rho_values = state.rho_values()
     norms = state.norm_h1()
@@ -472,13 +533,12 @@ def solve_replicas(cfg: SpdeConfig, w: PotentialSpec, seeds: Sequence[int | None
                 z = np.empty((rows.size, 2 * band + 1))
                 for row, r in zip(z, rows):
                     rngs[r].standard_normal(out=row)
-                coeffs = _q_wiener_coeffs(z[:, 0], z[:, 1: band + 1], z[:, band + 1:],
-                                          lam, geometry, cfg.dt)
+                coeffs = scales.coeffs(z[:, 0], z[:, 1: band + 1], z[:, band + 1:])
                 dw = np.fft.irfft(coeffs * n, n=n)
             elif noisy:
                 dw = noise_increments[s]
             new = step_mild(sub, cfg, bank, w, dw,
-                            rho_values=rho_values if whole else rho_values[rows])
+                            rho_values=rho_values if whole else rho_values[rows], plan=plan)
             new_values = new.rho_values()
             new_norms = new.norm_h1()
             new_lows = new_values.min(axis=-1)

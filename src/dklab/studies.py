@@ -29,7 +29,7 @@ from .particles import (ModelParams, _advance,  # noqa: F401
                         replica_steps, simulate_coupled, simulate_interacting)
 from .potential import PotentialSpec
 from .ratefit import PowerLawFit, fit_loglog
-from .spde import SpdeConfig, _q_wiener_coeffs, solve_noise_free, solve_replicas
+from .spde import SpdeConfig, q_wiener_scales, solve_noise_free, solve_replicas
 from .torus import (TWO_PI, TorusGeometry, make_kernel, normalization_constant,
                     step_index, von_mises_eval, wrap_centered)
 
@@ -427,8 +427,8 @@ def _covariance_cell(args):
     idx = np.array([int(round(s / geometry.spacing)) for s in cfg.separations])
     x_eval = idx * geometry.spacing
     sqdt = math.sqrt(cfg.dt)
-    lam = kern_double.fourier_coeffs
     band = geometry.n_modes - 1
+    scales = q_wiener_scales(kern_double.fourier_coeffs, geometry, cfg.dt, band)
 
     sums = {k: np.zeros(len(idx)) for k in ("pz", "pz2", "py", "py2", "z2", "iso")}
     for lo, hi, s, ((q, _p, _lift),), xi, rng, phase in replica_steps(
@@ -463,7 +463,7 @@ def _covariance_cell(args):
         z_dc = rng.standard_normal(rows)
         z_re = rng.standard_normal((rows, band))
         z_im = rng.standard_normal((rows, band))
-        coeffs = _q_wiener_coeffs(z_dc, z_re, z_im, lam, geometry, cfg.dt)
+        coeffs = scales.coeffs(z_dc, z_re, z_im)
         dwq = np.fft.irfft(coeffs * geometry.n_grid, n=geometry.n_grid, axis=-1)
         y += (cfg.sigma / math.sqrt(n)) * np.sqrt(rho_half) * dwq[:, idx]
 
@@ -650,8 +650,9 @@ def _sup_deviation(args) -> tuple[np.ndarray, list]:
     def accumulate(step, state, rho_values):
         d_rho = sobolev_norms(np.fft.rfft(rho_values - ref.rho[step]) / n, k=1)
         d_j = sobolev_norms(np.fft.rfft(state.j_values() - ref.j[step]) / n, k=1)
-        for r, (a, b) in enumerate(zip(d_rho, d_j)):
-            worst[r] = max(worst[r], math.hypot(a, b))
+        # math.hypot, not np.hypot: the two differ in the last bit on some pairs
+        np.maximum(worst, [math.hypot(a, b) for a, b in zip(d_rho.tolist(), d_j.tolist())],
+                   out=worst)
 
     run = solve_replicas(spde_cfg, w, seeds, observe=accumulate)
     return worst, run.status

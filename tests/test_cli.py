@@ -150,12 +150,19 @@ class TestExitCodes:
         {"model": TINY_MODEL, "kernel": {"epsilon": "0.1"}},
         {"model": TINY_MODEL, "kernel": {"epsilon": 0.25, "n_grid": 256.0}},
         {"model": TINY_MODEL, "kernel": {"epsilon": 0.25, "n_grid": 64.7}},
+        # flags laid over wrong-typed file values do not hide them
+        ({"out": 5, "seed": True, "jobs": "x", "model": TINY_MODEL},
+         ["--out", "runs", "--seed", "1", "--jobs", "1"]),
     ])
-    def test_wrong_typed_value_is_a_config_error(self, tmp_path, capsys, config):
+    def test_wrong_typed_value_is_a_config_error(self, tmp_path, monkeypatch, capsys,
+                                                 config):
+        config, flags = config if isinstance(config, tuple) else (config, [])
+        monkeypatch.chdir(tmp_path)
         command = "spde" if "spde" in config else "simulate"
-        assert main([command, "--config", write_config(tmp_path, config)]) == 1
+        assert main([command, "--config", write_config(tmp_path, config), *flags]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("study", [
         {"n_replicas": "4"}, {"n_replicas": 2.5},

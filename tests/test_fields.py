@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from dklab.fields import (DensityField, convolve_potential, empirical_field,
-                          interaction_decomposition, sobolev_norm,
-                          weighted_field_values)
+from dklab.fields import (DensityField, _sobolev_weights, convolve_potential,
+                          empirical_field, interaction_decomposition, sobolev_norm,
+                          sobolev_norms, weighted_field_values)
 from dklab.potential import PotentialSpec
 from dklab.torus import TWO_PI, TorusGeometry, make_kernel, von_mises_eval
 
@@ -139,6 +139,24 @@ class TestNorms:
         assert sobolev_norm(f) == pytest.approx(np.sqrt(np.pi))
         assert sobolev_norm(f, k=1) == pytest.approx(np.sqrt(2.0 * np.pi))
         assert sobolev_norm(f, k=-1) == pytest.approx(np.sqrt(np.pi / 2.0))
+
+    @pytest.mark.parametrize("n_modes", [65, 129, 513])
+    @pytest.mark.parametrize("k", [-1, 0, 1])
+    @pytest.mark.parametrize("shape", [(16,), (3, 5)])
+    def test_batch_rows_have_the_bits_of_1d_calls(self, n_modes, k, shape):
+        rng = np.random.default_rng(n_modes + k)
+        c = (rng.standard_normal(shape + (n_modes,))
+             + 1j * rng.standard_normal(shape + (n_modes,)))
+        batch = sobolev_norms(c, k)
+        rows = np.array([sobolev_norms(row, k) for row in c.reshape(-1, n_modes)])
+        assert batch.shape == shape
+        assert batch.tobytes() == rows.reshape(shape).tobytes()
+
+    def test_weight_table_is_read_only(self):
+        weights = _sobolev_weights(65, 1)
+        assert weights is _sobolev_weights(65, 1)
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
 
 
 class TestConvolvePotential:

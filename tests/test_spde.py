@@ -191,6 +191,23 @@ class TestHDelta:
         with pytest.raises(ValueError):
             h_delta(np.array([0.1]), 0.0)
 
+    @pytest.mark.parametrize("r", [
+        np.linspace(0.02, 0.4, 97),                     # all above the floor
+        np.linspace(-0.05, 0.0199, 97),                 # all below
+        np.linspace(-0.05, 0.4, 16 * 128).reshape(16, 128),
+        np.array([0.1, np.nan, 0.001, np.nan]),
+        np.empty((3, 0)),
+        np.array(0.005)])
+    def test_has_the_bits_of_the_whole_grid_formula(self, r):
+        # the quartic and the sqrt evaluated on every cell, then selected
+        delta = 0.02
+        s = np.minimum(np.abs(r) / delta, 1.0)
+        inner = math.sqrt(delta) * (35.0 / 48.0 + (7.0 / 12.0) * s ** 3 - (5.0 / 16.0) * s ** 4)
+        expected = np.where(r >= delta, np.sqrt(np.maximum(r, delta)), inner)
+        got = h_delta(r, delta)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestQWiener:
     def test_empirical_covariance(self):
@@ -221,7 +238,7 @@ class TestQWiener:
 
     def test_negative_eigenvalue_guard(self):
         g = TorusGeometry(32)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="eigenvalues must be nonnegative"):
             q_wiener_increment(np.random.default_rng(0),
                                np.array([1.0, -0.1]), g, 1e-2, 1)
 

@@ -1,10 +1,12 @@
 """Study harness: config plumbing, degenerate controls, determinism."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
+from dklab import studies
 from dklab.cli import rows_to_csv
 from dklab.particles import ConfigurationError
 from dklab.potential import PotentialSpec
@@ -14,7 +16,7 @@ from dklab.studies import (STUDY_NAMES, STUDY_REGISTRY, ChaosStudyConfig,
                            CovarianceStudyConfig, EvolutionIdentityConfig,
                            InteractionStudyConfig, J2ClosureConfig,
                            MollifierConfig, SmallNoiseConfig,
-                           _child_seeds, _moment_cell, _pair_exp,
+                           _child_seeds, _covariance_cell, _moment_cell, _pair_exp,
                            config_from_dict,
                            potential_from_config, run_chaos_study,
                            run_covariance_study, run_evolution_identity_check,
@@ -134,15 +136,22 @@ class TestChaosStudy:
             "e2180ed69ed55d84e133f734b9ebfabf4d309482d100a3460eece79d519ee3b7")
 
 
+# 5 moment replicas run as blocks of 4 and 1
+INTERACTION_PINNED = InteractionStudyConfig(eps_ladder=(0.4, 0.2), theta=2.0, n_replicas=2,
+                                            moment_eps_ladder=(0.5, 0.4), moment_theta=3.0,
+                                            moment_replicas=5, moment_t_horizon=0.05,
+                                            t_measure=0.05)
+
+
 class TestInteractionStudy:
     def test_raw_csv_is_pinned(self):
-        # 5 moment replicas run as blocks of 4 and 1
-        cfg = InteractionStudyConfig(eps_ladder=(0.4, 0.2), theta=2.0, n_replicas=2,
-                                     moment_eps_ladder=(0.5, 0.4), moment_theta=3.0,
-                                     moment_replicas=5, moment_t_horizon=0.05,
-                                     t_measure=0.05)
-        assert raw_sha256(run_interaction_study(cfg, seed=0)) == (
+        assert raw_sha256(run_interaction_study(INTERACTION_PINNED, seed=0)) == (
             "b73901dc59e04610543e3875f9193b7c00669538d446a7078b248cba5c2e8a2e")
+
+    def test_jobs_do_not_change_the_table(self):
+        serial = run_interaction_study(INTERACTION_PINNED, seed=0, jobs=1)
+        parallel = run_interaction_study(INTERACTION_PINNED, seed=0, jobs=2)
+        assert rows_to_csv(serial.raw_table) == rows_to_csv(parallel.raw_table)
 
     @pytest.mark.parametrize("horizon, times", [
         (0.015, [0.0, 0.005, 0.015]),  # odd step count: middle is step 1 of 3
@@ -181,6 +190,12 @@ class TestSmallNoiseStudy:
         assert serial.raw_table == parallel.raw_table
 
 
+# 1000 replicas in blocks of 300: the last block holds 100
+COVARIANCE_PINNED = CovarianceStudyConfig(eps_ladder=(0.4, 0.2), theta=2.0,
+                                          n_replicas=1000, replica_block=300,
+                                          t_horizon=0.01)
+
+
 class TestCovarianceStudy:
     def test_replica_floor(self):
         with pytest.raises(ValueError):
@@ -199,12 +214,23 @@ class TestCovarianceStudy:
             assert row["disc_hat"] == 0.0
 
     def test_raw_csv_is_pinned(self):
-        # 1000 replicas in blocks of 300: the last block holds 100
-        cfg = CovarianceStudyConfig(eps_ladder=(0.4, 0.2), theta=2.0,
-                                    n_replicas=1000, replica_block=300,
-                                    t_horizon=0.01)
-        assert raw_sha256(run_covariance_study(cfg, seed=0)) == (
+        assert raw_sha256(run_covariance_study(COVARIANCE_PINNED, seed=0)) == (
             "d469961df47dbc92964d552cc0f8dbfa2a9af8e696fb8b60b7d2659db910788d")
+
+    def test_jobs_do_not_change_the_table(self):
+        serial = run_covariance_study(COVARIANCE_PINNED, seed=0, jobs=1)
+        parallel = run_covariance_study(COVARIANCE_PINNED, seed=0, jobs=2)
+        assert rows_to_csv(serial.raw_table) == rows_to_csv(parallel.raw_table)
+
+    def test_negative_eigenvalue_is_rejected(self, monkeypatch):
+        # the covariance cell builds its Q-Wiener scales once, before any step
+        def negated(epsilon, geometry):
+            kern = make_kernel(epsilon, geometry)
+            return dataclasses.replace(kern, fourier_coeffs=-kern.fourier_coeffs)
+
+        monkeypatch.setattr(studies, "make_kernel", negated)
+        with pytest.raises(ValueError, match="eigenvalues must be nonnegative"):
+            _covariance_cell((COVARIANCE_PINNED, 40, 0.4, 0))
 
     @pytest.mark.parametrize("eps", [0.2, 0.1])
     def test_pair_exp_gives_the_three_kernel_weights(self, eps):
