@@ -3,8 +3,7 @@ torus and the regularised density/momentum system they generate."""
 
 __version__ = "0.1.0"
 
-from .fields import (DensityField, empirical_field, interaction_decomposition,
-                     sobolev_norm)
+from .fields import empirical_field, interaction_decomposition, sobolev_norm
 from .particles import (ConfigurationError, CoupledTrajectory, ModelParams,
                         TimeStepError, chaos_distance, ladder_from_thetas,
                         pairwise_force, simulate_coupled, simulate_interacting)
@@ -22,7 +21,7 @@ from .vfp import PhaseSpaceDensity, VfpSolver, uniform_maxwellian
 
 __all__ = [
     "__version__",
-    "ConfigurationError", "CoupledTrajectory", "DensityField", "KernelParams",
+    "ConfigurationError", "CoupledTrajectory", "KernelParams",
     "ModelParams", "PersistenceReport", "PhaseSpaceDensity",
     "PotentialSpec", "PowerLawFit", "ResolutionError", "STUDY_NAMES",
     "STUDY_REGISTRY", "SpdeConfig", "SpdeTrajectory", "SpectralState",

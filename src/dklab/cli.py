@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fields import DensityField, sobolev_norm, weighted_field_values
+from .fields import sobolev_norms, weighted_field_values
 from .particles import (ConfigurationError, ModelParams, TimeStepError,
                         chaos_distance, simulate_coupled)
 from .spde import DivergenceError, SpdeConfig, solve_spde, total_mass
@@ -226,7 +226,7 @@ def cmd_simulate(run: RunConfig) -> int:
         if kern is not None:
             rho = weighted_field_values(traj.q_int[s], np.ones_like(traj.q_int[s]),
                                         kern, kern.geometry)
-            norms = [sobolev_norm(DensityField(kern.geometry, v), k=1) for v in rho]
+            norms = sobolev_norms(np.fft.rfft(rho) / kern.geometry.n_grid, k=1)
             row["h1_rho_mean"] = float(np.mean(norms))
         rows.append(row)
 

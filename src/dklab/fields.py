@@ -1,13 +1,16 @@
 """Regularised empirical fields and Fourier-side field calculus.
 
-A DensityField is a real function sampled on a uniform torus grid together
-with (lazily computed) Fourier-series coefficients c_k in the convention
+A field is an array of real values on a uniform torus grid, with any leading
+batch axes: shape (..., n_grid), as the SPDE state and the VFP marginal also
+hand them out.  Every function here acts on the last axis, so one call
+covers a whole batch and each row has the bits of a 1-D call on that row.
+Fourier-series coefficients follow the convention
 
     f(x) = sum_k c_k exp(i k x),          c_k = (1/n) sum_j f(x_j) exp(-i k x_j),
 
-stored in rfft layout (k = 0 .. n/2).  Convolution against a kernel g then
-multiplies c_k by g_hat_k = integral g exp(-ikx) dx, and Sobolev norms are
-weighted coefficient sums,
+in rfft layout (k = 0 .. n/2), i.e. c = rfft(values) / n.  Convolution against
+a kernel g multiplies c_k by g_hat_k = integral g exp(-ikx) dx, and Sobolev
+norms are weighted coefficient sums,
 
     ||f||_{H^s}^2 = 2*pi * sum_k (1 + k^2)^s |c_k|^2,
 
@@ -36,7 +39,6 @@ tail beyond the Nyquist mode is cut off, which costs up to ~4e-11 relative.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,48 +54,30 @@ FIELD_PRESETS = {
 }
 
 
-@dataclass
-class DensityField:
-    """Real field on a torus grid with cached spectral coefficients."""
-
-    geometry: TorusGeometry
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.geometry.n_grid,):
-            raise ValueError(f"values shape {v.shape} does not match grid {self.geometry.n_grid}")
-        self.values = v
-        self._fourier: np.ndarray | None = None
-
-    @property
-    def fourier(self) -> np.ndarray:
-        if self._fourier is None:
-            self._fourier = np.fft.rfft(self.values) / self.geometry.n_grid
-        return self._fourier
-
-    @classmethod
-    def from_fourier(cls, geometry: TorusGeometry, coeffs: np.ndarray) -> "DensityField":
-        n = geometry.n_grid
-        if coeffs.shape != (geometry.n_modes,):
-            raise ValueError("coefficient array does not match the grid")
-        field = cls(geometry, np.fft.irfft(coeffs * n, n=n))
-        field._fourier = coeffs.astype(complex)
-        return field
-
-    def mass(self) -> float:
-        """Quadrature of the field over the torus (spectrally accurate)."""
-        return float(self.values.sum() * self.geometry.spacing)
+def convolve_potential(values: np.ndarray, w: PotentialSpec,
+                       derivative: int = 0) -> np.ndarray:
+    """W^(derivative) * f for grid values (..., n_grid), by Fourier multipliers."""
+    v = np.asarray(values, dtype=float)
+    n = v.shape[-1]
+    coeffs = np.fft.rfft(v) / n * w.conv_multiplier(n // 2 + 1, derivative)
+    return np.fft.irfft(coeffs * n, n=n)
 
 
-def convolve_potential(field: DensityField, w: PotentialSpec, derivative: int = 0) -> DensityField:
-    """Circular convolution W^(derivative) * field via Fourier multipliers."""
-    mult = w.conv_multiplier(field.geometry.n_modes, derivative)
-    return DensityField.from_fourier(field.geometry, field.fourier * mult)
+def weighted_field_values(q: np.ndarray, coeffs: np.ndarray, kern: KernelParams,
+                          geometry: TorusGeometry, deriv: int = 0) -> np.ndarray:
+    """(1/N) sum_i coeffs_i w^(deriv)(x - q_i) on the grid, batched.
 
+    q and coeffs share shape (..., N); the result has shape (..., n_grid).
+    The kernel may be sampled on a grid finer or coarser than the field's;
+    its coefficients are cut or zero-padded to the field's modes.  See the
+    module docstring for the identity and its accuracy.
+    """
+    q = np.asarray(q, dtype=float)
+    coeffs = np.broadcast_to(np.asarray(coeffs, dtype=float), q.shape)
+    geometry.require_admissible(kern.epsilon)
+    if deriv not in (0, 1, 2):
+        raise ValueError(f"deriv must be 0, 1 or 2, got {deriv}")
 
-def _spectral_sum(q: np.ndarray, coeffs: np.ndarray, kern: KernelParams,
-                  geometry: TorusGeometry, deriv: int) -> np.ndarray:
     n_modes = geometry.n_modes
     w_hat = np.zeros(n_modes)
     m = min(len(kern.fourier_coeffs), n_modes)
@@ -119,44 +103,24 @@ def _spectral_sum(q: np.ndarray, coeffs: np.ndarray, kern: KernelParams,
     return np.fft.irfft(spec, n=geometry.n_grid, axis=-1)
 
 
-def weighted_field_values(q: np.ndarray, coeffs: np.ndarray, kern: KernelParams,
-                          geometry: TorusGeometry, deriv: int = 0) -> np.ndarray:
-    """(1/N) sum_i coeffs_i w^(deriv)(x - q_i) on the grid, batched.
-
-    q and coeffs share shape (..., N); the result has shape (..., n_grid).
-    The kernel may be sampled on a grid finer or coarser than the field's;
-    its coefficients are cut or zero-padded to the field's modes.  See the
-    module docstring for the identity and its accuracy.
-    """
-    q = np.asarray(q, dtype=float)
-    coeffs = np.broadcast_to(np.asarray(coeffs, dtype=float), q.shape)
-    geometry.require_admissible(kern.epsilon)
-    if deriv not in (0, 1, 2):
-        raise ValueError(f"deriv must be 0, 1 or 2, got {deriv}")
-    return _spectral_sum(q, coeffs, kern, geometry, deriv)
-
-
 def empirical_field(q, p, kern: KernelParams, geometry: TorusGeometry | None = None,
-                    preset: str | tuple[int, int] = "rho") -> DensityField:
-    """Smoothed empirical field of one ensemble.
+                    preset: str | tuple[int, int] = "rho") -> np.ndarray:
+    """Smoothed empirical field values of ensembles q, p of shape (..., N).
 
     preset names one of rho/j/j2/j3 or gives (momentum power, kernel
-    derivative order) directly.
+    derivative order) directly.  The result has shape (..., n_grid).
     """
     n1, n = FIELD_PRESETS[preset] if isinstance(preset, str) else preset
     if geometry is None:
         geometry = kern.geometry
     q = np.asarray(q, dtype=float)
-    if q.ndim != 1:
-        raise ValueError("empirical_field takes a single ensemble; use weighted_field_values for batches")
     if n1 == 0:
         coeffs = np.ones_like(q)
     else:
         if p is None:
             raise ValueError("momentum array required for momentum-weighted presets")
         coeffs = np.asarray(p, dtype=float) ** n1
-    values = weighted_field_values(q, coeffs, kern, geometry, deriv=n)
-    return DensityField(geometry, values)
+    return weighted_field_values(q, coeffs, kern, geometry, deriv=n)
 
 
 @functools.lru_cache(maxsize=16)
@@ -186,27 +150,32 @@ def sobolev_norms(coeffs: np.ndarray, k: int = 0) -> np.ndarray:
     return np.sqrt(TWO_PI * np.add.reduce(terms, axis=-1))
 
 
-def sobolev_norm(field: DensityField, k: int = 0) -> float:
-    """H^k norm of a grid field through Fourier weights (1 + m^2)^k.
+def sobolev_norm(values: np.ndarray, k: int = 0):
+    """H^k norm of grid values (..., n_grid) through Fourier weights (1 + m^2)^k.
 
-    The m = 0 term is included, so k may be negative, e.g. H^{-1}.
+    The m = 0 term is included, so k may be negative, e.g. H^{-1}.  Returns a
+    float for one field and an array of norms for a batch.
     """
-    return float(sobolev_norms(field.fourier, k))
+    v = np.asarray(values, dtype=float)
+    norms = sobolev_norms(np.fft.rfft(v) / v.shape[-1], k)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def interaction_decomposition(q: np.ndarray, kern: KernelParams, w: PotentialSpec,
                               geometry: TorusGeometry | None = None):
-    """Split the smoothed interaction term into closure plus remainders.
+    """Split the smoothed interaction term of one ensemble into closure plus remainders.
 
-    Returns (lhs, r1, r2, rho) where rho is the smoothed density rho_eps and
+    Returns the grid values (lhs, r1, r2, rho), rho being the smoothed
+    density rho_eps and
 
         lhs(x) = (1/N) sum_i [ (1/N) sum_j W'(q_i - q_j) ] w_eps(x - q_i),
         r1(x)  = (1/N) sum_j W'(x - q_j) - (W' * rho_eps)(x),
         r2     = lhs - (W' * rho_eps) rho_eps - r1 rho_eps,
 
-    so lhs == (W' * rho_eps) rho_eps + r1 rho_eps + r2 holds exactly by
-    construction; the content of the decomposition is that r1 and r2 are
-    small for small eps.
+    so lhs == (W' * rho_eps) rho_eps + r1 rho_eps + r2 holds by construction:
+    recomputing lhs - conv rho - r1 rho - r2 from these arrays gives exactly
+    0.0, so that residue checks nothing.  The content of the decomposition is
+    that r1 and r2 are small for small eps.
     """
     q = np.asarray(q, dtype=float)
     if geometry is None:
@@ -214,13 +183,9 @@ def interaction_decomposition(q: np.ndarray, kern: KernelParams, w: PotentialSpe
     nodes = geometry.nodes()
 
     per_particle = mean_w1_at(w, q, q)                   # (1/N) sum_j W'(q_i - q_j)
-    lhs_vals = weighted_field_values(q, per_particle, kern, geometry)
-    rho = DensityField(geometry, weighted_field_values(q, np.ones_like(q), kern, geometry))
+    lhs = weighted_field_values(q, per_particle, kern, geometry)
+    rho = weighted_field_values(q, np.ones_like(q), kern, geometry)
     conv = convolve_potential(rho, w, derivative=1)
-    r1_vals = mean_w1_at(w, q, nodes) - conv.values
-    r2_vals = lhs_vals - conv.values * rho.values - r1_vals * rho.values
-
-    lhs = DensityField(geometry, lhs_vals)
-    r1 = DensityField(geometry, r1_vals)
-    r2 = DensityField(geometry, r2_vals)
+    r1 = mean_w1_at(w, q, nodes) - conv
+    r2 = lhs - conv * rho - r1 * rho
     return lhs, r1, r2, rho

@@ -55,7 +55,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import DensityField, convolve_potential, sobolev_norms
+from .fields import convolve_potential, sobolev_norms
 from .potential import PotentialSpec
 from .torus import TWO_PI, TorusGeometry, make_kernel, step_index
 
@@ -622,7 +622,6 @@ def convolution_bound_check(traj: SpdeTrajectory, w: PotentialSpec,
     quadrature roundoff of the spectral convolution.  Returns the worst
     margin (bound + tol minus observed sup) over the admissible snapshots.
     """
-    geometry = traj.config.geometry
     max_w1 = w.max_abs_w1()
     worst_margin = math.inf
     worst_sup = 0.0
@@ -633,10 +632,9 @@ def convolution_bound_check(traj: SpdeTrajectory, w: PotentialSpec,
         values = traj.rho[s]
         if values.min() < 0.0:
             continue
-        rho = DensityField(geometry, values)
-        conv = convolve_potential(rho, w, derivative=1)
+        conv = convolve_potential(values, w, derivative=1)
         mass = float(values.mean()) * TWO_PI
-        sup_conv = float(np.abs(conv.values).max())
+        sup_conv = float(np.abs(conv).max())
         worst_margin = min(worst_margin, max_w1 * mass + tol - sup_conv)
         worst_sup = max(worst_sup, sup_conv)
         checked += 1

@@ -173,6 +173,31 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: bad study config")
 
+    @pytest.mark.parametrize("study, block", [
+        ("j2_closure", {"m2_ladder": []}),
+        ("j2_closure", {"m2_ladder": [1.0]}),
+        ("small_noise", {"n_ladder": []}),
+        ("small_noise", {"n_ladder": [1e4]}),
+        ("covariance", {"eps_ladder": []}),
+        ("mollifier", {"eps_ladder": []}),
+        ("interaction", {"eps_ladder": [0.2]}),
+        ("interaction", {"moment_eps_ladder": [0.3]}),
+        ("chaos", {"alpha": 3}),
+        ("chaos", {"n_replicas": 1}),
+    ])
+    def test_ladder_too_short_for_its_verdict(self, tmp_path, capsys, monkeypatch,
+                                              study, block):
+        monkeypatch.chdir(tmp_path)  # a run that got through would write here
+        calls = []
+        cfg_cls, _runner = cli.STUDY_REGISTRY[study]
+        monkeypatch.setitem(cli.STUDY_REGISTRY, study,
+                            (cfg_cls, lambda *a, **k: calls.append(a)))
+        assert main(["study", study, "--config", write_config(tmp_path, {"study": block})]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert calls == []
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     @pytest.mark.parametrize("argv, config, key", [
         (["study", "chaos"], {"study": [1]}, "study"),
         (["study", "chaos"], {"study": 5}, "study"),

@@ -15,7 +15,7 @@ from dklab.torus import TWO_PI, TorusGeometry, make_kernel, von_mises_eval
 from dklab.studies import (STUDY_NAMES, STUDY_REGISTRY, ChaosStudyConfig,
                            CovarianceStudyConfig, EvolutionIdentityConfig,
                            InteractionStudyConfig, J2ClosureConfig,
-                           MollifierConfig, SmallNoiseConfig,
+                           MollifierConfig, SmallNoiseConfig, StudyReport,
                            _child_seeds, _covariance_cell, _moment_cell, _pair_exp,
                            config_from_dict,
                            potential_from_config, run_chaos_study,
@@ -64,6 +64,11 @@ class TestPlumbing:
         with pytest.raises(ValueError, match="study block must be a JSON object"):
             config_from_dict(SmallNoiseConfig, [1], "study")
 
+    def test_report_without_checks_fails(self):
+        report = StudyReport("chaos", {}, [], {}, {}, {}, 0)
+        assert report.verdict == "fail"
+        assert report.to_dict()["verdict"] == "fail"
+
     def test_child_seeds_deterministic_and_distinct(self):
         a = _child_seeds(7, 6)
         b = _child_seeds(7, 6)
@@ -99,6 +104,11 @@ class TestRateFit:
         assert halving_factors([8.0, 4.0, 1.0]) == pytest.approx([2.0, 4.0])
 
 
+# 20 replicas run as blocks of 16 and 4, after a burn-in
+CHAOS_PINNED = ChaosStudyConfig(n_ladder=(16, 32, 64, 128), n_replicas=20,
+                                t_horizon=0.1, burn_in=0.1, n_snapshots=2)
+
+
 class TestChaosStudy:
     def test_ladder_needs_four_points(self):
         with pytest.raises(ValueError):
@@ -122,17 +132,12 @@ class TestChaosStudy:
         assert a.slopes == b.slopes
 
     def test_jobs_do_not_change_the_table(self):
-        cfg = ChaosStudyConfig(n_ladder=(8, 16, 32, 64), n_replicas=4,
-                               t_horizon=0.2, burn_in=0.1, n_snapshots=2)
-        serial = run_chaos_study(cfg, seed=5, jobs=1)
-        parallel = run_chaos_study(cfg, seed=5, jobs=4)
-        assert serial.raw_table == parallel.raw_table
+        serial = run_chaos_study(CHAOS_PINNED, seed=0, jobs=1)
+        parallel = run_chaos_study(CHAOS_PINNED, seed=0, jobs=2)
+        assert rows_to_csv(serial.raw_table) == rows_to_csv(parallel.raw_table)
 
     def test_raw_csv_is_pinned(self):
-        # 20 replicas run as blocks of 16 and 4, after a burn-in
-        cfg = ChaosStudyConfig(n_ladder=(16, 32, 64, 128), n_replicas=20,
-                               t_horizon=0.1, burn_in=0.1, n_snapshots=2)
-        assert raw_sha256(run_chaos_study(cfg, seed=0)) == (
+        assert raw_sha256(run_chaos_study(CHAOS_PINNED, seed=0)) == (
             "e2180ed69ed55d84e133f734b9ebfabf4d309482d100a3460eece79d519ee3b7")
 
 
