@@ -3,8 +3,8 @@
 
 Usage: python scripts/run_all_studies.py [--out DIR] [--seed N] [--jobs N] [--check]
 
-Expect about two and a half minutes single-process (152 s on a 2-vCPU x86
-host); the interaction study takes more than half of it.  Exit code follows the
+Expect about two minutes single-process (116-133 s over two runs on a 2-vCPU
+x86 host); the interaction study takes more than half of it.  Exit code follows the
 CLI convention (2 if any verdict fails).
 
 --check also runs `dklab simulate` and `dklab spde` on the default config and

@@ -7,9 +7,24 @@ Two second-order systems share Brownian increments and initial data:
     mean-field:   dq_i = p_i dt
                   dp_i = [-gamma p_i - (W' * rho[f_t])(q_i)] dt + sigma dB_i
 
-where f_t is the phase-space law evolved by the VfpSolver.  The pairing makes
-the pathwise distance between the two systems a direct estimate of the
-mean-field approximation error, which decays like N^{-1/2}.
+where f_t is the mean-field phase-space law.  The pairing makes the pathwise
+distance between the two systems a direct estimate of the mean-field
+approximation error, which decays like N^{-1/2}.
+
+Stationary law.  f_t starts from `default_datum`: uniform in q, Maxwellian
+in p at the stationary temperature sigma^2 / (2 gamma).  That law is a
+stationary state of the kinetic equation: its q marginal is the constant
+1 / (2 pi) and W' has zero mean on the torus, so W' * rho[f_t] vanishes,
+and the Maxwellian is the steady state of the p drift-diffusion.  The
+mean-field force is therefore zero at every step.  The VfpSolver agrees
+bit for bit: every coefficient of `build_force_table` from the datum is
++0.0, which makes its force -0.0, and x + (-0.0) == x for every float.  A
+force that is identically zero is passed to `_advance` as None and not
+added: the burn-in and the mean-field branch step without one, and so does
+the interacting branch for the zero potential, whose pairwise force is -0.0
+as well.  A run with a burn-in or a coupled branch and a nonzero potential
+builds the datum once, so a gamma or sigma for which that law does not
+exist (gamma = 0, sigma = 0) is refused.
 
 Positions are integrated twice: wrapped onto [0, 2*pi) for force and field
 evaluation, and as an unwrapped real-line lift.  Coupled distances are always
@@ -26,15 +41,9 @@ Block seeding.  Replicas are simulated in vectorised blocks of
 Generator on the b-th child spawned off SeedSequence(seed), so a block's
 numbers depend only on (seed, b) and its row count, not on other blocks.
 
-Start and burn-in.  The VFP force table has burn_steps rows (plus
-main_steps rows for a coupled run).  It is taken before the first block
-from `_force_table`, a per-process lru_cache memo keyed on the potential's
-coefficients, gamma, sigma, the row count and dt.  The table does not depend
-on n_particles, so every cell of an N ladder shares one table, built once;
-its coefficients are read-only because every caller gets the same object.
-Each block samples q ~ U(0, 2 pi) and then p ~ N(0, sigma^2 / (2 gamma)),
-or takes its rows of `initial`, sets the lift to q and runs burn_steps
-mean-field steps against the table.  The clock then restarts at s = 0.
+Start and burn-in.  Each block samples q ~ U(0, 2 pi) and then
+p ~ N(0, sigma^2 / (2 gamma)), or takes its rows of `initial`, sets the lift
+to q and runs burn_steps mean-field steps.  The clock then restarts at s = 0.
 
 Yield contract.  For s = 0 ... main_steps the driver yields
 (lo, hi, s, branches, xi, rng, phase): `branches` holds the (q, p, lift)
@@ -62,7 +71,6 @@ step, then per main step `xi` followed by whatever the caller draws from
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -199,9 +207,10 @@ def _advance(q, p, lift, force_fn, params: ModelParams, dw):
                 lift_new = lift + p dt/2 + p_new dt/2,
                 q_new = wrap(q_half + p_new dt/2),
 
-    so every bit is that of the formula.  Inputs, and the array force_fn
-    returns, are never written to: a force function may return an array it
-    shares with its caller.
+    so every bit is that of the formula.  force_fn=None stands for a force
+    that is identically zero, which is not added.  Inputs, and the array
+    force_fn returns, are never written to: a force function may return an
+    array it shares with its caller.
     """
     dt, gamma, sigma = params.dt, params.gamma, params.sigma
     euler = params.scheme == "euler"
@@ -211,7 +220,8 @@ def _advance(q, p, lift, force_fn, params: ModelParams, dw):
         half = p * (dt / 2.0)
         q_kick = wrap(q + half)
     p_new = np.multiply(p, -gamma)
-    p_new += force_fn(q_kick)
+    if force_fn is not None:
+        p_new += force_fn(q_kick)
     p_new *= dt
     p_new += p
     p_new += sigma * dw
@@ -264,27 +274,6 @@ def default_datum(gamma: float, sigma: float) -> PhaseSpaceDensity:
     return uniform_maxwellian(TorusGeometry(64), 6.0 * np.sqrt(m2), 96, m2)
 
 
-def _force_table(params: ModelParams, w: PotentialSpec, n_rows: int) -> VfpForceTable:
-    """Force table of n_rows steps from the default datum, shared within the process.
-
-    The table depends on the potential, gamma, sigma, the row count and dt,
-    never on n_particles, so runs that differ only in N get the same object.
-    """
-    if not n_rows or w.is_zero:
-        return VfpForceTable(np.zeros((n_rows, 0), dtype=complex))
-    return _memo_force_table(tuple(w.cosine.tolist()), tuple(w.sine.tolist()),
-                             params.gamma, params.sigma, n_rows, params.dt)
-
-
-@functools.lru_cache(maxsize=32)
-def _memo_force_table(cosine: tuple, sine: tuple, gamma: float, sigma: float,
-                      n_rows: int, dt: float) -> VfpForceTable:
-    w = PotentialSpec(np.array(cosine), np.array(sine))
-    table = build_force_table(default_datum(gamma, sigma), w, gamma, sigma, n_rows, dt)
-    table.coeffs.flags.writeable = False  # every caller gets this object
-    return table
-
-
 def _block_start(rng, shape, params: ModelParams, initial, lo: int, hi: int):
     """Sampled (or given) start (q, p, lift) of the replica rows [lo, hi)."""
     if initial is None:
@@ -311,17 +300,17 @@ def replica_steps(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
     sqdt = math.sqrt(dt)
     burn_steps = step_index(params.burn_in, dt, "burn_in")
     main_steps = step_index(params.t_horizon, dt, "t_horizon")
-    table = _force_table(params, w, burn_steps + (main_steps if coupled else 0))
+    if not w.is_zero and (burn_steps or (coupled and main_steps)):
+        default_datum(params.gamma, params.sigma)  # the mean-field law must exist
 
     # the Euler step evaluates the pairwise force at q itself, so it can take
     # cos q and sin q from the step's phase; Strang evaluates it at q_half
     shares_phase = params.scheme == "euler" and not w.is_zero
 
     def interacting(phase):
+        if w.is_zero:
+            return None
         return lambda x: pairwise_force(x, w, phase.release() if phase else None)
-
-    def mean_field(row):
-        return lambda x: table.force_at(row, x)
 
     def step(branches, forces, dw):
         return tuple(_advance(*b, f, params, dw) for b, f in zip(branches, forces))
@@ -333,15 +322,14 @@ def replica_steps(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
         shape = (hi - lo, params.n_particles)
         branches = (_block_start(rng, shape, params, initial, lo, hi),)
         for s in range(burn_steps):
-            branches = step(branches, [mean_field(s)], rng.standard_normal(shape) * sqdt)
+            branches = step(branches, [None], rng.standard_normal(shape) * sqdt)
         if coupled:
             branches += (tuple(a.copy() for a in branches[0]),)
         for s in range(main_steps):
             xi = rng.standard_normal(shape)
             phase = StepPhase(branches[0][0]) if shares_phase else None
             yield lo, hi, s, branches, xi, rng, phase
-            branches = step(branches, [interacting(phase), mean_field(burn_steps + s)],
-                            xi * sqdt)
+            branches = step(branches, [interacting(phase), None], xi * sqdt)
         yield lo, hi, main_steps, branches, None, rng, None
 
 
@@ -367,8 +355,8 @@ def simulate_coupled(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
                      replica_block: int = 16) -> CoupledTrajectory:
     """Integrate the coupled pair over [0, t_horizon] after a burn-in.
 
-    The burn-in evolves the mean-field branch (and the kinetic law) from the
-    datum for params.burn_in time units; at its end the clock is reset, both
+    The burn-in steps the mean-field branch from the start for params.burn_in
+    time units under the stationary law; at its end the clock is reset, both
     branches are set to the common warm state, and from then on they share
     every Brownian increment.  Snapshots are taken on the post-restart clock.
     """

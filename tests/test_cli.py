@@ -237,6 +237,16 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error:")
         assert calls == []
 
+    @pytest.mark.parametrize("key, message", [
+        ("sigma", "error: temperature m2 must be positive"),
+        ("gamma", "error: temperature undefined for gamma = 0")])
+    def test_mean_field_law_without_a_temperature(self, tmp_path, capsys, key, message):
+        # the coupled branch's law is a Maxwellian at sigma^2 / (2 gamma)
+        cfg = write_config(tmp_path, {"model": {**TINY_MODEL, "n_replicas": 2, key: 0}})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "runs")]) == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not (tmp_path / "runs").exists()
+
     def test_report_without_runs(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "empty")]) == 1
         assert "no studies found" in capsys.readouterr().err

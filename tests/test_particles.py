@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dklab import particles
 from dklab.particles import (ConfigurationError, CoupledTrajectory,
-                             ModelParams, TimeStepError, _advance,
-                             _force_table, build_force_table, chaos_distance,
+                             ModelParams, TimeStepError, VfpForceTable,
+                             _advance, build_force_table, chaos_distance,
                              default_datum, ladder_from_thetas,
                              pairwise_force, replica_steps, simulate_coupled,
                              simulate_interacting)
 from dklab.potential import PotentialSpec, mean_w1_at
-from dklab.torus import TWO_PI, TorusGeometry, wrap
-from dklab.vfp import uniform_maxwellian
+from dklab.torus import TWO_PI, TorusGeometry, step_index, wrap
+from dklab.vfp import VfpSolver, uniform_maxwellian
 
 W_COS = PotentialSpec.cosine_potential()
 
@@ -324,37 +325,74 @@ class TestReplicaSteps:
                 assert np.array_equal(a, b)
 
 
-class TestForceTableMemo:
-    W = PotentialSpec([0.0, 1.0, 0.2], [0.0, 0.0, 0.3])
+def vfp_force_table(params, w, n_rows):
+    """The kinetic solver's mean-field force table from the default datum,
+    with no modes for the zero potential: the reference force of every
+    burn-in and mean-field step."""
+    if w.is_zero:
+        return VfpForceTable(np.zeros((n_rows, 0), dtype=complex))
+    return build_force_table(default_datum(params.gamma, params.sigma), w,
+                             params.gamma, params.sigma, n_rows, params.dt)
 
-    def test_cells_differing_in_n_share_one_table(self):
-        a = _force_table(small_params(n_particles=16), self.W, 4)
-        b = _force_table(small_params(n_particles=64), self.W, 4)
-        assert a is b
 
-    @pytest.mark.parametrize("change", [
-        dict(gamma=0.5), dict(sigma=0.7), dict(dt=2.5e-3), dict(n_rows=5),
-        dict(cosine=[0.1, 1.0, 0.2]), dict(cosine=[0.0, 1.1, 0.2]),
-        dict(sine=[0.0, 0.0, 0.4]), dict(sine=[0.0, 0.2, 0.3])])
-    def test_any_key_change_gives_another_table(self, change):
-        kw = {"n_rows": 4, "cosine": self.W.cosine, "sine": self.W.sine, **change}
-        w = PotentialSpec(np.array(kw.pop("cosine")), np.array(kw.pop("sine")))
-        n_rows = kw.pop("n_rows")
-        base = _force_table(small_params(), self.W, 4)
-        assert _force_table(small_params(**kw), w, n_rows) is not base
+def same_bits(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
 
-    def test_cached_coefficients_are_read_only(self):
-        table = _force_table(small_params(), self.W, 4)
-        with pytest.raises(ValueError):
-            table.coeffs[0, 0] = 0.0
 
-    def test_cached_table_equals_a_fresh_build(self):
-        params = small_params(gamma=0.8, sigma=0.9)
-        fresh = build_force_table(default_datum(0.8, 0.9), self.W, 0.8, 0.9,
-                                  6, params.dt)
-        cached = _force_table(params, self.W, 6)
-        assert cached.coeffs.shape == fresh.coeffs.shape == (6, 2)
-        assert np.array_equal(cached.coeffs, fresh.coeffs)
+class TestZeroMeanFieldForce:
+    """The default datum is a stationary law, so its force is exactly zero."""
+
+    W_MULTI = PotentialSpec([0.1, 0.7, 0.2, -0.4], [0.0, 0.4, -0.3, 0.25])
+
+    @pytest.mark.parametrize("gamma, sigma, dt", [
+        (1.0, 1.0, 5e-3), (0.5, 0.7, 1e-2), (2.0, 1.5, 2.5e-3), (0.8, 0.3, 5e-3)])
+    @pytest.mark.parametrize("w", [W_COS, W_MULTI], ids=["cos", "multi"])
+    def test_force_table_of_the_datum_is_zero(self, monkeypatch, w, gamma, sigma, dt):
+        solvers = []
+
+        class Recorded(VfpSolver):
+            def __init__(self, *args):
+                super().__init__(*args)
+                solvers.append(self)
+
+        monkeypatch.setattr(particles, "VfpSolver", Recorded)
+        table = build_force_table(default_datum(gamma, sigma), w, gamma, sigma, 300, dt)
+        assert table.coeffs.shape == (300, w.k_max)
+        assert (table.coeffs == 0).all()
+        assert len(solvers) == 1 and solvers[0].clipped_mass == 0.0
+
+    @pytest.mark.parametrize("scheme", ["euler", "strang"])
+    @pytest.mark.parametrize("w", [W_MULTI, PotentialSpec.zero()], ids=["multi", "zero"])
+    def test_each_step_has_the_bits_of_the_added_force(self, w, scheme):
+        # a burn-in, then a coupled run in blocks of 4 and 2
+        params = small_params(burn_in=0.02, t_horizon=0.03, scheme=scheme)
+        burn = step_index(params.burn_in, params.dt, "burn_in")
+        main = step_index(params.t_horizon, params.dt, "t_horizon")
+        table = vfp_force_table(params, w, burn + main)
+        sqdt = np.sqrt(params.dt)
+        children = np.random.SeedSequence(8).spawn(2)
+        seen = []
+        for lo, hi, s, branches, xi, _rng, _phase in replica_steps(
+                params, w, n_replicas=6, seed=8, replica_block=4, coupled=True):
+            if s == 0:
+                rng = np.random.default_rng(children[lo // 4])
+                shape = (hi - lo, params.n_particles)
+                q = rng.uniform(0.0, TWO_PI, shape)
+                state = (q, rng.normal(0.0, np.sqrt(params.temperature), shape), q.copy())
+                for r in range(burn):
+                    state = _advance(*state, lambda x: table.force_at(r, x), params,
+                                     rng.standard_normal(shape) * sqdt)
+                expected = (state, state)
+            else:
+                expected = (
+                    _advance(*before[0], lambda x: pairwise_force(x, w), params, dw),
+                    _advance(*before[1], lambda x: table.force_at(burn + s - 1, x),
+                             params, dw))
+            for got, want in zip(branches, expected):
+                assert all(same_bits(a, b) for a, b in zip(got, want))
+            before, dw = branches, None if xi is None else xi * sqdt
+            seen.append((lo, s))
+        assert seen == [(lo, s) for lo in (0, 4) for s in range(main + 1)]
 
 
 class TestChaosDistance:
