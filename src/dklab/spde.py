@@ -26,29 +26,36 @@ the total mass coefficient is carried through every step bit for bit.
 The solver freezes once the H1 x H1 norm reaches k_norm or the minimum of
 rho reaches the floor delta; the stopping status records which guard fired.
 
-There is one time loop, `solve_replicas`, and it steps R replicas of one
-config together.  States carry coefficient arrays of shape (..., n_modes),
-so every per-mode operation and FFT runs along the last axis of an
-(R, n_modes) batch.  A per-replica freeze mask applies the stopping rules:
-a frozen row keeps its coefficients, draws no further noise and is no longer
-stepped, so only the active rows are checked for finiteness.  Each step
-takes one irfft of rho; its grid values serve the density-floor check after
-the step and then the next step's drift and h_delta, while the H1 x H1 norm
-comes from the coefficients by Parseval.  Row r draws its increments from
-its own Generator seeded with seeds[r] and has the bits of a single run with
-that seed.  `solve_spde` is the R = 1 caller that records snapshots.
+There is one time loop, `solve_replicas`, and it steps R replica rows
+together.  Rows share every config field but sigma and n_particles, so one
+batch can hold noisy rows of several (sigma, N) cells next to their
+noise-free references.  States carry coefficient arrays of shape
+(..., n_modes), so every per-mode operation and FFT runs along the last axis
+of an (R, n_modes) batch.  A per-replica freeze mask applies the stopping
+rules: a frozen row keeps its coefficients, draws no further noise and is no
+longer stepped, so only the active rows are checked for finiteness.  Each
+step takes one irfft of rho; its grid values serve the density-floor check
+after the step and then the next step's drift and h_delta, while the
+H1 x H1 norm comes from the coefficients by Parseval.  A noisy row r draws
+its increments from its own Generator seeded with seeds[r]; a noise-free row
+(zero amplitude, e.g. n_particles = inf) draws nothing and takes no forcing
+at all.  Either way a row has the bits of a single run of its own config.
+`solve_spde` is the R = 1 caller that records snapshots.
 
 What a step reads that is fixed for the run is built once per
-`solve_replicas` call, before the loop: the propagator bank, the `StepPlan`
-(dealiasing band, noise amplitude and the W' multiplier, None for a zero
-potential) and the `QWienerScales` of the increments, their eigenvalue check
-included.  The Sobolev weights behind the norm are memoised per
-(n_modes, k) in `fields`.  Each per-step operation then runs once over the
-whole (R, n) batch.
+`solve_replicas` call, before the loop: the propagator bank (one per
+distinct csq, gathered into one (R, n_modes) entry per row), the `StepPlan`
+(dealiasing band, the noisy rows' amplitudes as a column and the W'
+multiplier, None for a zero potential) and the `QWienerScales` of the
+increments, their eigenvalue check included.  Bank and plan are cut down to
+the active rows only when a row freezes.  The Sobolev weights behind the
+norm are memoised per (n_modes, k) in `fields`.  Each per-step operation
+then runs once over the whole (R, n) batch.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
@@ -227,13 +234,21 @@ class PersistenceReport:
 
 @dataclass
 class PropagatorBank:
-    """exp(dt A_k) for every retained mode, stored entrywise."""
+    """exp(dt A_k) for every retained mode, stored entrywise.
+
+    Each entry has shape (n_modes,), or (R, n_modes) with one bank per row.
+    """
 
     dt: float
     m00: np.ndarray
     m01: np.ndarray
     m10: np.ndarray
     m11: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "PropagatorBank":
+        """The per-row bank of the given rows."""
+        return PropagatorBank(self.dt, self.m00[rows], self.m01[rows],
+                              self.m10[rows], self.m11[rows])
 
 
 def build_propagator_bank(geometry: TorusGeometry, gamma: float, csq: float,
@@ -351,12 +366,15 @@ class StepPlan:
 
     Fixed for a whole run, so `solve_replicas` builds it once.  w1_hat is the
     multiplier of f -> W' * f on modes 0..min(k_max, n_modes - 1), read-only,
-    or None when W' is zero.
+    or None when W' is zero.  noisy lists the rows of a batch that take the
+    noise, None meaning every row, and amplitude is one float for all of
+    them or an (R_noisy, 1) column with one per noisy row.
     """
 
     band: int
-    amplitude: float
+    amplitude: float | np.ndarray
     w1_hat: np.ndarray | None
+    noisy: np.ndarray | None = None
 
 
 def step_plan(cfg: SpdeConfig, w: PotentialSpec) -> StepPlan:
@@ -366,6 +384,16 @@ def step_plan(cfg: SpdeConfig, w: PotentialSpec) -> StepPlan:
         w1_hat = w.conv_multiplier(kmax + 1, derivative=1)
         w1_hat.flags.writeable = False
     return StepPlan(cfg.dealias_band, cfg.noise_amplitude, w1_hat)
+
+
+def _rows_plan(plan: StepPlan, amplitudes: np.ndarray) -> StepPlan:
+    """plan for a batch of rows with the given noise amplitudes.
+
+    Only the rows of positive amplitude take the noise.
+    """
+    noisy = np.flatnonzero(amplitudes > 0.0)
+    return replace(plan, amplitude=amplitudes[noisy, None],
+                   noisy=None if noisy.size == amplitudes.size else noisy)
 
 
 def nonlinear_drift(state: SpectralState, plan: StepPlan,
@@ -392,12 +420,14 @@ def step_mild(state: SpectralState, cfg: SpdeConfig, bank: PropagatorBank,
               plan: StepPlan | None = None) -> SpectralState:
     """One exponential Euler-Maruyama step; dw_values None means no noise.
 
-    Works on every row of a batch; dw_values holds one increment per row or
-    one shared by all.  rho_values, when given, must be state.rho_values(),
-    and plan, when given, step_plan(cfg, w).  The drift and noise act on the
-    momentum component only, so the pre-propagator density coefficients are
-    literally state.rho_hat, and the pinned mass row keeps rho_hat[..., 0]
-    unchanged to the last bit.
+    Works on every row of a batch; dw_values holds one increment per row of
+    plan.noisy (every row when it is None) or one shared by all.  The other
+    rows take no forcing at all, not even a zero one.  rho_values, when
+    given, must be state.rho_values(), and plan, when given, step_plan(cfg, w)
+    or a plan of the batch's rows.  The drift and noise act on the momentum
+    component only, so the pre-propagator density coefficients are literally
+    state.rho_hat, and the pinned mass row keeps rho_hat[..., 0] unchanged to
+    the last bit.
     """
     n = state.geometry.n_grid
     if plan is None:
@@ -408,10 +438,14 @@ def step_mild(state: SpectralState, cfg: SpdeConfig, bank: PropagatorBank,
     pre_rho = state.rho_hat
     pre_j = state.j_hat + bank.dt * drift
     if dw_values is not None:
-        forcing = plan.amplitude * h_delta(rho_values, cfg.delta) * dw_values
+        forced = rho_values if plan.noisy is None else rho_values[plan.noisy]
+        forcing = plan.amplitude * h_delta(forced, cfg.delta) * dw_values
         forcing_hat = np.fft.rfft(forcing) / n
         forcing_hat[..., plan.band + 1:] = 0.0
-        pre_j = pre_j + forcing_hat
+        if plan.noisy is None:
+            pre_j = pre_j + forcing_hat
+        else:
+            pre_j[plan.noisy] += forcing_hat
     new_rho = bank.m00 * pre_rho + bank.m01 * pre_j
     new_j = bank.m10 * pre_rho + bank.m11 * pre_j
     if not (np.all(np.isfinite(new_rho.view(float))) and np.all(np.isfinite(new_j.view(float)))):
@@ -470,21 +504,56 @@ class ReplicaRun:
     final: SpectralState       # (R, n_modes); frozen rows hold their stopped state
 
 
-def solve_replicas(cfg: SpdeConfig, w: PotentialSpec, seeds: Sequence[int | None], *,
+# the config fields in which the rows of one replica batch may differ
+ROW_FIELDS = ("sigma", "n_particles")
+
+
+def _shared_config(cfgs: Sequence[SpdeConfig]) -> SpdeConfig:
+    """The first row's config, once every row agrees with it outside ROW_FIELDS."""
+    first = cfgs[0]
+    shared = [f.name for f in dataclasses.fields(SpdeConfig) if f.name not in ROW_FIELDS]
+    for cfg in cfgs[1:]:
+        for name in shared:
+            if getattr(cfg, name) != getattr(first, name):
+                raise ValueError(f"replica rows differ in {name}; "
+                                 f"only {' and '.join(ROW_FIELDS)} may differ")
+    return first
+
+
+def _row_bank(cfgs: Sequence[SpdeConfig]) -> PropagatorBank:
+    """One propagator bank per distinct csq, gathered into (R, n_modes) entries."""
+    cfg = cfgs[0]
+    csqs = [row.csq for row in cfgs]
+    distinct = list(dict.fromkeys(csqs))
+    banks = [build_propagator_bank(cfg.geometry, cfg.gamma, csq, cfg.dt) for csq in distinct]
+    stacked = PropagatorBank(cfg.dt, *(np.stack([getattr(bank, m) for bank in banks])
+                                       for m in ("m00", "m01", "m10", "m11")))
+    return stacked.take(np.array([distinct.index(csq) for csq in csqs]))
+
+
+def solve_replicas(cfgs: Sequence[SpdeConfig], w: PotentialSpec,
+                   seeds: Sequence[int | None], *,
                    noise_increments: np.ndarray | None = None,
                    observe: Callable[[int, SpectralState, np.ndarray], None] | None = None
                    ) -> ReplicaRun:
-    """Integrate R = len(seeds) replicas over [0, t_horizon], freezing each
-    replica whose guard trips.
+    """Integrate R = len(seeds) replica rows over [0, t_horizon], freezing each
+    row whose guard trips.
 
-    Row r draws its Q-Wiener increments from a Generator seeded with seeds[r].
-    noise_increments, when given, must hold pre-generated Q-Wiener values of
-    shape (n_steps, n_grid), shared by every row; this makes runs with shared
-    noise at different resolutions possible.  observe(s, state, rho_values),
-    when given, is called at step 0 and after every step s with the whole
-    (R, n_modes) state and its (R, n_grid) rho grid values; both are only
-    valid during the call.
+    Row r runs cfgs[r].  Rows may differ in sigma and n_particles only, so a
+    batch can mix (sigma, N) cells and noise-free rows; any other field that
+    differs raises ValueError naming it.  A noisy row r draws its Q-Wiener
+    increments from a Generator seeded with seeds[r]; a row of zero noise
+    amplitude (n_particles = inf or sigma = 0) draws nothing, takes no
+    forcing and ignores its seed.  noise_increments, when given, must hold
+    pre-generated Q-Wiener values of shape (n_steps, n_grid), shared by every
+    noisy row; this makes runs with shared noise at different resolutions
+    possible.  observe(s, state, rho_values), when given, is called at step 0
+    and after every step s with the whole (R, n_modes) state and its
+    (R, n_grid) rho grid values; both are only valid during the call.
     """
+    if not cfgs or len(cfgs) != len(seeds):
+        raise ValueError("solve_replicas needs at least one row and one config per seed")
+    cfg = _shared_config(cfgs)
     n_steps = step_index(cfg.t_horizon, cfg.dt, "t_horizon")
     geometry = cfg.geometry
     n = geometry.n_grid
@@ -492,17 +561,20 @@ def solve_replicas(cfg: SpdeConfig, w: PotentialSpec, seeds: Sequence[int | None
     start = initial_state(cfg)
     state = SpectralState(geometry, np.tile(start.rho_hat, (n_rows, 1)),
                           np.tile(start.j_hat, (n_rows, 1)))
-    bank = build_propagator_bank(geometry, cfg.gamma, cfg.csq, cfg.dt)
-    plan = step_plan(cfg, w)
+    bank = _row_bank(cfgs)
+    amplitudes = np.array([row.noise_amplitude for row in cfgs])
+    plan = _rows_plan(step_plan(cfg, w), amplitudes)
 
-    noisy = cfg.noise_amplitude > 0.0
     if noise_increments is not None:
         noise_increments = np.asarray(noise_increments, dtype=float)
         if noise_increments.shape != (n_steps, n):
             raise ValueError("noise_increments has the wrong shape")
-    draw = noisy and noise_increments is None
-    if draw:
-        rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
+    # the active rows, their bank and plan, and the noisy ones among them
+    rows, sub_bank, sub_plan = np.arange(n_rows), bank, plan
+    forced = np.flatnonzero(amplitudes > 0.0)
+    draw = noise_increments is None
+    if draw and forced.size:
+        rngs = {r: np.random.default_rng(np.random.SeedSequence(seeds[r])) for r in forced}
         band = cfg.dealias_band
         scales = q_wiener_scales(
             make_kernel(math.sqrt(2.0) * cfg.epsilon, geometry).fourier_coeffs,
@@ -522,23 +594,23 @@ def solve_replicas(cfg: SpdeConfig, w: PotentialSpec, seeds: Sequence[int | None
 
     for s in range(n_steps):
         t = state.t + bank.dt
-        rows = np.flatnonzero(active)
         whole = rows.size == n_rows
         if rows.size:
             sub = state if whole else SpectralState(
                 geometry, state.rho_hat[rows], state.j_hat[rows], state.t)
             dw = None
-            if draw:
+            if forced.size and draw:
                 # each row's generator draws as q_wiener_increment's does
-                z = np.empty((rows.size, 2 * band + 1))
-                for row, r in zip(z, rows):
+                z = np.empty((forced.size, 2 * band + 1))
+                for row, r in zip(z, forced):
                     rngs[r].standard_normal(out=row)
                 coeffs = scales.coeffs(z[:, 0], z[:, 1: band + 1], z[:, band + 1:])
                 dw = np.fft.irfft(coeffs * n, n=n)
-            elif noisy:
+            elif forced.size:
                 dw = noise_increments[s]
-            new = step_mild(sub, cfg, bank, w, dw,
-                            rho_values=rho_values if whole else rho_values[rows], plan=plan)
+            new = step_mild(sub, cfg, sub_bank, w, dw,
+                            rho_values=rho_values if whole else rho_values[rows],
+                            plan=sub_plan)
             new_values = new.rho_values()
             new_norms = new.norm_h1()
             new_lows = new_values.min(axis=-1)
@@ -552,10 +624,16 @@ def solve_replicas(cfg: SpdeConfig, w: PotentialSpec, seeds: Sequence[int | None
                 lows[rows] = new_lows
             capped = new_norms >= cfg.k_norm
             floored = new_lows <= cfg.delta
-            for i in np.flatnonzero(capped | floored):
+            stopping = np.flatnonzero(capped | floored)
+            for i in stopping:
                 reason = "norm_cap" if capped[i] else "density_floor"
                 status[rows[i]] = StoppingStatus(True, reason, t)
                 active[rows[i]] = False
+            if stopping.size:
+                rows = np.flatnonzero(active)
+                sub_bank = bank.take(rows)
+                sub_plan = _rows_plan(plan, amplitudes[rows])
+                forced = rows[amplitudes[rows] > 0.0]
         state.t = t
         norm_path[s + 1] = norms
         min_path[s + 1] = lows
@@ -591,7 +669,7 @@ def solve_spde(cfg: SpdeConfig, w: PotentialSpec, *, seed: int | None = None,
             rho_snap[idx] = rho_values[0]
             j_snap[idx] = state.j_values()[0]
 
-    run = solve_replicas(cfg, w, [seed], noise_increments=noise_increments,
+    run = solve_replicas([cfg], w, [seed], noise_increments=noise_increments,
                          observe=record)
     status = run.status[0]
     final = SpectralState(cfg.geometry, run.final.rho_hat[0], run.final.j_hat[0],

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,7 @@ from .particles import (ModelParams, _advance,  # noqa: F401
                         replica_steps, simulate_coupled, simulate_interacting)
 from .potential import PotentialSpec
 from .ratefit import PowerLawFit, fit_loglog
-from .spde import SpdeConfig, q_wiener_scales, solve_noise_free, solve_replicas
+from .spde import SpdeConfig, q_wiener_scales, solve_replicas
 from .torus import (TWO_PI, TorusGeometry, make_kernel, normalization_constant,
                     step_index, von_mises_eval, wrap_centered)
 
@@ -153,6 +152,8 @@ def _child_seeds(seed: int | None, n: int) -> list[int]:
 def _map_ordered(fn, items, jobs: int):
     if jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    # imported here: a serial run never pays for the process pool's modules
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))
 
@@ -663,47 +664,68 @@ class SmallNoiseConfig:
 
 
 def _sup_deviation(args) -> tuple[np.ndarray, list]:
-    """max over steps of |X - X_ref|_{H1 x H1} for one cell (spde_cfg, w, seeds, ref).
+    """max over steps of |X - X_ref|_{H1 x H1} of every noisy row of one block.
 
-    The replicas, run from `seeds`, step together; after every step their
-    grid values are compared with the noise-free run `ref`, which holds a
-    snapshot at every step, and only the running maximum is kept.  Also
-    returns the replicas' stopping statuses.
+    A block (spde_cfgs, w, seeds, refs) is one `solve_replicas` batch.
+    refs[r] is the row of row r's noise-free reference within the block, or
+    -1 when row r is itself a reference.  After every step the grid values
+    of each noisy row are compared with those of its reference row, and only
+    the running maximum is kept.  Also returns the noisy rows' stopping
+    statuses; both lists follow the block's row order.
     """
-    spde_cfg, w, seeds, ref = args
-    n = spde_cfg.n_grid
-    worst = np.zeros(len(seeds))
+    spde_cfgs, w, seeds, refs = args
+    refs = np.asarray(refs)
+    noisy = np.flatnonzero(refs >= 0)
+    ref_rows = refs[noisy]
+    n = spde_cfgs[0].n_grid
+    worst = np.zeros(noisy.size)
 
     def accumulate(step, state, rho_values):
-        d_rho = sobolev_norms(np.fft.rfft(rho_values - ref.rho[step]) / n, k=1)
-        d_j = sobolev_norms(np.fft.rfft(state.j_values() - ref.j[step]) / n, k=1)
+        j_values = state.j_values()
+        d_rho = sobolev_norms(np.fft.rfft(rho_values[noisy] - rho_values[ref_rows]) / n, k=1)
+        d_j = sobolev_norms(np.fft.rfft(j_values[noisy] - j_values[ref_rows]) / n, k=1)
         # math.hypot, not np.hypot: the two differ in the last bit on some pairs
         np.maximum(worst, [math.hypot(a, b) for a, b in zip(d_rho.tolist(), d_j.tolist())],
                    out=worst)
 
-    run = solve_replicas(spde_cfg, w, seeds, observe=accumulate)
-    return worst, run.status
+    run = solve_replicas(spde_cfgs, w, seeds, observe=accumulate)
+    return worst, [run.status[r] for r in noisy]
 
 
-def _small_noise_ladder(cfg: SmallNoiseConfig, w, sigma: float, n_ladder, seeds,
+def _small_noise_ladder(cfg: SmallNoiseConfig, w, ladders, seeds,
                         jobs: int = 1) -> list[dict]:
-    """Rows of every (sigma, N) cell of one ladder, replicas in seed order.
+    """Rows of every (sigma, N) cell of the (sigma, n_ladder) pairs in `ladders`.
 
-    The noise-free reference is solved once here and handed to each cell.
+    The noisy rows take `seeds` in order: cell by cell, replicas in seed
+    order.  They are cut into at most `jobs` contiguous blocks, and each block
+    runs as one `_sup_deviation` batch that carries its own copy of the
+    noise-free reference row of every sigma it holds, placed before that
+    sigma's first row.
     """
-    snap = np.round(np.arange(0.0, cfg.t_horizon + cfg.dt / 2, cfg.dt), 12)
-    ref, _report = solve_noise_free(cfg.spde_config(math.inf, sigma), w,
-                                    snapshot_times=snap)
-    reps = cfg.n_replicas
-    cells = [(cfg.spde_config(float(n_part), sigma), w,
-              seeds[n_idx * reps:(n_idx + 1) * reps], ref)
-             for n_idx, n_part in enumerate(n_ladder)]
-    rows = []
-    for n_part, (worst, status) in zip(n_ladder, _map_ordered(_sup_deviation, cells, jobs)):
-        rows += [{"sigma": sigma, "n_particles": float(n_part), "replica": r,
-                  "sup_deviation": float(worst[r]), "stopped": int(st.stopped)}
-                 for r, st in enumerate(status)]
-    return rows
+    cells = [(sigma, float(n_part), r) for sigma, n_ladder in ladders
+             for n_part in n_ladder for r in range(cfg.n_replicas)]
+    n_blocks = min(jobs, len(cells))
+    bounds = [len(cells) * b // n_blocks for b in range(1, n_blocks + 1)]
+    blocks = []
+    for lo, hi in zip([0] + bounds, bounds):
+        spde_cfgs, block_seeds, refs, ref_row = [], [], [], {}
+        for (sigma, n_part, _), seed in zip(cells[lo:hi], seeds[lo:hi]):
+            if sigma not in ref_row:
+                ref_row[sigma] = len(spde_cfgs)
+                spde_cfgs.append(cfg.spde_config(math.inf, sigma))
+                block_seeds.append(None)
+                refs.append(-1)
+            spde_cfgs.append(cfg.spde_config(n_part, sigma))
+            block_seeds.append(seed)
+            refs.append(ref_row[sigma])
+        blocks.append((spde_cfgs, w, block_seeds, refs))
+    worst, status = [], []
+    for block_worst, block_status in _map_ordered(_sup_deviation, blocks, jobs):
+        worst += block_worst.tolist()
+        status += block_status
+    return [{"sigma": sigma, "n_particles": n_part, "replica": r,
+             "sup_deviation": e, "stopped": int(st.stopped)}
+            for (sigma, n_part, r), e, st in zip(cells, worst, status)]
 
 
 def run_small_noise_study(cfg: SmallNoiseConfig, seed: int | None = None,
@@ -711,14 +733,17 @@ def run_small_noise_study(cfg: SmallNoiseConfig, seed: int | None = None,
     w = potential_from_config(cfg.potential)
     n_primary = len(cfg.n_ladder) * cfg.n_replicas
     seeds = _child_seeds(seed, n_primary + cfg.n_replicas)
-    rows = _small_noise_ladder(cfg, w, cfg.sigma, cfg.n_ladder, seeds[:n_primary], jobs)
+    ladders = [(cfg.sigma, cfg.n_ladder)]
+    halving = cfg.check_sigma_halving and cfg.sigma > 0
+    if halving:
+        ladders.append((cfg.sigma / 2, [cfg.n_ladder[-1]]))
+    rows = _small_noise_ladder(cfg, w, ladders, seeds, jobs)
 
     checks: dict = {}
     details: dict = {}
     errs, stops = [], []
     for n_part in cfg.n_ladder:
-        sel = [r for r in rows if r["sigma"] == cfg.sigma
-               and r["n_particles"] == float(n_part)]
+        sel = [r for r in rows[:n_primary] if r["n_particles"] == float(n_part)]
         errs.append(float(np.mean([r["sup_deviation"] for r in sel])))
         stops.append(float(np.mean([1 - r["stopped"] for r in sel])))
     details["mean_sup_deviation"] = {str(n): e for n, e in zip(cfg.n_ladder, errs)}
@@ -727,11 +752,8 @@ def run_small_noise_study(cfg: SmallNoiseConfig, seed: int | None = None,
     checks["no_stop_nondecreasing"] = all(b >= a for a, b in zip(stops, stops[1:]))
     checks["no_stop_at_largest"] = stops[-1] >= 0.95
 
-    if cfg.check_sigma_halving and cfg.sigma > 0:
-        half_rows = _small_noise_ladder(cfg, w, cfg.sigma / 2, [cfg.n_ladder[-1]],
-                                        seeds[n_primary:], jobs)
-        rows += half_rows
-        err_half = float(np.mean([r["sup_deviation"] for r in half_rows]))
+    if halving:
+        err_half = float(np.mean([r["sup_deviation"] for r in rows[n_primary:]]))
         factor = errs[-1] / err_half if err_half > 0 else math.inf
         details["sigma_halving_factor"] = factor
         lo, hi = cfg.halving_window

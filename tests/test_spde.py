@@ -11,6 +11,7 @@ import scipy.integrate
 import scipy.linalg
 
 import dklab
+from dklab import spde
 from dklab.potential import PotentialSpec
 from dklab.spde import (DivergenceError, SpdeConfig, SpectralState,
                         StoppingStatus, build_propagator_bank,
@@ -346,7 +347,7 @@ class TestReplicaBatch:
     def test_rows_equal_their_single_runs(self, kw):
         cfg = small_cfg(**kw)
         seeds = list(range(8))
-        batch = solve_replicas(cfg, W_COS, seeds)
+        batch = solve_replicas([cfg] * len(seeds), W_COS, seeds)
         stopped = [st.stopped for st in batch.status]
         assert any(stopped) and not all(stopped)
         for r, seed in enumerate(seeds):
@@ -370,14 +371,14 @@ class TestReplicaBatch:
         # frozen row would raise DivergenceError or change the active rows.
         cfg = small_cfg(**MIXED_STOPS[0])
         seeds = list(range(8))
-        clean = solve_replicas(cfg, W_COS, seeds)
+        clean = solve_replicas([cfg] * len(seeds), W_COS, seeds)
 
         def poison(step, state, rho_values):
             frozen = state.norm_h1() >= cfg.k_norm
             state.rho_hat[frozen] = np.nan
             state.j_hat[frozen] = np.nan
 
-        poisoned = solve_replicas(cfg, W_COS, seeds, observe=poison)
+        poisoned = solve_replicas([cfg] * len(seeds), W_COS, seeds, observe=poison)
         assert poisoned.status == clean.status
         assert np.array_equal(poisoned.norm_path, clean.norm_path)
         assert np.array_equal(poisoned.min_rho_path, clean.min_rho_path)
@@ -391,7 +392,7 @@ class TestReplicaBatch:
         # floor on the same step, and the cap is the recorded reason
         cfg = small_cfg(n_particles=1.0, t_horizon=0.01, delta=0.111399, c1=0.1114,
                         k_norm=0.4175, c2=0.417)
-        batch = solve_replicas(cfg, W_COS, list(range(8)))
+        batch = solve_replicas([cfg] * 8, W_COS, list(range(8)))
         both = (batch.norm_path[1] >= cfg.k_norm) & (batch.min_rho_path[1] <= cfg.delta)
         assert both.any()
         for r in np.flatnonzero(both):
@@ -405,7 +406,87 @@ class TestReplicaBatch:
                 state.j_hat[1, 2] = np.inf
 
         with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
-            solve_replicas(cfg, W_COS, [None, None, None], observe=poison)
+            solve_replicas([cfg] * 3, W_COS, [None, None, None], observe=poison)
+
+
+def bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+def assert_row_is_its_run(batch, r, single):
+    """Row r of a batch has the bits of its own single run."""
+    assert batch.status[r] == single.status
+    assert np.array_equal(bits(batch.norm_path[:, r]), bits(single.norm_path))
+    assert np.array_equal(bits(batch.min_rho_path[:, r]), bits(single.min_rho_path))
+    assert np.array_equal(bits(batch.final.rho_hat[r]), bits(single.final.rho_hat))
+    assert np.array_equal(bits(batch.final.j_hat[r]), bits(single.final.j_hat))
+
+
+# (sigma, n_particles, seed) rows over the MIXED_STOPS[0] cap: seeds 0-3 at
+# N = 25 mix stopped and running rows; the noise-free and sigma = 0 rows
+# draw nothing, whatever their seed
+MIXED_ROWS = [(1.0, math.inf, 5), (1.0, 25.0, 0), (1.0, 25.0, 1), (1.0, 25.0, 2),
+              (1.0, 25.0, 3), (0.5, math.inf, None), (0.5, 25.0, 4), (2.0, 1e4, 6),
+              (0.0, 100.0, 7), (0.5, 100.0, 8)]
+
+
+class TestMixedRows:
+    def test_rows_equal_their_single_runs(self):
+        cfgs = [small_cfg(**{**MIXED_STOPS[0], "sigma": sigma, "n_particles": n})
+                for sigma, n, _ in MIXED_ROWS]
+        seeds = [seed for _, _, seed in MIXED_ROWS]
+        batch = solve_replicas(cfgs, W_COS, seeds)
+        stopped = [st.stopped for st in batch.status]
+        assert any(stopped) and not all(stopped)
+        for r, (cfg, seed) in enumerate(zip(cfgs, seeds)):
+            if math.isinf(cfg.n_particles):
+                single, _ = solve_noise_free(cfg, W_COS)
+            else:
+                single = solve_spde(cfg, W_COS, seed=seed)
+            assert_row_is_its_run(batch, r, single)
+
+    def test_only_noisy_rows_are_forced(self, monkeypatch):
+        # a row of zero amplitude takes no forcing at all, not a zero one
+        forced = []
+        h = spde.h_delta
+
+        def recording(r, delta):
+            forced.append(r.shape)
+            return h(r, delta)
+
+        monkeypatch.setattr(spde, "h_delta", recording)
+        cfgs = [small_cfg(), small_cfg(n_particles=math.inf), small_cfg(sigma=0.0),
+                small_cfg(sigma=0.5)]
+        solve_replicas(cfgs, W_COS, [0, 1, 2, 3])
+        assert len(forced) == 50
+        assert set(forced) == {(2, cfgs[0].n_grid)}
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_grid", 256), ("epsilon", 0.25), ("dt", 2e-3), ("gamma", 2.0),
+        ("delta", 0.03), ("k_norm", 4.0)])
+    def test_rows_differing_elsewhere_are_rejected(self, field, value):
+        cfgs = [small_cfg(), small_cfg(sigma=0.5), small_cfg(**{field: value})]
+        with pytest.raises(ValueError, match=f"differ in {field};"):
+            solve_replicas(cfgs, W_COS, [0, 1, 2])
+
+    @pytest.mark.parametrize("n_cfgs, n_seeds", [(2, 3), (0, 0)])
+    def test_one_config_per_seed(self, n_cfgs, n_seeds):
+        with pytest.raises(ValueError, match="at least one row and one config per seed"):
+            solve_replicas([small_cfg()] * n_cfgs, W_COS, list(range(n_seeds)))
+
+    def test_noise_increments_reach_every_noisy_row(self):
+        g = TorusGeometry(64)
+        lam = make_kernel(math.sqrt(2.0) * 0.3, g).fourier_coeffs
+        rng = np.random.default_rng(5)
+        incs = np.array([q_wiener_increment(rng, lam, g, 1e-3, 21) for _ in range(40)])
+        cfgs = [SpdeConfig(n_grid=64, epsilon=0.3, sigma=sigma, n_particles=n, t_horizon=0.04)
+                for sigma, n in ((1.0, 100.0), (1.0, math.inf), (0.5, 400.0), (2.0, 100.0))]
+        batch = solve_replicas(cfgs, W_COS, [None] * 4, noise_increments=incs)
+        for r, cfg in enumerate(cfgs):
+            assert_row_is_its_run(batch, r, solve_spde(cfg, W_COS, noise_increments=incs))
+        quiet = batch.final.j_hat[1]
+        for r in (0, 2, 3):
+            assert not np.array_equal(batch.final.j_hat[r], quiet)
 
 
 class TestSharedNoiseRefinement:

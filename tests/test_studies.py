@@ -2,10 +2,15 @@
 
 import dataclasses
 import hashlib
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dklab
 from dklab import studies
 from dklab.cli import rows_to_csv
 from dklab.particles import ConfigurationError
@@ -189,10 +194,57 @@ class TestSmallNoiseStudy:
         assert [r["stopped"] for r in report.raw_table].count(1) == 1
         assert raw_sha256(report) == SMALL_NOISE_GOLDEN_SHA256
 
-    def test_jobs_do_not_change_the_table(self):
-        serial = run_small_noise_study(SMALL_NOISE_GOLDEN, seed=0, jobs=1)
-        parallel = run_small_noise_study(SMALL_NOISE_GOLDEN, seed=0, jobs=2)
-        assert serial.raw_table == parallel.raw_table
+    def test_jobs_do_not_change_the_table(self, monkeypatch):
+        # 16 noisy rows: --jobs 3 cuts them into blocks of 5, 5 and 6, and a
+        # block holding both sigmas carries both reference rows
+        sizes = []
+        map_ordered = studies._map_ordered
+
+        def recording(fn, items, jobs):
+            sizes.append([sum(ref >= 0 for ref in item[3]) for item in items])
+            return map_ordered(fn, items, jobs)
+
+        monkeypatch.setattr(studies, "_map_ordered", recording)
+        tables = {jobs: rows_to_csv(run_small_noise_study(SMALL_NOISE_GOLDEN, seed=0,
+                                                          jobs=jobs).raw_table)
+                  for jobs in (1, 2, 3)}
+        assert sizes == [[16], [8, 8], [5, 5, 6]]
+        assert tables[1] == tables[2] == tables[3]
+
+    def test_no_replicas_fail_the_verdict(self):
+        cfg = dataclasses.replace(SMALL_NOISE_GOLDEN, n_replicas=0)
+        with np.errstate(invalid="ignore"), pytest.warns(RuntimeWarning, match="empty"):
+            report = run_small_noise_study(cfg, seed=0)
+        assert report.raw_table == []
+        assert report.verdict == "fail"
+
+    def test_one_batch_with_jobs_one(self, monkeypatch):
+        calls = []
+        solve = studies.solve_replicas
+
+        def counting(cfgs, *args, **kwargs):
+            calls.append(len(cfgs))
+            return solve(cfgs, *args, **kwargs)
+
+        monkeypatch.setattr(studies, "solve_replicas", counting)
+        run_small_noise_study(SMALL_NOISE_GOLDEN, seed=0, jobs=1)
+        # both references, the 3 x 4 ladder rows and the 4 halving rows
+        assert calls == [2 + 12 + 4]
+
+    def test_serial_run_loads_no_process_pool(self, tmp_path):
+        config = tmp_path / "small.json"
+        config.write_text(json.dumps({"study": {"n_replicas": 2, "t_horizon": 0.01}}))
+        code = ("import sys, dklab.cli, dklab.studies\n"
+                f"code = dklab.cli.main(['study', 'small_noise', '--config', {str(config)!r},\n"
+                f"                       '--out', {str(tmp_path / 'runs')!r}, '--jobs', '1'])\n"
+                "print(code, sorted(m for m in sys.modules\n"
+                "                   if m == 'concurrent.futures.process'\n"
+                "                   or m.split('.')[0] == 'multiprocessing'))\n")
+        src = os.path.dirname(os.path.dirname(dklab.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip().splitlines()[-1] == "0 []"
 
 
 # 1000 replicas in blocks of 300: the last block holds 100
