@@ -3,16 +3,18 @@
 
 Usage: python scripts/run_all_studies.py [--out DIR] [--seed N] [--jobs N] [--check]
 
-Expect about two minutes single-process (116-133 s over two runs on a 2-vCPU
-x86 host); the interaction study takes more than half of it.  Exit code follows the
+Expect about a minute and a half single-process (86-93 s over two runs on a
+2-vCPU x86 host); the interaction study takes more than half of it.  Exit code follows the
 CLI convention (2 if any verdict fails).
 
 --check also runs `dklab simulate` and `dklab spde` on the default config and
 compares the sha256 of the newest raw.csv/report.json/config.json of each of
 the nine runs with scripts/golden_defaults.json (seed 0 only).  A mismatch
-prints both hashes and exits 1 unless a verdict failed.  The hashes were taken
-on the machine the file's `machine` block describes; another numpy or libm
-build may move the last bits of a float and with them the hashes.
+prints both hashes and the machine keys that differ from the golden block,
+and exits 1 unless a verdict failed.  The hashes were taken on the machine the
+file's `machine` block describes; another numpy or libm build, or another of
+numpy's SIMD dispatch targets (`simd`: float64 exp and tan take their bits
+from it), may move the last bits of a float and with them the hashes.
 """
 
 import argparse
@@ -24,6 +26,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -44,7 +51,8 @@ def machine() -> dict:
     return {"nproc": os.cpu_count(), "cpu": cpu,
             "os": f"{platform.system()} {platform.machine()}",
             "libc": " ".join(platform.libc_ver()),
-            "python": platform.python_version(), "numpy": np.__version__}
+            "python": platform.python_version(), "numpy": np.__version__,
+            "simd": " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t))}
 
 
 def check(out: Path) -> bool:
@@ -61,7 +69,10 @@ def check(out: Path) -> bool:
     n_files = len(golden["runs"]) * len(TRIO)
     print(f"golden check: {n_files - n_bad} of {n_files} files match")
     if n_bad:
-        print(f"golden machine: {golden['machine']}\nthis machine:   {machine()}")
+        here, there = machine(), golden["machine"]
+        differ = [k for k in sorted(here.keys() | there.keys()) if here.get(k) != there.get(k)]
+        print(f"golden machine: {there}\nthis machine:   {here}")
+        print(f"machine keys that differ: {', '.join(differ) or 'none'}")
     return n_bad == 0
 
 

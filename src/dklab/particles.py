@@ -58,7 +58,7 @@ not hold two states at once drops them at the end of its loop body.
 `phase` is a `StepPhase` handle on the interacting q of step s when the
 step s -> s+1 is an Euler step with a nonzero potential, and None otherwise
 (Strang, the zero potential, s = main_steps).  Calling it returns
-(np.cos(q), np.sin(q)), computed on the first call.  The step then takes
+`torus.cos_sin(q)`, computed on the first call.  The step then takes
 those arrays as the wavenumber-1 trig of the pairwise force instead of
 computing its own, and the bits of every branch are the same whether or not
 the caller asked.  A caller that never calls it pays nothing and holds
@@ -77,7 +77,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potential import PotentialSpec, mean_w1_at
-from .torus import TWO_PI, ConfigurationError, TorusGeometry, step_index, wrap
+from .torus import (TWO_PI, ConfigurationError, TorusGeometry, cos_sin,
+                    step_index, wrap)
 from .vfp import (PhaseSpaceDensity, VfpSolver, meanfield_force_from_coeffs,
                   uniform_maxwellian)
 
@@ -162,7 +163,9 @@ def pairwise_force(q: np.ndarray, w: PotentialSpec,
                    cos_sin_q: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Interacting drift -(1/N) sum_j W'(q_i - q_j), self term included.
 
-    cos_sin_q, when given, is (np.cos(q), np.sin(q)), already computed.
+    The trig of the positions comes from `torus.cos_sin` (see `mean_w1_at`).
+    cos_sin_q, when given, is `torus.cos_sin(q)`, already computed, and the
+    force has the same bits with or without it.
     """
     return -mean_w1_at(w, q, q, cos_sin_q=cos_sin_q)
 
@@ -170,7 +173,7 @@ def pairwise_force(q: np.ndarray, w: PotentialSpec,
 class StepPhase:
     """cos q and sin q of one step's interacting positions, computed on demand.
 
-    Calling the handle computes (np.cos(q), np.sin(q)) on the first call and
+    Calling the handle computes `torus.cos_sin(q)` on the first call and
     returns the same pair after that.  The step s -> s+1 calls `release`,
     which hands the pair, if computed, to the pairwise force and drops every
     reference the handle holds, so the force takes no trig of its own for
@@ -188,7 +191,7 @@ class StepPhase:
         if self._cos_sin is None:
             if self._q is None:
                 raise RuntimeError("the phase of a step that has already been taken")
-            self._cos_sin = (np.cos(self._q), np.sin(self._q))
+            self._cos_sin = cos_sin(self._q)
         return self._cos_sin
 
     def release(self) -> tuple[np.ndarray, np.ndarray] | None:

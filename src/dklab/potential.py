@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import TWO_PI
+from .torus import TWO_PI, cos_sin
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,16 @@ def mean_w1_at(w: PotentialSpec, q: np.ndarray, at: np.ndarray,
 
         C_k = sum_j cos(k q_j),   S_k = sum_j sin(k q_j),
 
-    so the cost is O((N + M) k_max) instead of O(N M).  Evaluating at the
+    so the cost is O((N + M) k_max) instead of O(N M).  Every cos and sin,
+    of k q and of k at, comes from `torus.cos_sin`.  Evaluating at the
     particle positions themselves (`at` is the array `q`) includes the self
     term W'(0), which is the convention used by the pairwise force, and
     reuses the cos(k q), sin(k q) arrays of the totals as the evaluation
     trig, with the same bits as evaluating at a copy of q.
 
-    cos_sin_q, when given, is the pair (np.cos(q), np.sin(q)) that a caller
-    has already computed; it serves as the k = 1 arrays in place of new ones.
-    cos(1 * q) has the bits of cos(q), so the result does not change.
+    cos_sin_q, when given, is `cos_sin(q)` as a caller has already computed
+    it; it serves as the k = 1 arrays in place of new ones.  1 * q has the
+    bits of q, so the result does not change.
     """
     q = np.asarray(q, dtype=float)
     at = np.asarray(at, dtype=float)
@@ -120,11 +121,10 @@ def mean_w1_at(w: PotentialSpec, q: np.ndarray, at: np.ndarray,
             cos_q, sin_q = cos_sin_q
         else:
             kq = q if k == 1 else k * q
-            cos_q, sin_q = np.cos(kq), np.sin(kq)
+            cos_q, sin_q = cos_sin(kq)
         ck = cos_q.sum(axis=-1, keepdims=True)
         sk = sin_q.sum(axis=-1, keepdims=True)
-        cos_at = cos_q if shared else np.cos(k * at)
-        sin_at = sin_q if shared else np.sin(k * at)
+        cos_at, sin_at = (cos_q, sin_q) if shared else cos_sin(k * at)
         # k * (-a (C sin - S cos) + b (C cos + S sin)) in place, in that order;
         # a zero coefficient's term is skipped, which only changes the sign of
         # a zero that out (never -0.0) absorbs

@@ -29,8 +29,9 @@ from .particles import (ModelParams, _advance,  # noqa: F401
 from .potential import PotentialSpec
 from .ratefit import PowerLawFit, fit_loglog
 from .spde import SpdeConfig, q_wiener_scales, solve_replicas
-from .torus import (TWO_PI, TorusGeometry, make_kernel, normalization_constant,
-                    step_index, von_mises_eval, wrap_centered)
+from .torus import (TWO_PI, TorusGeometry, cos_sin, make_kernel,
+                    normalization_constant, step_index, von_mises_eval,
+                    wrap_centered)
 
 # ---------------------------------------------------------------------------
 # plumbing
@@ -471,7 +472,7 @@ def _covariance_cell(args):
             continue
         # through the phase, the step's pairwise force reuses this cos q, sin q
         e = _pair_exp(kern.kappa, x_eval,
-                      *(phase() if phase else (np.cos(q), np.sin(q))))  # (A, rows, n)
+                      *(phase() if phase else cos_sin(q)))  # (A, rows, n)
         z += (cfg.sigma / (n * kern.z_eps)) * np.einsum("abn,bn->ba", e, xi * sqdt)
         e *= e  # the kernel at concentration 2 kappa, up to z_half
         e2_sum = e.sum(axis=-1).T                           # (rows, A)

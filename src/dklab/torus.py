@@ -87,6 +87,28 @@ def wrap(x):
     return out
 
 
+def cos_sin(x):
+    """(cos x, sin x) as two new float64 arrays, from one tangent.
+
+    With t = tan(x/2), cos x = (1 - t^2) / (1 + t^2) and sin x =
+    2t / (1 + t^2).  numpy's float64 cos and sin call scalar libm, while its
+    tan loop is vectorised, so one tan and a few in-place array operations
+    cost about a third of the two calls.  Each value lies within 2 ulp of 1
+    (4.5e-16) of libm's, and is NaN where np.cos is (NaN and +-inf).  Its
+    bits are those of numpy's tan loop, which depend on the SIMD target
+    numpy dispatches to.
+    """
+    t = np.multiply(x, 0.5, out=np.empty(np.shape(x)))
+    np.tan(t, out=t)
+    c = np.square(t, out=np.empty_like(t))
+    d = c + 1.0
+    np.subtract(1.0, c, out=c)
+    c /= d
+    t += t
+    t /= d
+    return c, t
+
+
 def wrap_centered(x):
     """Map angles onto [-pi, pi)."""
     out = np.mod(np.asarray(x) + np.pi, TWO_PI) - np.pi

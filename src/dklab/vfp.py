@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potential import PotentialSpec
-from .torus import TWO_PI, TorusGeometry
+from .torus import TWO_PI, TorusGeometry, cos_sin
 
 #: zero-flux walls must see less mass than this, per cell, at construction
 BOUNDARY_MASS_TOL = 1e-8
@@ -228,7 +228,8 @@ def meanfield_conv_from_coeffs(coeffs: np.ndarray, q_pts: np.ndarray) -> np.ndar
     q_pts = np.asarray(q_pts, dtype=float)
     out = np.zeros(q_pts.shape)
     for k, g in enumerate(coeffs, start=1):
-        out += 2.0 * (g.real * np.cos(k * q_pts) - g.imag * np.sin(k * q_pts))
+        cos_kq, sin_kq = cos_sin(k * q_pts)
+        out += 2.0 * (g.real * cos_kq - g.imag * sin_kq)
     return out
 
 

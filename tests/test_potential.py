@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dklab.potential import PotentialSpec, mean_w1_at
-from dklab.torus import TWO_PI
+from dklab.torus import TWO_PI, cos_sin
 
 
 def random_spec(rng, k_max=3):
@@ -80,15 +80,16 @@ class TestMeanW1:
     @pytest.mark.parametrize("at_shape", [None, (13,), (4, 9)])
     def test_bits_equal_the_one_expression_sum(self, cosine, sine, at_shape):
         # the terms are built in place and zero coefficients skipped; the
-        # result keeps the bits of the one-expression form, with or without
-        # the caller's cos q, sin q
+        # result keeps the bits of the one-expression form over cos_sin's
+        # trig, with or without the caller's cos q, sin q
         def reference(w, q, at):
             out = np.zeros(np.broadcast_shapes(q.shape[:-1] + (1,), at.shape))
             for k in range(1, w.k_max + 1):
                 a, b = w.cosine[k], w.sine[k]
-                ck = np.cos(k * q).sum(axis=-1, keepdims=True)
-                sk = np.sin(k * q).sum(axis=-1, keepdims=True)
-                cos_at, sin_at = np.cos(k * at), np.sin(k * at)
+                cos_q, sin_q = cos_sin(k * q)
+                ck = cos_q.sum(axis=-1, keepdims=True)
+                sk = sin_q.sum(axis=-1, keepdims=True)
+                cos_at, sin_at = cos_sin(k * at)
                 out += k * (-a * (ck * sin_at - sk * cos_at)
                             + b * (ck * cos_at + sk * sin_at))
             return out / q.shape[-1]
@@ -101,7 +102,7 @@ class TestMeanW1:
         ref = reference(w, q, at).view(np.int64)
         assert np.array_equal(mean_w1_at(w, q, at).view(np.int64), ref)
         if at_shape is None:
-            got = mean_w1_at(w, q, q, cos_sin_q=(np.cos(q), np.sin(q)))
+            got = mean_w1_at(w, q, q, cos_sin_q=cos_sin(q))
             assert np.array_equal(got.view(np.int64), ref)
 
     @given(st.integers(0, 2 ** 32 - 1))

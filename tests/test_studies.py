@@ -143,7 +143,7 @@ class TestChaosStudy:
 
     def test_raw_csv_is_pinned(self):
         assert raw_sha256(run_chaos_study(CHAOS_PINNED, seed=0)) == (
-            "e2180ed69ed55d84e133f734b9ebfabf4d309482d100a3460eece79d519ee3b7")
+            "6ce7d2fbc3cafd63edf1127c2ae5597c120f877a829ba1691f8aea1273e12409")
 
 
 # 5 moment replicas run as blocks of 4 and 1
@@ -156,7 +156,7 @@ INTERACTION_PINNED = InteractionStudyConfig(eps_ladder=(0.4, 0.2), theta=2.0, n_
 class TestInteractionStudy:
     def test_raw_csv_is_pinned(self):
         assert raw_sha256(run_interaction_study(INTERACTION_PINNED, seed=0)) == (
-            "b73901dc59e04610543e3875f9193b7c00669538d446a7078b248cba5c2e8a2e")
+            "8ad77ef6ae89c5e1d325f985969768e097bf1eb8526612abeecc8fb35ec321c4")
 
     def test_jobs_do_not_change_the_table(self):
         serial = run_interaction_study(INTERACTION_PINNED, seed=0, jobs=1)
@@ -272,7 +272,7 @@ class TestCovarianceStudy:
 
     def test_raw_csv_is_pinned(self):
         assert raw_sha256(run_covariance_study(COVARIANCE_PINNED, seed=0)) == (
-            "d469961df47dbc92964d552cc0f8dbfa2a9af8e696fb8b60b7d2659db910788d")
+            "6a969befa3a4eb70cf35305afdb29baec053e7aa9a96b29d2712f3dbf1df17ae")
 
     def test_jobs_do_not_change_the_table(self):
         serial = run_covariance_study(COVARIANCE_PINNED, seed=0, jobs=1)
@@ -340,7 +340,7 @@ class TestJ2ClosureStudy:
                               n_replicas=20, t_horizon=0.1, burn_in=0.1,
                               n_snapshots=2)
         assert raw_sha256(run_j2_closure_study(cfg, seed=0)) == (
-            "8d0bccf416fe0e6644cba1d54bc39580615a04ee5ac2bd1cb59c8eda92b54b1b")
+            "56e4af3a7acaec7f2f3af27d021c628c2f610d69b893e732bea9207929109bfa")
 
 
 class TestMollifierStudy:
@@ -391,14 +391,14 @@ class TestEvolutionIdentity:
         cfg = EvolutionIdentityConfig(n_particles=16, n_replicas=2,
                                       t_horizon=0.05)
         assert raw_sha256(run_evolution_identity_check(cfg, seed=0)) == (
-            "5ac2669debdf1d8c251f1f994ce98f90342a4c946846fa761621f0c843eb4fdc")
+            "985d4deb5c7bc333325ba2c80ecdc2ff75f1d01305ece2d279836e8d4e9e9632")
 
     def test_raw_csv_with_a_ragged_block_is_pinned(self):
         # 20 replicas run as blocks of 16 and 4
         cfg = EvolutionIdentityConfig(n_particles=16, n_replicas=20,
                                       t_horizon=0.05)
         assert raw_sha256(run_evolution_identity_check(cfg, seed=0)) == (
-            "054f23e2377e41339870226e884abc8324c3963e1c71c6f543a53b2daebbb087")
+            "7c86967161241f98c505fd8fde3fcf54dfe76a9f65f4f9b2768fdff259d32e9a")
 
     def test_jobs_do_not_change_the_table(self):
         cfg = EvolutionIdentityConfig(n_particles=16, n_replicas=2,

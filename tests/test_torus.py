@@ -8,8 +8,9 @@ from scipy.special import ive
 
 from dklab import particles
 from dklab.torus import (TWO_PI, ConfigurationError, ResolutionError, TorusGeometry,
-                         kernel_residual_sup, make_kernel, normalization_constant,
-                         step_index, von_mises_eval, wrap, wrap_centered)
+                         cos_sin, kernel_residual_sup, make_kernel,
+                         normalization_constant, step_index, von_mises_eval, wrap,
+                         wrap_centered)
 
 EPS_LADDER = (0.4, 0.2, 0.1, 0.05)
 
@@ -51,6 +52,24 @@ class TestWrap:
                 got, ref = wrap(x), reference(x)
                 assert got.shape == ref.shape
                 assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+class TestCosSin:
+    def test_within_two_ulp_of_one_of_libm(self):
+        q = np.random.default_rng(0).uniform(0.0, TWO_PI, (4, 250000))
+        special = np.array([0.0, np.pi / 2, np.pi, np.nextafter(np.pi, 0.0),
+                            1.5 * np.pi, np.nextafter(TWO_PI, 0.0)])
+        for x in [k * q for k in (1, 2, 3)] + [special, 2.5]:
+            c, s = cos_sin(x)
+            assert c.shape == s.shape == np.shape(x)
+            assert np.abs(c - np.cos(x)).max() <= 4.5e-16
+            assert np.abs(s - np.sin(x)).max() <= 4.5e-16
+
+    def test_nan_where_libm_gives_nan(self):
+        x = np.array([np.nan, np.inf, -np.inf])
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(np.cos(x)).all()
+            assert all(np.isnan(v).all() for v in cos_sin(x))
 
 
 class TestStepIndex:
