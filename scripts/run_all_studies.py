@@ -3,8 +3,8 @@
 
 Usage: python scripts/run_all_studies.py [--out DIR] [--seed N] [--jobs N] [--check]
 
-Expect about a minute and a half single-process (86-93 s over two runs on a
-2-vCPU x86 host); the interaction study takes more than half of it.  Exit code follows the
+Expect a little over a minute single-process (71-78 s of study time over two
+runs on a 2-vCPU x86 host); the interaction study takes more than half of it.  Exit code follows the
 CLI convention (2 if any verdict fails).
 
 --check also runs `dklab simulate` and `dklab spde` on the default config and

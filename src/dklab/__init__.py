@@ -9,9 +9,8 @@ from .particles import (ConfigurationError, CoupledTrajectory, ModelParams,
                         pairwise_force, simulate_coupled, simulate_interacting)
 from .potential import PotentialSpec, mean_w1_at
 from .ratefit import PowerLawFit, fit_loglog
-from .spde import (PersistenceReport, SpdeConfig, SpdeTrajectory,
-                   SpectralState, StoppingStatus, convolution_bound_check,
-                   h_delta, solve_noise_free, solve_spde, step_mild,
+from .spde import (SpdeConfig, SpdeTrajectory, SpectralState, StoppingStatus,
+                   convolution_bound_check, h_delta, solve_spde, step_mild,
                    total_mass)
 from .studies import STUDY_NAMES, STUDY_REGISTRY, StudyReport
 from .torus import (KernelParams, ResolutionError, TorusGeometry, make_kernel,
@@ -22,7 +21,7 @@ from .vfp import PhaseSpaceDensity, VfpSolver, uniform_maxwellian
 __all__ = [
     "__version__",
     "ConfigurationError", "CoupledTrajectory", "KernelParams",
-    "ModelParams", "PersistenceReport", "PhaseSpaceDensity",
+    "ModelParams", "PhaseSpaceDensity",
     "PotentialSpec", "PowerLawFit", "ResolutionError", "STUDY_NAMES",
     "STUDY_REGISTRY", "SpdeConfig", "SpdeTrajectory", "SpectralState",
     "StoppingStatus", "StudyReport", "TimeStepError", "TorusGeometry",
@@ -31,7 +30,7 @@ __all__ = [
     "interaction_decomposition", "ladder_from_thetas",
     "make_kernel", "mean_w1_at", "normalization_constant",
     "pairwise_force", "simulate_coupled", "simulate_interacting",
-    "sobolev_norm", "solve_noise_free", "solve_spde", "step_mild",
+    "sobolev_norm", "solve_spde", "step_mild",
     "total_mass", "uniform_maxwellian", "von_mises_eval", "wrap",
     "wrap_centered",
 ]

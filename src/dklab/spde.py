@@ -215,24 +215,6 @@ class StoppingStatus:
 
 
 @dataclass
-class PersistenceReport:
-    """Margins of a noise-free run against the floor c1 and the cap c2."""
-
-    min_density: float
-    max_norm: float
-    c1: float
-    c2: float
-
-    @property
-    def density_margin(self) -> float:
-        return self.min_density - self.c1
-
-    @property
-    def norm_margin(self) -> float:
-        return self.c2 - self.max_norm
-
-
-@dataclass
 class PropagatorBank:
     """exp(dt A_k) for every retained mode, stored entrywise.
 
@@ -319,8 +301,11 @@ class QWienerScales:
         """rfft coefficients of one increment per row, shape (R, n_modes).
 
         z_dc (R,), z_re and z_im (R, band) are standard normals: the DC mode
-        and the real and imaginary parts of modes 1..band.  Each caller draws
-        them in the order its generators must follow.
+        and the real and imaginary parts of modes 1..band.  Its callers,
+        `q_wiener_increment` and `solve_replicas`, each draw them in the
+        order their generators must follow.  The covariance study reads the
+        increment at a few nodes only and draws no mode normals; it maps the
+        same layout through `studies._point_increment_map`.
         """
         coeffs = np.zeros((len(z_dc), self.n_modes), dtype=complex)
         coeffs[:, 0] = self.dc * z_dc
@@ -678,16 +663,6 @@ def solve_spde(cfg: SpdeConfig, w: PotentialSpec, *, seed: int | None = None,
                           step_times=run.step_times, norm_path=run.norm_path[:, 0],
                           min_rho_path=run.min_rho_path[:, 0], status=status,
                           config=cfg, final=final)
-
-
-def solve_noise_free(cfg: SpdeConfig, w: PotentialSpec, *,
-                     snapshot_times=None) -> tuple[SpdeTrajectory, PersistenceReport]:
-    """Deterministic limit run plus its floor/cap margins."""
-    traj = solve_spde(replace(cfg, n_particles=math.inf), w, snapshot_times=snapshot_times)
-    report = PersistenceReport(min_density=float(traj.min_rho_path.min()),
-                               max_norm=float(traj.norm_path.max()),
-                               c1=cfg.c1, c2=cfg.c2)
-    return traj, report
 
 
 def convolution_bound_check(traj: SpdeTrajectory, w: PotentialSpec,

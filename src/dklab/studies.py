@@ -28,7 +28,7 @@ from .particles import (ModelParams, _advance,  # noqa: F401
                         replica_steps, simulate_coupled, simulate_interacting)
 from .potential import PotentialSpec
 from .ratefit import PowerLawFit, fit_loglog
-from .spde import SpdeConfig, q_wiener_scales, solve_replicas
+from .spde import QWienerScales, SpdeConfig, q_wiener_scales, solve_replicas
 from .torus import (TWO_PI, TorusGeometry, cos_sin, make_kernel,
                     normalization_constant, step_index, von_mises_eval,
                     wrap_centered)
@@ -419,13 +419,37 @@ def _pair_exp(kappa: float, x_eval: np.ndarray, cos_q: np.ndarray,
     the kernel of concentration 2 kappa (width eps / sqrt 2, normalisation
     z_half) at the same separations.  cos(x_a - q) comes by angle addition
     from per-particle cos_q = cos q, sin_q = sin q and per-point cos x_a,
-    sin x_a, and e is the only array of its size that the call allocates.
+    sin x_a.  Besides e, the call allocates one scratch array the size of q.
     """
     e = np.multiply.outer(kappa * np.cos(x_eval), cos_q)
+    scratch = np.empty_like(sin_q)
     for e_a, ks_a in zip(e, kappa * np.sin(x_eval)):
-        e_a += ks_a * sin_q
+        e_a += np.multiply(ks_a, sin_q, out=scratch)
     e -= kappa
     return np.exp(e, out=e)
+
+
+def _point_increment_factor(scales: QWienerScales, n_grid: int,
+                            idx: np.ndarray) -> np.ndarray:
+    """F, shape (M, A) for the M distinct grid nodes of idx: the Q-Wiener
+    increment at idx from M normals per row instead of 2 band + 1.
+
+    The synthesis irfft(scales.coeffs(z_dc, z_re, z_im) * n_grid, n_grid)
+    read at idx is z @ B for the stacked normals z = (z_dc, z_re, z_im) and
+    the (2 band + 1, A) matrix B whose rows are the synthesis of each unit
+    vector.  F has F^T F = B^T B, so g @ F for M standard normals g is a
+    centred Gaussian vector with the covariance, and so the law, of z @ B
+    (Lord, Powell & Shardlow, An Introduction to Computational Stochastic
+    PDEs, CUP 2014, ch. 10).  F is the R factor of B over the distinct
+    nodes, which needs no definite B^T B, and a repeated node takes its
+    column again, so equal nodes get equal values.
+    """
+    nodes, inverse = np.unique(idx, return_inverse=True)
+    band = len(scales.modes)
+    unit = np.eye(2 * band + 1)
+    coeffs = scales.coeffs(unit[:, 0], unit[:, 1: band + 1], unit[:, band + 1:])
+    b = np.fft.irfft(coeffs * n_grid, n=n_grid, axis=-1)[:, nodes]
+    return np.linalg.qr(b, mode="r")[:, inverse]
 
 
 def _covariance_cell(args):
@@ -435,7 +459,10 @@ def _covariance_cell(args):
     independent Q-Wiener increment per step from the block's generator,
     between the particle increments and the step, and scales it by the square
     root of the empirical density at bandwidth eps / sqrt(2), per the
-    surrogate's definition.  Both are tracked at the evaluation points only.
+    surrogate's definition.  Both are tracked at the evaluation points only,
+    so the increment is drawn there only: one normal per row and distinct
+    node, mapped through `_point_increment_factor`, which has the law of the
+    full-grid synthesis read at those nodes.
     """
     cfg, n, eps, seed = args
     w = potential_from_config(cfg.potential)
@@ -450,6 +477,7 @@ def _covariance_cell(args):
     sqdt = math.sqrt(cfg.dt)
     band = geometry.n_modes - 1
     scales = q_wiener_scales(kern_double.fourier_coeffs, geometry, cfg.dt, band)
+    factor = _point_increment_factor(scales, geometry.n_grid, idx)
 
     sums = {k: np.zeros(len(idx)) for k in ("pz", "pz2", "py", "py2", "z2", "iso")}
     for lo, hi, s, ((q, _p, _lift),), xi, rng, phase in replica_steps(
@@ -476,17 +504,17 @@ def _covariance_cell(args):
         z += (cfg.sigma / (n * kern.z_eps)) * np.einsum("abn,bn->ba", e, xi * sqdt)
         e *= e  # the kernel at concentration 2 kappa, up to z_half
         e2_sum = e.sum(axis=-1).T                           # (rows, A)
-        del e  # freed before the Q-Wiener temporaries
+        del e  # freed before the driver's next step
         iso += (cfg.sigma / (n * kern.z_eps)) ** 2 * cfg.dt * e2_sum
         rho_half = e2_sum / (n * z_half)
-        # the block's one generator draws the DC normals of every row, then
-        # the real block, then the imaginary block
-        z_dc = rng.standard_normal(rows)
-        z_re = rng.standard_normal((rows, band))
-        z_im = rng.standard_normal((rows, band))
-        coeffs = scales.coeffs(z_dc, z_re, z_im)
-        dwq = np.fft.irfft(coeffs * geometry.n_grid, n=geometry.n_grid, axis=-1)
-        y += (cfg.sigma / math.sqrt(n)) * np.sqrt(rho_half) * dwq[:, idx]
+        # the block's one generator draws these normals after the step's xi;
+        # normals @ factor is summed in a fixed order, so no BLAS build moves
+        # its bits
+        normals = rng.standard_normal((rows, len(factor)))
+        dwq = normals[:, :1] * factor[0]
+        for g_m, f_m in zip(normals.T[1:], factor[1:]):
+            dwq += g_m[:, None] * f_m
+        y += (cfg.sigma / math.sqrt(n)) * np.sqrt(rho_half) * dwq
 
     r_tot = cfg.n_replicas
     mean_pz = sums["pz"] / r_tot

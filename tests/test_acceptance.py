@@ -5,8 +5,12 @@ reads as a checklist.  Heavy studies run once per module and are shared by
 the criteria that grade them.
 """
 
+import hashlib
+import importlib.util
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,22 +18,19 @@ import scipy.integrate
 import scipy.linalg
 import scipy.special
 
+from dklab.cli import rows_to_csv
 from dklab.potential import PotentialSpec
 from dklab.ratefit import fit_loglog, halving_factors
 from dklab.spde import (SpdeConfig, SpectralState, build_propagator_bank,
                         convolution_bound_check, initial_state,
                         mode_energy, q_wiener_increment,
                         solve_spde, step_mild)
-from dklab.studies import (ChaosStudyConfig, CovarianceStudyConfig,
-                           EvolutionIdentityConfig, InteractionStudyConfig,
-                           J2ClosureConfig, MollifierConfig, SmallNoiseConfig,
-                           run_chaos_study, run_covariance_study,
-                           run_evolution_identity_check, run_interaction_study,
-                           run_j2_closure_study, run_mollifier_study,
-                           run_small_noise_study)
+from dklab.studies import (STUDY_NAMES, STUDY_REGISTRY, ChaosStudyConfig,
+                           run_chaos_study)
 from dklab.torus import (TWO_PI, TorusGeometry, kernel_residual_sup,
                          make_kernel, normalization_constant, von_mises_eval)
 
+ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
 W_COS = PotentialSpec.cosine_potential()
 
@@ -43,32 +44,47 @@ def _report(num: int, ok: bool, desc: str, detail: str = "") -> None:
     assert ok, line
 
 
+def _default_run(name: str):
+    """The study's report at its default config and SEED, and its wall time."""
+    config_cls, run = STUDY_REGISTRY[name]
+    t0 = time.perf_counter()
+    rep = run(config_cls(), seed=SEED)
+    return rep, time.perf_counter() - t0
+
+
 @pytest.fixture(scope="module")
 def chaos_report():
-    t0 = time.perf_counter()
-    rep = run_chaos_study(ChaosStudyConfig(), seed=SEED)
-    return rep, time.perf_counter() - t0
+    return _default_run("chaos")
 
 
 @pytest.fixture(scope="module")
 def interaction_report():
-    t0 = time.perf_counter()
-    rep = run_interaction_study(InteractionStudyConfig(), seed=SEED)
-    return rep, time.perf_counter() - t0
+    return _default_run("interaction")
 
 
 @pytest.fixture(scope="module")
 def covariance_report():
-    t0 = time.perf_counter()
-    rep = run_covariance_study(CovarianceStudyConfig(), seed=SEED)
-    return rep, time.perf_counter() - t0
+    return _default_run("covariance")
 
 
 @pytest.fixture(scope="module")
 def small_noise_report():
-    t0 = time.perf_counter()
-    rep = run_small_noise_study(SmallNoiseConfig(), seed=SEED)
-    return rep, time.perf_counter() - t0
+    return _default_run("small_noise")
+
+
+@pytest.fixture(scope="module")
+def mollifier_report():
+    return _default_run("mollifier")
+
+
+@pytest.fixture(scope="module")
+def evolution_identity_report():
+    return _default_run("evolution_identity")
+
+
+@pytest.fixture(scope="module")
+def j2_closure_report():
+    return _default_run("j2_closure")
 
 
 def test_01_kernel_normalization_oracle():
@@ -145,8 +161,8 @@ def test_05_interaction_remainders(interaction_report):
             f"worst residue {rep.details['worst_identity_residue']:.2e}")
 
 
-def test_06_mollifier_bound():
-    rep = run_mollifier_study(MollifierConfig())
+def test_06_mollifier_bound(mollifier_report):
+    rep, _ = mollifier_report
     ok = rep.checks["bound_every_point"] and rep.checks["triangle_slope"]
     _report(6, ok, "mollifier error sits under 2 Lip sqrt(eps) at every ladder point",
             f"triangle slope {rep.details['triangle_slope']:.3f}")
@@ -277,8 +293,8 @@ def test_11_small_noise_scaling(small_noise_report):
             f"{elapsed:.0f} s")
 
 
-def test_12_evolution_identity_orders():
-    rep = run_evolution_identity_check(EvolutionIdentityConfig(), seed=SEED)
+def test_12_evolution_identity_orders(evolution_identity_report):
+    rep, _ = evolution_identity_report
     ok = rep.checks["density_order"] and rep.checks["momentum_order"]
     _report(12, ok, "discrete field identities refine at the required dt orders",
             f"density {rep.slopes['density_order']['slope']:.2f}, "
@@ -286,9 +302,37 @@ def test_12_evolution_identity_orders():
             f"flux {rep.details['flux_order_informational']:.2f}")
 
 
-def test_13_j2_closure_ladder():
-    rep = run_j2_closure_study(J2ClosureConfig(), seed=SEED)
+def test_13_j2_closure_ladder(j2_closure_report):
+    rep, _ = j2_closure_report
     ok = all(rep.checks.values())
     avg = rep.details["time_averaged_rel_error"]
     _report(13, ok, "second-moment closure error is non-increasing in temperature",
             ", ".join(f"m2={k}: {v['mean']:.3f}" for k, v in avg.items()))
+
+
+@pytest.fixture(scope="module")
+def golden():
+    """scripts/golden_defaults.json, and the machine keys in which this
+    machine differs from the one that took its hashes."""
+    spec = importlib.util.spec_from_file_location("run_all_studies",
+                                                  ROOT / "scripts" / "run_all_studies.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    doc = json.loads(script.GOLDEN.read_text())
+    here, there = script.machine(), doc["machine"]
+    differ = [k for k in sorted(here.keys() | there.keys()) if here.get(k) != there.get(k)]
+    return doc, differ
+
+
+@pytest.mark.parametrize("name", STUDY_NAMES)
+def test_default_raw_csv_is_golden(name, golden, request):
+    # the seed-0 default runs above are the runs whose raw.csv hashes the
+    # golden file holds, so any bit move in a default study shows here
+    doc, differ = golden
+    if differ:
+        reason = f"machine keys differ from the golden block: {', '.join(differ)}"
+        print(reason)
+        pytest.skip(reason)
+    rep, _ = request.getfixturevalue(f"{name}_report")
+    got = hashlib.sha256(rows_to_csv(rep.raw_table)).hexdigest()
+    assert got == doc["runs"][name]["raw.csv"], f"{name} raw.csv moved: {got}"

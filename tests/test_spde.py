@@ -18,7 +18,7 @@ from dklab.spde import (DivergenceError, SpdeConfig, SpectralState,
                         convolution_bound_check,
                         default_datum, h_delta, initial_state,
                         mode_energy, q_wiener_increment,
-                        solve_noise_free, solve_replicas, solve_spde,
+                        solve_replicas, solve_spde,
                         step_mild, total_mass)
 from dklab.torus import TWO_PI, ResolutionError, TorusGeometry, make_kernel
 
@@ -310,10 +310,10 @@ class TestStopping:
 
     def test_quiet_run_does_not_stop(self):
         cfg = small_cfg(n_particles=math.inf, t_horizon=0.2)
-        traj, report = solve_noise_free(cfg, W_COS)
+        traj = solve_spde(cfg, W_COS)
         assert not traj.status.stopped
-        assert report.density_margin > 0
-        assert report.norm_margin > 0
+        assert traj.min_rho_path.min() > cfg.c1
+        assert traj.norm_path.max() < cfg.c2
 
 
 def serial_reference(cfg, w, seed):
@@ -439,10 +439,9 @@ class TestMixedRows:
         stopped = [st.stopped for st in batch.status]
         assert any(stopped) and not all(stopped)
         for r, (cfg, seed) in enumerate(zip(cfgs, seeds)):
-            if math.isinf(cfg.n_particles):
-                single, _ = solve_noise_free(cfg, W_COS)
-            else:
-                single = solve_spde(cfg, W_COS, seed=seed)
+            # a noise-free row equals its unseeded run
+            single = solve_spde(cfg, W_COS,
+                                seed=None if math.isinf(cfg.n_particles) else seed)
             assert_row_is_its_run(batch, r, single)
 
     def test_only_noisy_rows_are_forced(self, monkeypatch):

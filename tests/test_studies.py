@@ -16,12 +16,14 @@ from dklab.cli import rows_to_csv
 from dklab.particles import ConfigurationError
 from dklab.potential import PotentialSpec
 from dklab.ratefit import PowerLawFit, fit_loglog, halving_factors
+from dklab.spde import q_wiener_scales
 from dklab.torus import TWO_PI, TorusGeometry, make_kernel, von_mises_eval
 from dklab.studies import (STUDY_NAMES, STUDY_REGISTRY, ChaosStudyConfig,
                            CovarianceStudyConfig, EvolutionIdentityConfig,
                            InteractionStudyConfig, J2ClosureConfig,
                            MollifierConfig, SmallNoiseConfig, StudyReport,
                            _child_seeds, _covariance_cell, _moment_cell, _pair_exp,
+                           _point_increment_factor,
                            config_from_dict,
                            potential_from_config, run_chaos_study,
                            run_covariance_study, run_evolution_identity_check,
@@ -272,7 +274,7 @@ class TestCovarianceStudy:
 
     def test_raw_csv_is_pinned(self):
         assert raw_sha256(run_covariance_study(COVARIANCE_PINNED, seed=0)) == (
-            "6a969befa3a4eb70cf35305afdb29baec053e7aa9a96b29d2712f3dbf1df17ae")
+            "ad11ef0df98433bd8c21482ca24b7f41e929074ece52c419bd3fea686dcda452")
 
     def test_jobs_do_not_change_the_table(self):
         serial = run_covariance_study(COVARIANCE_PINNED, seed=0, jobs=1)
@@ -315,6 +317,59 @@ class TestCovarianceStudy:
                                     t_horizon=0.0123)
         with pytest.raises(ConfigurationError, match="t_horizon"):
             run_covariance_study(cfg, seed=0)
+
+    @pytest.mark.parametrize("eps", [0.4, 0.2, 0.1])
+    def test_point_map_reads_the_irfft_at_the_nodes(self, eps):
+        b, factor, scales, geometry, idx = point_noise(eps)
+        band = len(scales.modes)
+        z = np.random.default_rng(5).standard_normal((64, 2 * band + 1))
+        coeffs = scales.coeffs(z[:, 0], z[:, 1: band + 1], z[:, band + 1:])
+        full = np.fft.irfft(coeffs * geometry.n_grid, n=geometry.n_grid, axis=-1)
+        ref = full[:, idx]
+        assert np.abs(z @ b - ref).max() <= 1e-14 * np.abs(ref).max()
+        gram = b.T @ b
+        assert np.abs(factor.T @ factor - gram).max() <= 1e-14 * np.abs(gram).max()
+
+    @pytest.mark.parametrize("eps", [0.4, 0.1])
+    def test_point_sampler_has_the_gram_covariance(self, eps):
+        b, factor, *_ = point_noise(eps)
+        g = np.random.default_rng(11).standard_normal((20000, len(factor)))
+        draws = g @ factor
+        gram = b.T @ b
+        assert np.abs(draws.T @ draws / len(draws) - gram).max() <= 0.05 * gram.max()
+
+    def test_repeated_separations_give_equal_rows(self):
+        # 0.0 and 0.0 round to one node, so the Gram matrix is singular
+        cfg = dataclasses.replace(COVARIANCE_PINNED, separations=(0.0, 0.0, 0.1))
+        rows = run_covariance_study(cfg, seed=0).raw_table
+        assert len(rows) == 6
+        for first, second in zip(rows[0::3], rows[1::3]):
+            assert first["cov_y"] == second["cov_y"]
+            assert first["cov_z"] == second["cov_z"]
+        assert all(r["cov_y"] != 0.0 for r in rows)
+
+
+def point_noise(eps):
+    """B, by its closed form, and F of a covariance cell at eps on the
+    default separations.
+
+    Row 0 of B is the DC scale; mode k gives 2 m_k cos(k x_a) for its real
+    normal and -2 m_k sin(k x_a) for its imaginary one, except the Nyquist
+    mode, which counts once and whose imaginary part irfft drops.
+    """
+    geometry = TorusGeometry.for_epsilon(eps / np.sqrt(2.0))
+    lam = make_kernel(np.sqrt(2.0) * eps, geometry).fourier_coeffs
+    scales = q_wiener_scales(lam, geometry, 5e-3, geometry.n_modes - 1)
+    idx = np.array([int(round(s / geometry.spacing))
+                    for s in CovarianceStudyConfig().separations])
+    k = np.arange(1, len(scales.modes) + 1)[:, None]
+    angle = k * idx * geometry.spacing
+    weight = 2.0 * scales.modes[:, None]
+    weight[-1] /= 2.0  # the grid is even, so mode band is the Nyquist mode
+    b_im = -weight * np.sin(angle)
+    b_im[-1] = 0.0
+    b = np.vstack([np.full((1, len(idx)), scales.dc), weight * np.cos(angle), b_im])
+    return b, _point_increment_factor(scales, geometry.n_grid, idx), scales, geometry, idx
 
 
 class TestJ2ClosureStudy:
