@@ -23,8 +23,8 @@ force that is identically zero is passed to `_advance` as None and not
 added: the burn-in and the mean-field branch step without one, and so does
 the interacting branch for the zero potential, whose pairwise force is -0.0
 as well.  A run with a burn-in or a coupled branch and a nonzero potential
-builds the datum once, so a gamma or sigma for which that law does not
-exist (gamma = 0, sigma = 0) is refused.
+steps under that law, so it checks the temperature directly and refuses a
+gamma or sigma for which the law does not exist (gamma = 0, sigma = 0).
 
 Positions are integrated twice: wrapped onto [0, 2*pi) for force and field
 evaluation, and as an unwrapped real-line lift.  Coupled distances are always
@@ -42,8 +42,8 @@ Generator on the b-th child spawned off SeedSequence(seed), so a block's
 numbers depend only on (seed, b) and its row count, not on other blocks.
 
 Start and burn-in.  Each block samples q ~ U(0, 2 pi) and then
-p ~ N(0, sigma^2 / (2 gamma)), or takes its rows of `initial`, sets the lift
-to q and runs burn_steps mean-field steps.  The clock then restarts at s = 0.
+p ~ N(0, sigma^2 / (2 gamma)), sets the lift to q and runs burn_steps
+mean-field steps.  The clock then restarts at s = 0.
 
 Yield contract.  For s = 0 ... main_steps the driver yields
 (lo, hi, s, branches, xi, rng, phase): `branches` holds the (q, p, lift)
@@ -56,9 +56,8 @@ variables keep step s alive until step s+1 is yielded; a caller that must
 not hold two states at once drops them at the end of its loop body.
 
 `phase` is a `StepPhase` handle on the interacting q of step s when the
-step s -> s+1 is an Euler step with a nonzero potential, and None otherwise
-(Strang, the zero potential, s = main_steps).  Calling it returns
-`torus.cos_sin(q)`, computed on the first call.  The step then takes
+potential is nonzero and s < main_steps, and None otherwise.  Calling it
+returns `torus.cos_sin(q)`, computed on the first call.  The step then takes
 those arrays as the wavenumber-1 trig of the pairwise force instead of
 computing its own, and the bits of every branch are the same whether or not
 the caller asked.  A caller that never calls it pays nothing and holds
@@ -100,7 +99,6 @@ class ModelParams:
     dt: float = 5e-3
     burn_in: float = 0.5
     momentum_guard: float = DEFAULT_MOMENTUM_GUARD
-    scheme: str = "euler"
 
     def __post_init__(self):
         if self.n_particles < 1:
@@ -113,8 +111,6 @@ class ModelParams:
             )
         if self.t_horizon < 0 or self.burn_in < 0:
             raise ConfigurationError("t_horizon and burn_in must be nonnegative")
-        if self.scheme not in ("euler", "strang"):
-            raise ConfigurationError(f"unknown scheme {self.scheme!r}")
 
     @property
     def temperature(self) -> float:
@@ -200,15 +196,12 @@ class StepPhase:
 
 
 def _advance(q, p, lift, force_fn, params: ModelParams, dw):
-    """One Euler-Maruyama (or Strang) step for a batch of ensembles.
+    """One Euler-Maruyama step for a batch of ensembles.
 
     The new state is built in fresh arrays by in-place ufuncs in the order of
 
-        p_new = p + (-gamma p + force) dt + sigma dw,
-        euler:  lift_new = lift + p dt,  q_new = wrap(q + p dt),
-        strang: q_half = wrap(q + p dt/2), force at q_half,
-                lift_new = lift + p dt/2 + p_new dt/2,
-                q_new = wrap(q_half + p_new dt/2),
+        p_new = p + (-gamma p + force(q)) dt + sigma dw,
+        lift_new = lift + p dt,  q_new = wrap(q + p dt),
 
     so every bit is that of the formula.  force_fn=None stands for a force
     that is identically zero, which is not added.  Inputs, and the array
@@ -216,26 +209,15 @@ def _advance(q, p, lift, force_fn, params: ModelParams, dw):
     array it shares with its caller.
     """
     dt, gamma, sigma = params.dt, params.gamma, params.sigma
-    euler = params.scheme == "euler"
-    if euler:
-        q_kick = q
-    else:  # strang: half drift in q, full kick, half drift with the new p
-        half = p * (dt / 2.0)
-        q_kick = wrap(q + half)
     p_new = np.multiply(p, -gamma)
     if force_fn is not None:
-        p_new += force_fn(q_kick)
+        p_new += force_fn(q)
     p_new *= dt
     p_new += p
     p_new += sigma * dw
-    if euler:
-        drift = p * dt
-        lift_new = lift + drift
-    else:
-        drift = p_new * (dt / 2.0)
-        lift_new = lift + half
-        lift_new += drift
-    drift += q_kick
+    drift = p * dt
+    lift_new = lift + drift
+    drift += q
     q_new = wrap(drift)
     worst = max(float(p_new.max()), -float(p_new.min())) if p_new.size else 0.0
     if worst > params.momentum_guard:
@@ -277,43 +259,28 @@ def default_datum(gamma: float, sigma: float) -> PhaseSpaceDensity:
     return uniform_maxwellian(TorusGeometry(64), 6.0 * np.sqrt(m2), 96, m2)
 
 
-def _block_start(rng, shape, params: ModelParams, initial, lo: int, hi: int):
-    """Sampled (or given) start (q, p, lift) of the replica rows [lo, hi)."""
-    if initial is None:
-        q = rng.uniform(0.0, TWO_PI, shape)
-        p = rng.normal(0.0, math.sqrt(params.temperature), shape)
-    else:
-        q = np.array(initial[0][lo:hi], dtype=float)
-        p = np.array(initial[1][lo:hi], dtype=float)
-    return q, p, q.copy()
-
-
 def replica_steps(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
                   seed: int | None = None, replica_block: int = 16,
-                  coupled: bool = False,
-                  initial: tuple[np.ndarray, np.ndarray] | None = None):
+                  coupled: bool = False):
     """Step the interacting system (and its coupled mean-field twin) block by block.
 
     Yields (lo, hi, s, branches, xi, rng, phase) for s = 0 ... main_steps of each
     replica block [lo, hi) in turn; see the module docstring for the contract.
-    `initial` replaces the sampled start with explicit (q0, p0) arrays of
-    shape (n_replicas, n_particles).
     """
     dt = params.dt
     sqdt = math.sqrt(dt)
     burn_steps = step_index(params.burn_in, dt, "burn_in")
     main_steps = step_index(params.t_horizon, dt, "t_horizon")
-    if not w.is_zero and (burn_steps or (coupled and main_steps)):
-        default_datum(params.gamma, params.sigma)  # the mean-field law must exist
-
-    # the Euler step evaluates the pairwise force at q itself, so it can take
-    # cos q and sin q from the step's phase; Strang evaluates it at q_half
-    shares_phase = params.scheme == "euler" and not w.is_zero
+    zero_w = w.is_zero
+    if not zero_w and (burn_steps or (coupled and main_steps)):
+        # the mean-field law must exist; gamma = 0 raises in params.temperature
+        if params.temperature <= 0:
+            raise ConfigurationError("temperature m2 must be positive")
 
     def interacting(phase):
-        if w.is_zero:
+        if phase is None:  # the zero potential
             return None
-        return lambda x: pairwise_force(x, w, phase.release() if phase else None)
+        return lambda x: pairwise_force(x, w, phase.release())
 
     def step(branches, forces, dw):
         return tuple(_advance(*b, f, params, dw) for b, f in zip(branches, forces))
@@ -323,14 +290,16 @@ def replica_steps(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
         lo, hi = b * replica_block, min((b + 1) * replica_block, n_replicas)
         rng = np.random.default_rng(child)
         shape = (hi - lo, params.n_particles)
-        branches = (_block_start(rng, shape, params, initial, lo, hi),)
+        q = rng.uniform(0.0, TWO_PI, shape)
+        p = rng.normal(0.0, math.sqrt(params.temperature), shape)
+        branches = ((q, p, q.copy()),)
         for s in range(burn_steps):
             branches = step(branches, [None], rng.standard_normal(shape) * sqdt)
         if coupled:
             branches += (tuple(a.copy() for a in branches[0]),)
         for s in range(main_steps):
             xi = rng.standard_normal(shape)
-            phase = StepPhase(branches[0][0]) if shares_phase else None
+            phase = None if zero_w else StepPhase(branches[0][0])
             yield lo, hi, s, branches, xi, rng, phase
             branches = step(branches, [interacting(phase), None], xi * sqdt)
         yield lo, hi, main_steps, branches, None, rng, None
@@ -370,16 +339,15 @@ def simulate_coupled(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
 
 def simulate_interacting(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
                          snapshot_times, seed: int | None = None,
-                         replica_block: int = 16,
-                         initial: tuple[np.ndarray, np.ndarray] | None = None):
+                         replica_block: int = 16):
     """Integrate only the interacting system; (q, p) snapshots of shape (S, R, N).
 
-    The burn-in, the clock and `initial` are those of simulate_coupled and
-    replica_steps; the snapshots, in ascending time order, are the bits of
-    simulate_coupled's interacting branch, but no mean-field branch is run.
+    The burn-in and the clock are those of simulate_coupled; the snapshots,
+    in ascending time order, are the bits of simulate_coupled's interacting
+    branch, but no mean-field branch is run.
     """
     _times, (q, p) = _record(params, w, snapshot_times, 2, n_replicas=n_replicas,
-                             seed=seed, replica_block=replica_block, initial=initial)
+                             seed=seed, replica_block=replica_block)
     return q, p
 
 

@@ -305,7 +305,7 @@ class QWienerScales:
         `q_wiener_increment` and `solve_replicas`, each draw them in the
         order their generators must follow.  The covariance study reads the
         increment at a few nodes only and draws no mode normals; it maps the
-        same layout through `studies._point_increment_map`.
+        same layout through `studies._point_increment_factor`.
         """
         coeffs = np.zeros((len(z_dc), self.n_modes), dtype=complex)
         coeffs[:, 0] = self.dc * z_dc

@@ -676,7 +676,6 @@ class SmallNoiseConfig:
     k_norm: float = 5.0
     c2: float | None = None
     n_replicas: int = 32
-    check_sigma_halving: bool = True
     halving_window: tuple = (1.4, 4.0)
     potential: object = "cos"
 
@@ -763,7 +762,7 @@ def run_small_noise_study(cfg: SmallNoiseConfig, seed: int | None = None,
     n_primary = len(cfg.n_ladder) * cfg.n_replicas
     seeds = _child_seeds(seed, n_primary + cfg.n_replicas)
     ladders = [(cfg.sigma, cfg.n_ladder)]
-    halving = cfg.check_sigma_halving and cfg.sigma > 0
+    halving = cfg.sigma > 0
     if halving:
         ladders.append((cfg.sigma / 2, [cfg.n_ladder[-1]]))
     rows = _small_noise_ladder(cfg, w, ladders, seeds, jobs)

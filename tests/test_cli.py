@@ -85,9 +85,15 @@ class TestExitCodes:
         assert "extra" in capsys.readouterr().err
 
     def test_unknown_study_key(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"study": {"n_ladders": [8, 16]}})
-        assert main(["study", "chaos", "--config", cfg]) == 1
-        assert "n_ladders" in capsys.readouterr().err
+        # the small_noise block is sized so that a run, were the key taken, is short
+        for study, key, block in [
+                ("chaos", "n_ladders", {"n_ladders": [8, 16]}),
+                ("small_noise", "check_sigma_halving",
+                 {"check_sigma_halving": False, "n_replicas": 1, "t_horizon": 0.001})]:
+            cfg = write_config(tmp_path, {"study": block})
+            assert main(["study", study, "--config", cfg]) == 1
+            err = capsys.readouterr().err
+            assert "unknown study keys" in err and key in err
 
     def test_unknown_study_name(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"study": {}})
@@ -221,7 +227,7 @@ class TestExitCodes:
         assert "unknown kernel keys: ['oversample']" in capsys.readouterr().err
 
     def test_model_block_has_no_epsilon_or_theta(self, tmp_path, capsys):
-        for key in ("epsilon", "theta"):
+        for key in ("epsilon", "theta", "scheme"):
             cfg = write_config(tmp_path, {"model": {**TINY_MODEL, key: 0.1}})
             assert main(["simulate", "--config", cfg]) == 1
             assert "unknown model keys" in capsys.readouterr().err
