@@ -39,6 +39,7 @@ class TestModelParams:
         dict(dt=2e-2),
         dict(dt=6e-3, gamma=2.0),
         dict(burn_in=-0.5),
+        dict(dt=1.01e-2, gamma=0.5),
         dict(t_horizon=-0.1),
     ])
     def test_rejects(self, kw):
