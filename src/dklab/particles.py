@@ -103,14 +103,14 @@ class ModelParams:
     def __post_init__(self):
         if self.n_particles < 1:
             raise ConfigurationError("n_particles must be at least 1")
-        if self.gamma < 0 or self.sigma < 0:
-            raise ConfigurationError("gamma and sigma must be nonnegative")
-        if self.dt <= 0 or self.dt > 1e-2 / max(self.gamma, 1.0):
+        if not (0 <= self.gamma < math.inf and 0 <= self.sigma < math.inf):
+            raise ConfigurationError("gamma and sigma must be finite and nonnegative")
+        if not 0 < self.dt <= 1e-2 / max(self.gamma, 1.0):
             raise ConfigurationError(
                 f"dt={self.dt} violates dt <= 1e-2/max(gamma,1) with gamma={self.gamma}"
             )
-        if self.t_horizon < 0 or self.burn_in < 0:
-            raise ConfigurationError("t_horizon and burn_in must be nonnegative")
+        if not (0 <= self.t_horizon < math.inf and 0 <= self.burn_in < math.inf):
+            raise ConfigurationError("t_horizon and burn_in must be finite and nonnegative")
 
     @property
     def temperature(self) -> float:

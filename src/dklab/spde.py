@@ -162,10 +162,10 @@ class SpdeConfig:
     c2: float | None = None
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be nonnegative and finite")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if not (self.n_particles >= 1):
@@ -290,28 +290,29 @@ def h_delta(r: np.ndarray, delta: float) -> np.ndarray:
 class QWienerScales:
     """Standard deviations of the rfft modes 0..band of one Q-Wiener increment.
 
-    Fixed by the eigenvalues, dt and band, so a run builds them once.
+    Fixed by the eigenvalues, dt and band, so a run builds them once.  The
+    only code that knows how the normals map onto the modes is `increments`.
     """
 
     dc: float
     modes: np.ndarray   # (band,) modes 1..band, read-only
-    n_modes: int
+    n_grid: int
 
-    def coeffs(self, z_dc: np.ndarray, z_re: np.ndarray, z_im: np.ndarray) -> np.ndarray:
-        """rfft coefficients of one increment per row, shape (R, n_modes).
+    def increments(self, z: np.ndarray) -> np.ndarray:
+        """Grid values (R, n_grid) of one increment per row of the normals z.
 
-        z_dc (R,), z_re and z_im (R, band) are standard normals: the DC mode
-        and the real and imaginary parts of modes 1..band.  Its callers,
-        `q_wiener_increment` and `solve_replicas`, each draw them in the
-        order their generators must follow.  The covariance study reads the
-        increment at a few nodes only and draws no mode normals; it maps the
-        same layout through `studies._point_increment_factor`.
+        z has shape (R, 2 band + 1): the DC mode, then the real parts of
+        modes 1..band, then their imaginary parts.  Each row is synthesised
+        by its own irfft, so a row has the bits of a one-row call.  The
+        covariance study reads the increment at a few nodes only; it maps
+        the rows of np.eye(2 band + 1) through this method in
+        `studies._point_increment_factor`.
         """
-        coeffs = np.zeros((len(z_dc), self.n_modes), dtype=complex)
-        coeffs[:, 0] = self.dc * z_dc
-        g = z_re + 1j * z_im
-        coeffs[:, 1: len(self.modes) + 1] = self.modes * g
-        return coeffs
+        band = len(self.modes)
+        coeffs = np.zeros((len(z), self.n_grid // 2 + 1), dtype=complex)
+        coeffs[:, 0] = self.dc * z[:, 0]
+        coeffs[:, 1: band + 1] = self.modes * (z[:, 1: band + 1] + 1j * z[:, band + 1:])
+        return np.fft.irfft(coeffs * self.n_grid, n=self.n_grid)
 
 
 def q_wiener_scales(lam: np.ndarray, geometry: TorusGeometry, dt: float,
@@ -328,7 +329,7 @@ def q_wiener_scales(lam: np.ndarray, geometry: TorusGeometry, dt: float,
         raise ValueError("covariance eigenvalues must be nonnegative")
     modes = np.sqrt(lam[1:] * dt / (2.0 * TWO_PI))
     modes.flags.writeable = False
-    return QWienerScales(math.sqrt(lam[0] * dt / TWO_PI), modes, geometry.n_modes)
+    return QWienerScales(math.sqrt(lam[0] * dt / TWO_PI), modes, geometry.n_grid)
 
 
 def q_wiener_increment(rng: np.random.Generator, lam: np.ndarray,
@@ -340,9 +341,7 @@ def q_wiener_increment(rng: np.random.Generator, lam: np.ndarray,
     E[dW(x) dW(y)] = dt * sum_{|k| <= band} lam_k e^{i k (x - y)} / (2 pi).
     """
     scales = q_wiener_scales(lam, geometry, dt, band)
-    z = rng.standard_normal(2 * band + 1)  # DC, then modes 1..band real, then imaginary
-    coeffs = scales.coeffs(z[:1], z[None, 1: band + 1], z[None, band + 1:])[0]
-    return np.fft.irfft(coeffs * geometry.n_grid, n=geometry.n_grid)
+    return scales.increments(rng.standard_normal((1, 2 * band + 1)))[0]
 
 
 @dataclass(frozen=True)
@@ -519,7 +518,7 @@ def _row_bank(cfgs: Sequence[SpdeConfig]) -> PropagatorBank:
 def solve_replicas(cfgs: Sequence[SpdeConfig], w: PotentialSpec,
                    seeds: Sequence[int | None], *,
                    noise_increments: np.ndarray | None = None,
-                   observe: Callable[[int, SpectralState, np.ndarray], None] | None = None
+                   observe: Callable[[int, SpectralState], None] | None = None
                    ) -> ReplicaRun:
     """Integrate R = len(seeds) replica rows over [0, t_horizon], freezing each
     row whose guard trips.
@@ -532,9 +531,9 @@ def solve_replicas(cfgs: Sequence[SpdeConfig], w: PotentialSpec,
     forcing and ignores its seed.  noise_increments, when given, must hold
     pre-generated Q-Wiener values of shape (n_steps, n_grid), shared by every
     noisy row; this makes runs with shared noise at different resolutions
-    possible.  observe(s, state, rho_values), when given, is called at step 0
-    and after every step s with the whole (R, n_modes) state and its
-    (R, n_grid) rho grid values; both are only valid during the call.
+    possible.  observe(s, state), when given, is called at step 0 and after
+    every step s with the whole (R, n_modes) state, which is only valid
+    during the call.
     """
     if not cfgs or len(cfgs) != len(seeds):
         raise ValueError("solve_replicas needs at least one row and one config per seed")
@@ -575,7 +574,7 @@ def solve_replicas(cfgs: Sequence[SpdeConfig], w: PotentialSpec,
     status = [StoppingStatus()] * n_rows
     active = np.ones(n_rows, dtype=bool)
     if observe is not None:
-        observe(0, state, rho_values)
+        observe(0, state)
 
     for s in range(n_steps):
         t = state.t + bank.dt
@@ -589,8 +588,7 @@ def solve_replicas(cfgs: Sequence[SpdeConfig], w: PotentialSpec,
                 z = np.empty((forced.size, 2 * band + 1))
                 for row, r in zip(z, forced):
                     rngs[r].standard_normal(out=row)
-                coeffs = scales.coeffs(z[:, 0], z[:, 1: band + 1], z[:, band + 1:])
-                dw = np.fft.irfft(coeffs * n, n=n)
+                dw = scales.increments(z)
             elif forced.size:
                 dw = noise_increments[s]
             new = step_mild(sub, cfg, sub_bank, w, dw,
@@ -623,7 +621,7 @@ def solve_replicas(cfgs: Sequence[SpdeConfig], w: PotentialSpec,
         norm_path[s + 1] = norms
         min_path[s + 1] = lows
         if observe is not None:
-            observe(s + 1, state, rho_values)
+            observe(s + 1, state)
 
     return ReplicaRun(step_times=cfg.dt * np.arange(n_steps + 1), norm_path=norm_path,
                       min_rho_path=min_path, status=status, final=state)
@@ -649,9 +647,9 @@ def solve_spde(cfg: SpdeConfig, w: PotentialSpec, *, seed: int | None = None,
     rho_snap = np.zeros((len(snap_times), cfg.n_grid))
     j_snap = np.zeros_like(rho_snap)
 
-    def record(step: int, state: SpectralState, rho_values: np.ndarray) -> None:
+    def record(step: int, state: SpectralState) -> None:
         for idx in snap_at.get(step, ()):
-            rho_snap[idx] = rho_values[0]
+            rho_snap[idx] = state.rho_values()[0]
             j_snap[idx] = state.j_values()[0]
 
     run = solve_replicas([cfg], w, [seed], noise_increments=noise_increments,

@@ -81,7 +81,8 @@ def config_from_dict(cls, data: dict, block: str | None = None):
     The one rule for config input: the block is an object, every key names a
     field, every field without a default is given, and every value has its
     field's annotated type (an int passes as a float; `X | None` also admits
-    null).  The items of a tuple field's list have the type of its default's.
+    null) and is no NaN.  The items of a tuple field's list have the type of
+    its default's, and none is a NaN.
     """
     what = block or cls.__name__
     if not isinstance(data, dict):
@@ -100,6 +101,9 @@ def config_from_dict(cls, data: dict, block: str | None = None):
         like = f.default if kind == "tuple" else _TYPE_SAMPLES.get(kind)
         if not (_fits(v, like) or v is None and kind != f.type):
             raise ValueError(f"{f.name}={v!r} does not have the type {f.type}")
+        items = v if isinstance(v, list) else [v]
+        if any(isinstance(x, float) and math.isnan(x) for x in items):
+            raise ValueError(f"{f.name}={v!r} holds a NaN")
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
 
@@ -429,15 +433,14 @@ def _pair_exp(kappa: float, x_eval: np.ndarray, cos_q: np.ndarray,
     return np.exp(e, out=e)
 
 
-def _point_increment_factor(scales: QWienerScales, n_grid: int,
-                            idx: np.ndarray) -> np.ndarray:
+def _point_increment_factor(scales: QWienerScales, idx: np.ndarray) -> np.ndarray:
     """F, shape (M, A) for the M distinct grid nodes of idx: the Q-Wiener
     increment at idx from M normals per row instead of 2 band + 1.
 
-    The synthesis irfft(scales.coeffs(z_dc, z_re, z_im) * n_grid, n_grid)
-    read at idx is z @ B for the stacked normals z = (z_dc, z_re, z_im) and
-    the (2 band + 1, A) matrix B whose rows are the synthesis of each unit
-    vector.  F has F^T F = B^T B, so g @ F for M standard normals g is a
+    The synthesis scales.increments(z) read at idx is linear in the normals
+    z, so it is z @ B for the (2 band + 1, A) matrix
+    B = scales.increments(I)[:, idx], whose rows are the synthesis of each
+    unit vector.  F has F^T F = B^T B, so g @ F for M standard normals g is a
     centred Gaussian vector with the covariance, and so the law, of z @ B
     (Lord, Powell & Shardlow, An Introduction to Computational Stochastic
     PDEs, CUP 2014, ch. 10).  F is the R factor of B over the distinct
@@ -445,10 +448,7 @@ def _point_increment_factor(scales: QWienerScales, n_grid: int,
     column again, so equal nodes get equal values.
     """
     nodes, inverse = np.unique(idx, return_inverse=True)
-    band = len(scales.modes)
-    unit = np.eye(2 * band + 1)
-    coeffs = scales.coeffs(unit[:, 0], unit[:, 1: band + 1], unit[:, band + 1:])
-    b = np.fft.irfft(coeffs * n_grid, n=n_grid, axis=-1)[:, nodes]
+    b = scales.increments(np.eye(2 * len(scales.modes) + 1))[:, nodes]
     return np.linalg.qr(b, mode="r")[:, inverse]
 
 
@@ -477,7 +477,7 @@ def _covariance_cell(args):
     sqdt = math.sqrt(cfg.dt)
     band = geometry.n_modes - 1
     scales = q_wiener_scales(kern_double.fourier_coeffs, geometry, cfg.dt, band)
-    factor = _point_increment_factor(scales, geometry.n_grid, idx)
+    factor = _point_increment_factor(scales, idx)
 
     sums = {k: np.zeros(len(idx)) for k in ("pz", "pz2", "py", "py2", "z2", "iso")}
     for lo, hi, s, ((q, _p, _lift),), xi, rng, phase in replica_steps(
@@ -696,25 +696,22 @@ def _sup_deviation(args) -> tuple[np.ndarray, list]:
 
     A block (spde_cfgs, w, seeds, refs) is one `solve_replicas` batch.
     refs[r] is the row of row r's noise-free reference within the block, or
-    -1 when row r is itself a reference.  After every step the grid values
-    of each noisy row are compared with those of its reference row, and only
-    the running maximum is kept.  Also returns the noisy rows' stopping
-    statuses; both lists follow the block's row order.
+    -1 when row r is itself a reference.  After every step the H1 norms of
+    each noisy row's rho_hat and j_hat minus its reference row's come from
+    the coefficients by Parseval, with no grid values, and only the running
+    maximum is kept.  Also returns the noisy rows' stopping statuses; both
+    lists follow the block's row order.
     """
     spde_cfgs, w, seeds, refs = args
     refs = np.asarray(refs)
     noisy = np.flatnonzero(refs >= 0)
     ref_rows = refs[noisy]
-    n = spde_cfgs[0].n_grid
     worst = np.zeros(noisy.size)
 
-    def accumulate(step, state, rho_values):
-        j_values = state.j_values()
-        d_rho = sobolev_norms(np.fft.rfft(rho_values[noisy] - rho_values[ref_rows]) / n, k=1)
-        d_j = sobolev_norms(np.fft.rfft(j_values[noisy] - j_values[ref_rows]) / n, k=1)
-        # math.hypot, not np.hypot: the two differ in the last bit on some pairs
-        np.maximum(worst, [math.hypot(a, b) for a, b in zip(d_rho.tolist(), d_j.tolist())],
-                   out=worst)
+    def accumulate(step, state):
+        d_rho = sobolev_norms(state.rho_hat[noisy] - state.rho_hat[ref_rows], k=1)
+        d_j = sobolev_norms(state.j_hat[noisy] - state.j_hat[ref_rows], k=1)
+        np.maximum(worst, np.hypot(d_rho, d_j), out=worst)
 
     run = solve_replicas(spde_cfgs, w, seeds, observe=accumulate)
     return worst, [run.status[r] for r in noisy]

@@ -22,6 +22,7 @@ off an FFT.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,11 @@ class ConfigurationError(ValueError):
 def step_index(t: float, dt: float, what: str, last: float = np.inf) -> int:
     """The step n with n * dt = t, to 1e-9 relative, of the time named `what`.
 
-    ConfigurationError when t is off that grid or n lies outside [0, last].
+    ConfigurationError when t or dt is not finite, t is off that grid or n
+    lies outside [0, last].
     """
+    if not (math.isfinite(t) and math.isfinite(dt)):
+        raise ConfigurationError(f"{what}={t} with dt={dt} is not a finite time")
     n = int(round(t / dt))
     if abs(n * dt - t) > 1e-9 * max(1.0, abs(t)):
         raise ConfigurationError(f"{what}={t} is not an integer multiple of dt={dt}")

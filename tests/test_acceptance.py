@@ -18,7 +18,7 @@ import scipy.integrate
 import scipy.linalg
 import scipy.special
 
-from dklab.cli import rows_to_csv
+from dklab.cli import main as cli_main, rows_to_csv
 from dklab.potential import PotentialSpec
 from dklab.ratefit import fit_loglog, halving_factors
 from dklab.spde import (SpdeConfig, SpectralState, build_propagator_bank,
@@ -324,15 +324,23 @@ def golden():
     return doc, differ
 
 
-@pytest.mark.parametrize("name", STUDY_NAMES)
-def test_default_raw_csv_is_golden(name, golden, request):
-    # the seed-0 default runs above are the runs whose raw.csv hashes the
-    # golden file holds, so any bit move in a default study shows here
+@pytest.mark.parametrize("name", [*STUDY_NAMES, "simulate", "spde"])
+def test_default_raw_csv_is_golden(name, golden, request, tmp_path):
+    # the seed-0 default runs above, and the simulate and spde commands on
+    # the default config, are the runs whose raw.csv hashes the golden file
+    # holds, so any bit move in a default run shows here
     doc, differ = golden
     if differ:
         reason = f"machine keys differ from the golden block: {', '.join(differ)}"
         print(reason)
         pytest.skip(reason)
-    rep, _ = request.getfixturevalue(f"{name}_report")
-    got = hashlib.sha256(rows_to_csv(rep.raw_table)).hexdigest()
+    if name in STUDY_NAMES:
+        rep, _ = request.getfixturevalue(f"{name}_report")
+        raw = rows_to_csv(rep.raw_table)
+    else:
+        assert cli_main([name, "--config", str(ROOT / "configs" / "default.json"),
+                         "--seed", str(SEED), "--out", str(tmp_path)]) == 0
+        (run_dir,) = (tmp_path / name).iterdir()
+        raw = (run_dir / "raw.csv").read_bytes()
+    got = hashlib.sha256(raw).hexdigest()
     assert got == doc["runs"][name]["raw.csv"], f"{name} raw.csv moved: {got}"

@@ -159,6 +159,15 @@ class TestExitCodes:
         # flags laid over wrong-typed file values do not hide them
         ({"out": 5, "seed": True, "jobs": "x", "model": TINY_MODEL},
          ["--out", "runs", "--seed", "1", "--jobs", "1"]),
+        # JSON NaN and Infinity parse as floats; no run takes them
+        {"model": {**TINY_MODEL, "gamma": math.nan}},
+        {"model": TINY_MODEL, "kernel": {"epsilon": math.nan}},
+        {"spde": {"n_grid": 128, "epsilon": 0.2, "t_horizon": 0.01, "delta": math.nan}},
+        {"model": {**TINY_MODEL, "t_horizon": math.inf}},
+        {"spde": {"n_grid": 128, "epsilon": 0.2, "t_horizon": math.inf}},
+        {"model": {**TINY_MODEL, "sigma": math.inf}},
+        {"model": {**TINY_MODEL, "gamma": math.inf}},
+        {"spde": {"n_grid": 128, "epsilon": 0.2, "t_horizon": 0.01, "sigma": math.inf}},
     ])
     def test_wrong_typed_value_is_a_config_error(self, tmp_path, monkeypatch, capsys,
                                                  config):
@@ -172,7 +181,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("study", [
         {"n_replicas": "4"}, {"n_replicas": 2.5},
-        {"n_ladder": ["16", "32", "64", "128"]}])
+        {"n_ladder": ["16", "32", "64", "128"]},
+        {"gamma": math.nan}, {"slope_window": [-0.65, math.nan]}])
     def test_wrong_typed_study_value_is_a_config_error(self, tmp_path, capsys, study):
         cfg = write_config(tmp_path, {"study": study})
         assert main(["study", "chaos", "--config", cfg]) == 1
@@ -342,6 +352,17 @@ class TestArtifacts:
         assert "h1_norm" in header and "min_rho" in header
         assert report["details"]["status"]["stopped"] is False
         assert report["details"]["final_mass"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n_particles", ["inf", math.inf])
+    def test_spde_without_noise(self, tmp_path, n_particles):
+        cfg = write_config(tmp_path, {
+            "spde": {"n_grid": 128, "epsilon": 0.2, "n_particles": n_particles,
+                     "dt": 1e-3, "t_horizon": 0.01}})
+        out = tmp_path / "runs"
+        assert main(["spde", "--config", cfg, "--out", str(out)]) == 0
+        _raw, report, resolved = read_artifacts(out, "spde")
+        assert resolved["n_particles"] == "inf"
+        assert report["details"]["status"]["stopped"] is False
 
     def test_spde_raw_csv_is_pinned(self, tmp_path):
         # a run that reaches the norm cap at t = 0.041 and stays frozen

@@ -17,7 +17,7 @@ from dklab.spde import (DivergenceError, SpdeConfig, SpectralState,
                         StoppingStatus, build_propagator_bank,
                         convolution_bound_check,
                         default_datum, h_delta, initial_state,
-                        mode_energy, q_wiener_increment,
+                        mode_energy, q_wiener_increment, q_wiener_scales,
                         solve_replicas, solve_spde,
                         step_mild, total_mass)
 from dklab.torus import TWO_PI, ResolutionError, TorusGeometry, make_kernel
@@ -243,6 +243,20 @@ class TestQWiener:
             q_wiener_increment(np.random.default_rng(0),
                                np.array([1.0, -0.1]), g, 1e-2, 1)
 
+    def test_batch_has_the_bits_of_one_row_calls(self):
+        g = TorusGeometry(64)
+        lam = make_kernel(math.sqrt(2.0) * 0.3, g).fourier_coeffs
+        band = 21
+        scales = q_wiener_scales(lam, g, 1e-3, band)
+        z = np.random.default_rng(3).standard_normal((7, 2 * band + 1))
+        batch = scales.increments(z)
+        assert batch.shape == (7, g.n_grid)
+        for row, z_row in zip(batch, z):
+            assert np.array_equal(bits(row), bits(scales.increments(z_row[None])[0]))
+        # q_wiener_increment is the one-row call on its generator's next normals
+        one = q_wiener_increment(np.random.default_rng(3), lam, g, 1e-3, band)
+        assert np.array_equal(bits(one), bits(batch[0]))
+
 
 class TestMassConservation:
     def test_dc_mode_is_carried_bit_for_bit(self):
@@ -373,7 +387,7 @@ class TestReplicaBatch:
         seeds = list(range(8))
         clean = solve_replicas([cfg] * len(seeds), W_COS, seeds)
 
-        def poison(step, state, rho_values):
+        def poison(step, state):
             frozen = state.norm_h1() >= cfg.k_norm
             state.rho_hat[frozen] = np.nan
             state.j_hat[frozen] = np.nan
@@ -401,7 +415,7 @@ class TestReplicaBatch:
     def test_active_rows_are_checked(self):
         cfg = small_cfg(n_particles=math.inf)
 
-        def poison(step, state, rho_values):
+        def poison(step, state):
             if step == 3:
                 state.j_hat[1, 2] = np.inf
 

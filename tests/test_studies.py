@@ -3,9 +3,11 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from dklab.cli import rows_to_csv
 from dklab.particles import ConfigurationError
 from dklab.potential import PotentialSpec
 from dklab.ratefit import PowerLawFit, fit_loglog, halving_factors
-from dklab.spde import q_wiener_scales
+from dklab.fields import sobolev_norms
+from dklab.spde import (SpectralState, StoppingStatus, q_wiener_scales,
+                        solve_replicas)
 from dklab.torus import TWO_PI, TorusGeometry, make_kernel, von_mises_eval
 from dklab.studies import (STUDY_NAMES, STUDY_REGISTRY, ChaosStudyConfig,
                            CovarianceStudyConfig, EvolutionIdentityConfig,
@@ -187,7 +191,7 @@ class TestInteractionStudy:
 # freezes while the others run on, and the sigma-halving rows are included.
 SMALL_NOISE_GOLDEN = SmallNoiseConfig(n_ladder=(40.0, 100.0, 1e4), n_replicas=4,
                                       t_horizon=0.05, k_norm=0.45, c2=0.43)
-SMALL_NOISE_GOLDEN_SHA256 = "e3d4616fec7ad9afc2cfd7ce138730b89b90143ec96719f33de884d5ced3c4f0"
+SMALL_NOISE_GOLDEN_SHA256 = "4932a4f4d9a37c2c4293380a349b076eef9f2878879a6b09827aa6e0b9e3e4b7"
 
 
 class TestSmallNoiseStudy:
@@ -212,6 +216,44 @@ class TestSmallNoiseStudy:
                   for jobs in (1, 2, 3)}
         assert sizes == [[16], [8, 8], [5, 5, 6]]
         assert tables[1] == tables[2] == tables[3]
+
+    def test_deviation_is_the_grid_round_trip_at_every_step(self, monkeypatch):
+        # one block of two sigmas, each with its reference row before it; the
+        # N = 10 row stops at the norm cap mid-run and keeps its state
+        cfg = SMALL_NOISE_GOLDEN
+        w = potential_from_config(cfg.potential)
+        block = ([cfg.spde_config(math.inf), cfg.spde_config(10.0), cfg.spde_config(40.0),
+                  cfg.spde_config(40.0), cfg.spde_config(math.inf, 0.5),
+                  cfg.spde_config(40.0, 0.5)],
+                 w, [None, 0, 1, 2, None, 3], [-1, 0, 0, 0, -1, 4])
+        noisy, ref_rows = [1, 2, 3, 5], [0, 0, 0, 4]
+        states = []
+        run = solve_replicas(*block[:3], observe=lambda s, state: states.append(
+            (state.rho_hat.copy(), state.j_hat.copy())))
+        assert [st.stopped for st in run.status] == [False, True, False, False, False, False]
+        worst, _ = studies._sup_deviation(block)
+
+        def replay(rho_hat, j_hat):
+            """_sup_deviation's deviation at one recorded step."""
+            def one_step(cfgs, w, seeds, observe):
+                observe(0, SpectralState(TorusGeometry(cfg.n_grid), rho_hat, j_hat))
+                return types.SimpleNamespace(status=[StoppingStatus()] * len(cfgs))
+
+            monkeypatch.setattr(studies, "solve_replicas", one_step)
+            return studies._sup_deviation(block)[0]
+
+        n = cfg.n_grid
+        steps = []
+        for rho_hat, j_hat in states:
+            got = replay(rho_hat, j_hat)
+            rho, j = (np.fft.irfft(c * n, n=n) for c in (rho_hat, j_hat))
+            d_rho = sobolev_norms(np.fft.rfft(rho[noisy] - rho[ref_rows]) / n, k=1)
+            d_j = sobolev_norms(np.fft.rfft(j[noisy] - j[ref_rows]) / n, k=1)
+            ref = np.array([math.hypot(a, b) for a, b in zip(d_rho, d_j)])
+            assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+            steps.append(got)
+        assert len(steps) == 51 and np.all(steps[-1] > 0.0)
+        assert np.array_equal(worst, np.max(steps, axis=0))
 
     def test_no_replicas_fail_the_verdict(self):
         cfg = dataclasses.replace(SMALL_NOISE_GOLDEN, n_replicas=0)
@@ -320,12 +362,10 @@ class TestCovarianceStudy:
 
     @pytest.mark.parametrize("eps", [0.4, 0.2, 0.1])
     def test_point_map_reads_the_irfft_at_the_nodes(self, eps):
-        b, factor, scales, geometry, idx = point_noise(eps)
+        b, factor, scales, _, idx = point_noise(eps)
         band = len(scales.modes)
         z = np.random.default_rng(5).standard_normal((64, 2 * band + 1))
-        coeffs = scales.coeffs(z[:, 0], z[:, 1: band + 1], z[:, band + 1:])
-        full = np.fft.irfft(coeffs * geometry.n_grid, n=geometry.n_grid, axis=-1)
-        ref = full[:, idx]
+        ref = scales.increments(z)[:, idx]
         assert np.abs(z @ b - ref).max() <= 1e-14 * np.abs(ref).max()
         gram = b.T @ b
         assert np.abs(factor.T @ factor - gram).max() <= 1e-14 * np.abs(gram).max()
@@ -369,7 +409,7 @@ def point_noise(eps):
     b_im = -weight * np.sin(angle)
     b_im[-1] = 0.0
     b = np.vstack([np.full((1, len(idx)), scales.dc), weight * np.cos(angle), b_im])
-    return b, _point_increment_factor(scales, geometry.n_grid, idx), scales, geometry, idx
+    return b, _point_increment_factor(scales, idx), scales, geometry, idx
 
 
 class TestJ2ClosureStudy:
