@@ -26,10 +26,12 @@ as well.  A run with a burn-in or a coupled branch and a nonzero potential
 steps under that law, so it checks the temperature directly and refuses a
 gamma or sigma for which the law does not exist (gamma = 0, sigma = 0).
 
-Positions are integrated twice: wrapped onto [0, 2*pi) for force and field
-evaluation, and as an unwrapped real-line lift.  Coupled distances are always
-measured through the lift; the torus distance would fold excursions longer
-than half a period back onto [0, pi] and corrupt the measured rate.
+Positions are integrated twice when the branches are coupled: wrapped onto
+[0, 2*pi) for force and field evaluation, and as an unwrapped real-line
+lift.  Coupled distances are always measured through the lift; the torus
+distance would fold excursions longer than half a period back onto [0, pi]
+and corrupt the measured rate.  Only coupled runs read distances, so an
+uncoupled run carries no lift.
 
 Every particle run goes through one driver, `replica_steps`, a generator.
 `simulate_coupled` and `simulate_interacting` are thin callers of its
@@ -42,26 +44,35 @@ Generator on the b-th child spawned off SeedSequence(seed), so a block's
 numbers depend only on (seed, b) and its row count, not on other blocks.
 
 Start and burn-in.  Each block samples q ~ U(0, 2 pi) and then
-p ~ N(0, sigma^2 / (2 gamma)), sets the lift to q and runs burn_steps
-mean-field steps.  The clock then restarts at s = 0.
+p ~ N(0, sigma^2 / (2 gamma)), sets the lift (if carried) to q and runs
+burn_steps mean-field steps.  The clock then restarts at s = 0.
 
-Yield contract.  For s = 0 ... main_steps the driver yields
-(lo, hi, s, branches, xi, rng, phase): `branches` holds the (q, p, lift)
-state of rows [lo, hi) at step s, first the interacting branch and, for a
-coupled run, the mean-field branch started from a copy of the same state;
-`xi` is the standard-normal array that drives step s -> s+1 of every branch
-(None at s = main_steps); `rng` is the block's Generator.  The yielded
-arrays are replaced, never modified, by the next step.  A caller's loop
-variables keep step s alive until step s+1 is yielded; a caller that must
-not hold two states at once drops them at the end of its loop body.
+Yield contract.  The driver yields (lo, hi, rng, steps) once per replica
+block [lo, hi), where `rng` is the block's Generator and `steps` is an
+iterator over the block's steps.  For s = 0 ... main_steps, `steps` yields
+(s, branches, xi, phase): `branches` holds the state of rows [lo, hi) at
+step s, as (q, p, lift) for each branch of a coupled run, the interacting
+branch first and then the mean-field branch started from a copy of the same
+state, and as (q, p) for the one branch of an uncoupled run; `xi` is the
+standard-normal array that drives step s -> s+1 of every branch (None at
+s = main_steps).  The step s -> s+1 is taken when the caller asks `steps`
+for its next item, so a caller that stops iterating `steps` takes no
+further step of that block.  When the caller resumes the driver, it closes
+the block's `steps` and moves on to the next block.
+
+Every step works in place.  The yielded arrays stay valid until the caller
+resumes the driver, and the next step overwrites them; a caller that keeps
+a state across steps copies it.  The arrays of a block, and the force's
+temporaries, are allocated once per run and block shape, so a step
+allocates no array of the block's size.
 
 `phase` is a `StepPhase` handle on the interacting q of step s when the
 potential is nonzero and s < main_steps, and None otherwise.  Calling it
 returns `torus.cos_sin(q)`, computed on the first call.  The step then takes
 those arrays as the wavenumber-1 trig of the pairwise force instead of
 computing its own, and the bits of every branch are the same whether or not
-the caller asked.  A caller that never calls it pays nothing and holds
-nothing more; the handle drops its arrays when the step runs.
+the caller asked.  A caller that never calls it pays nothing; the handle
+lets go of its arrays when the step runs.
 
 Draw order per block: the start, one standard-normal array per burn-in
 step, then per main step `xi` followed by whatever the caller draws from
@@ -72,12 +83,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .potential import PotentialSpec, mean_w1_at
-from .torus import (TWO_PI, ConfigurationError, TorusGeometry, cos_sin,
-                    step_index, wrap)
+from .torus import (TWO_PI, ConfigurationError, TorusGeometry, Workspace,
+                    cos_sin, step_index, wrap)
 from .vfp import (PhaseSpaceDensity, VfpSolver, meanfield_force_from_coeffs,
                   uniform_maxwellian)
 
@@ -111,6 +123,8 @@ class ModelParams:
             )
         if not (0 <= self.t_horizon < math.inf and 0 <= self.burn_in < math.inf):
             raise ConfigurationError("t_horizon and burn_in must be finite and nonnegative")
+        if not 0 < self.momentum_guard < math.inf:
+            raise ConfigurationError("momentum_guard must be finite and positive")
 
     @property
     def temperature(self) -> float:
@@ -156,75 +170,82 @@ class CoupledTrajectory:
 
 
 def pairwise_force(q: np.ndarray, w: PotentialSpec,
-                   cos_sin_q: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                   cos_sin_q: tuple[np.ndarray, np.ndarray] | None = None,
+                   work: Workspace | None = None) -> np.ndarray:
     """Interacting drift -(1/N) sum_j W'(q_i - q_j), self term included.
 
     The trig of the positions comes from `torus.cos_sin` (see `mean_w1_at`).
     cos_sin_q, when given, is `torus.cos_sin(q)`, already computed, and the
-    force has the same bits with or without it.
+    force has the same bits with or without it.  work, when given, is a
+    `torus.Workspace` of q's shape that holds the force and its temporaries,
+    as in `mean_w1_at`; otherwise the force is a new array.
     """
-    return -mean_w1_at(w, q, q, cos_sin_q=cos_sin_q)
+    force = mean_w1_at(w, q, q, cos_sin_q=cos_sin_q, work=work)
+    return np.negative(force, out=force)
 
 
 class StepPhase:
     """cos q and sin q of one step's interacting positions, computed on demand.
 
-    Calling the handle computes `torus.cos_sin(q)` on the first call and
-    returns the same pair after that.  The step s -> s+1 calls `release`,
-    which hands the pair, if computed, to the pairwise force and drops every
-    reference the handle holds, so the force takes no trig of its own for
-    wavenumber 1 and nothing is kept alive past the step.  A handle is valid
-    while its step is yielded.
+    Calling the handle computes `torus.cos_sin(q)` into arrays of the
+    workspace `work` on the first call and returns the same pair after that.  The step
+    s -> s+1 calls `release`, which hands the pair, if computed, to the
+    pairwise force and drops every reference the handle holds, so the force
+    takes no trig of its own for wavenumber 1.  A handle is valid while its
+    step is yielded.
     """
 
-    __slots__ = ("_q", "_cos_sin")
+    __slots__ = ("_q", "_work", "_cos_sin")
 
-    def __init__(self, q: np.ndarray):
+    def __init__(self, q: np.ndarray, work: Workspace):
         self._q = q
+        self._work = work
         self._cos_sin = None
 
     def __call__(self) -> tuple[np.ndarray, np.ndarray]:
         if self._cos_sin is None:
             if self._q is None:
                 raise RuntimeError("the phase of a step that has already been taken")
-            self._cos_sin = cos_sin(self._q)
+            work = self._work
+            self._cos_sin = cos_sin(self._q, out=(work["cos"], work["sin"], work["trig"]))
         return self._cos_sin
 
     def release(self) -> tuple[np.ndarray, np.ndarray] | None:
-        cos_sin, self._q, self._cos_sin = self._cos_sin, None, None
+        cos_sin, self._q, self._work, self._cos_sin = self._cos_sin, None, None, None
         return cos_sin
 
 
-def _advance(q, p, lift, force_fn, params: ModelParams, dw):
-    """One Euler-Maruyama step for a batch of ensembles.
+def _advance(q, p, lift, force_fn, params: ModelParams, sdw, p_new):
+    """One Euler-Maruyama step for a batch of ensembles, in place.
 
-    The new state is built in fresh arrays by in-place ufuncs in the order of
+    With sdw = sigma dw for the Brownian increments dw, the step is
 
-        p_new = p + (-gamma p + force(q)) dt + sigma dw,
-        lift_new = lift + p dt,  q_new = wrap(q + p dt),
+        p_new = p + (-gamma p + force(q)) dt + sdw,
+        lift += p dt,  q = wrap(q + p dt),
 
-    so every bit is that of the formula.  force_fn=None stands for a force
-    that is identically zero, which is not added.  Inputs, and the array
-    force_fn returns, are never written to: a force function may return an
-    array it shares with its caller.
+    evaluated by ufuncs in that order, so every bit is that of the formula.
+    The new momentum goes into p_new, p is left holding the drift p dt, and
+    lift and q are updated in place; lift=None carries no lift.
+    force_fn=None stands for a force that is identically zero, which is not
+    added; the array force_fn returns is only read.  TimeStepError when a
+    new momentum leaves the guard interval.
     """
-    dt, gamma, sigma = params.dt, params.gamma, params.sigma
-    p_new = np.multiply(p, -gamma)
+    dt = params.dt
+    np.multiply(p, -params.gamma, out=p_new)
     if force_fn is not None:
         p_new += force_fn(q)
     p_new *= dt
     p_new += p
-    p_new += sigma * dw
-    drift = p * dt
-    lift_new = lift + drift
-    drift += q
-    q_new = wrap(drift)
+    p_new += sdw
+    drift = np.multiply(p, dt, out=p)
+    if lift is not None:
+        lift += drift
+    wrap(np.add(drift, q, out=q), out=q)
     worst = max(float(p_new.max()), -float(p_new.min())) if p_new.size else 0.0
     if worst > params.momentum_guard:
         raise TimeStepError(
             f"momentum {worst:.3e} exceeded guard {params.momentum_guard:.1e}"
         )
-    return q_new, p_new, lift_new
 
 
 @dataclass
@@ -264,61 +285,95 @@ def replica_steps(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
                   coupled: bool = False):
     """Step the interacting system (and its coupled mean-field twin) block by block.
 
-    Yields (lo, hi, s, branches, xi, rng, phase) for s = 0 ... main_steps of each
-    replica block [lo, hi) in turn; see the module docstring for the contract.
+    Yields (lo, hi, rng, steps) for each replica block [lo, hi) in turn, and
+    `steps` yields (s, branches, xi, phase) for s = 0 ... main_steps of that
+    block; see the module docstring for the contract.
     """
-    dt = params.dt
-    sqdt = math.sqrt(dt)
-    burn_steps = step_index(params.burn_in, dt, "burn_in")
-    main_steps = step_index(params.t_horizon, dt, "t_horizon")
-    zero_w = w.is_zero
-    if not zero_w and (burn_steps or (coupled and main_steps)):
+    burn_steps = step_index(params.burn_in, params.dt, "burn_in")
+    main_steps = step_index(params.t_horizon, params.dt, "t_horizon")
+    if not w.is_zero and (burn_steps or (coupled and main_steps)):
         # the mean-field law must exist; gamma = 0 raises in params.temperature
         if params.temperature <= 0:
             raise ConfigurationError("temperature m2 must be positive")
 
-    def interacting(phase):
-        if phase is None:  # the zero potential
-            return None
-        return lambda x: pairwise_force(x, w, phase.release())
-
-    def step(branches, forces, dw):
-        return tuple(_advance(*b, f, params, dw) for b, f in zip(branches, forces))
-
     n_blocks = (n_replicas + replica_block - 1) // replica_block
+    work = None
     for b, child in enumerate(np.random.SeedSequence(seed).spawn(n_blocks)):
         lo, hi = b * replica_block, min((b + 1) * replica_block, n_replicas)
-        rng = np.random.default_rng(child)
         shape = (hi - lo, params.n_particles)
-        q = rng.uniform(0.0, TWO_PI, shape)
-        p = rng.normal(0.0, math.sqrt(params.temperature), shape)
-        branches = ((q, p, q.copy()),)
-        for s in range(burn_steps):
-            branches = step(branches, [None], rng.standard_normal(shape) * sqdt)
-        if coupled:
-            branches += (tuple(a.copy() for a in branches[0]),)
-        for s in range(main_steps):
-            xi = rng.standard_normal(shape)
-            phase = None if zero_w else StepPhase(branches[0][0])
-            yield lo, hi, s, branches, xi, rng, phase
-            branches = step(branches, [interacting(phase), None], xi * sqdt)
-        yield lo, hi, main_steps, branches, None, rng, None
+        if work is None or work.shape != shape:  # only the last block may differ
+            work, force_work = Workspace(shape), Workspace(shape)
+        rng = np.random.default_rng(child)
+        steps = _block_steps(params, w, rng, work, force_work, burn_steps,
+                             main_steps, coupled)
+        yield lo, hi, rng, steps
+        steps.close()
+
+
+def _block_steps(params: ModelParams, w: PotentialSpec, rng, work: Workspace,
+                 force_work: Workspace, burn_steps: int, main_steps: int,
+                 coupled: bool):
+    """The `steps` of one block of `replica_steps`, in the arrays of `work`;
+    the pairwise force takes its arrays from `force_work`."""
+    sqdt = math.sqrt(params.dt)
+    xi, sdw = work["xi"], work["sdw"]
+    q, p = work["q"], work["p"]
+    np.copyto(q, rng.uniform(0.0, TWO_PI, work.shape))
+    np.copyto(p, rng.normal(0.0, math.sqrt(params.temperature), work.shape))
+    lift = None
+    if coupled:
+        lift = work["lift"]
+        np.copyto(lift, q)
+    # each branch is [q, p, lift, spare]: the step writes the new p into
+    # spare, and the two then swap
+    branches = [[q, p, lift, work["spare"]]]
+
+    def step(forces):
+        np.multiply(xi, sqdt, out=sdw)  # dw, then sigma dw
+        np.multiply(sdw, params.sigma, out=sdw)
+        for branch, force_fn in zip(branches, forces):
+            b_q, b_p, b_lift, spare = branch
+            _advance(b_q, b_p, b_lift, force_fn, params, sdw, spare)
+            branch[1], branch[3] = spare, b_p
+
+    for _ in range(burn_steps):
+        rng.standard_normal(out=xi)
+        step([None])
+    if coupled:
+        mf = [work["mf_q"], work["mf_p"], work["mf_lift"], work["mf_spare"]]
+        for a, b in zip(mf, branches[0][:3]):
+            np.copyto(a, b)
+        branches.append(mf)
+    n_state = 3 if coupled else 2
+
+    def state():
+        return tuple(tuple(b[:n_state]) for b in branches)
+
+    for s in range(main_steps):
+        rng.standard_normal(out=xi)
+        phase = None if w.is_zero else StepPhase(q, work)
+        yield s, state(), xi, phase
+        interacting = None if phase is None else (
+            lambda x: pairwise_force(x, w, phase.release(), force_work))
+        step([interacting, None])
+    yield main_steps, state(), None, None
 
 
 def _record(params: ModelParams, w: PotentialSpec, snapshot_times, n_arrays: int, **driver):
     """Sorted snapshot times and the (n_arrays, S, R, N) snapshots of a run:
-    the first n_arrays of the (q, p, lift) of each branch, interacting first.
-    `driver` holds the keywords of `replica_steps`.
+    the first n_arrays of the state of each branch, interacting first.
+    `driver` holds the keywords of `replica_steps`.  A block stops at its
+    last snapshot.
     """
     times = np.asarray(sorted(snapshot_times), dtype=float)
     last = step_index(params.t_horizon, params.dt, "t_horizon")
-    steps = [step_index(t, params.dt, "snapshot time", last) for t in times]
-    out = np.zeros((n_arrays, len(steps), driver["n_replicas"], params.n_particles))
-    for lo, hi, s, branches, *rest in replica_steps(params, w, **driver):
-        for k in [k for k, target in enumerate(steps) if target == s]:
-            for snaps, a in zip(out, (a for b in branches for a in b)):
-                snaps[k, lo:hi] = a
-        del branches, rest  # hold no state while the driver steps
+    targets = [step_index(t, params.dt, "snapshot time", last) for t in times]
+    out = np.zeros((n_arrays, len(targets), driver["n_replicas"], params.n_particles))
+    for lo, hi, _rng, steps in replica_steps(params, w, **driver):
+        for s, branches, _xi, _phase in islice(steps, max(targets, default=-1) + 1):
+            for k in [k for k, target in enumerate(targets) if target == s]:
+                for snaps, a in zip(out, (a for b in branches for a in b)):
+                    snaps[k, lo:hi] = a
     return times, out
 
 

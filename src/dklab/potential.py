@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import TWO_PI, cos_sin
+from .torus import TWO_PI, Workspace, cos_sin
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,8 @@ class PotentialSpec:
 
 
 def mean_w1_at(w: PotentialSpec, q: np.ndarray, at: np.ndarray,
-               cos_sin_q: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+               cos_sin_q: tuple[np.ndarray, np.ndarray] | None = None,
+               work: Workspace | None = None) -> np.ndarray:
     """Ensemble average (1/N) sum_j W'(at - q_j), vectorised in both arguments.
 
     q has shape (..., N) and `at` either (M,) or a batch-compatible (..., M);
@@ -105,37 +106,52 @@ def mean_w1_at(w: PotentialSpec, q: np.ndarray, at: np.ndarray,
     trig, with the same bits as evaluating at a copy of q.
 
     cos_sin_q, when given, is `cos_sin(q)` as a caller has already computed
-    it; it serves as the k = 1 arrays in place of new ones.  1 * q has the
-    bits of q, so the result does not change.
+    it; it serves as the k = 1 arrays in place of new ones and is only read.
+    1 * q has the bits of q, so the result does not change.
+
+    work, when given, is a `torus.Workspace` of q's shape, for `at` is q
+    only: the result and every array-sized temporary are taken from it, so
+    the call allocates no array of that size, and the result is the
+    workspace's array "w1", valid until its next use.  Otherwise the result
+    is a new array.  The bits are the same either way.
     """
     q = np.asarray(q, dtype=float)
     at = np.asarray(at, dtype=float)
     shared = at is q
+    if work is None:
+        work = Workspace(np.broadcast_shapes(q.shape[:-1] + (1,), at.shape))
+    elif not (shared and work.shape == q.shape):
+        raise ValueError("a workspace serves the evaluation at q itself, of q's shape")
     n_part = q.shape[-1]
-    out = np.zeros(np.broadcast_shapes(q.shape[:-1] + (1,), at.shape), dtype=float)
+    out = work["w1"]
+    out.fill(0.0)
     for k in range(1, w.k_max + 1):
         a, b = w.cosine[k], w.sine[k]
         if a == 0.0 and b == 0.0:
             continue
         if k == 1 and cos_sin_q is not None:
             cos_q, sin_q = cos_sin_q
+        elif shared:
+            kq = q if k == 1 else np.multiply(k, q, out=work["scratch"])
+            cos_q, sin_q = cos_sin(kq, out=(work["cos"], work["sin"], work["scratch"]))
         else:
-            kq = q if k == 1 else k * q
-            cos_q, sin_q = cos_sin(kq)
+            cos_q, sin_q = cos_sin(q if k == 1 else k * q)
         ck = cos_q.sum(axis=-1, keepdims=True)
         sk = sin_q.sum(axis=-1, keepdims=True)
         cos_at, sin_at = (cos_q, sin_q) if shared else cos_sin(k * at)
         # k * (-a (C sin - S cos) + b (C cos + S sin)) in place, in that order;
         # a zero coefficient's term is skipped, which only changes the sign of
         # a zero that out (never -0.0) absorbs
+        prod = work["scratch"]
         term = None
         if a != 0.0:
-            term = ck * sin_at
-            term -= sk * cos_at
+            term = np.multiply(ck, sin_at, out=work["term"])
+            term -= np.multiply(sk, cos_at, out=prod)
             term *= -a
         if b != 0.0:
-            cos_term = ck * cos_at
-            cos_term += sk * sin_at
+            cos_term = np.multiply(ck, cos_at,
+                                   out=work["term" if term is None else "cos_term"])
+            cos_term += np.multiply(sk, sin_at, out=prod)
             cos_term *= b
             if term is None:
                 term = cos_term

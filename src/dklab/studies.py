@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -306,26 +307,27 @@ def _moment_cell(args):
     snap_steps = {s: s * cfg.moment_t_horizon / n_steps
                   for s in (0, n_steps // 2, n_steps)}
     rows = []
-    for lo, _hi, s, ((q, p, _lift),), _xi, _rng, _phase in replica_steps(
-            params, w, n_replicas=cfg.moment_replicas, seed=seed, replica_block=4):
-        if s not in snap_steps:
-            continue
-        rho_v = weighted_field_values(q, np.ones_like(q), kern, geometry, deriv=0)
-        j_v = weighted_field_values(q, p, kern, geometry, deriv=0)
-        j2_v = weighted_field_values(q, p ** 2, kern, geometry, deriv=1)
-        h1_rho = sobolev_norms(np.fft.rfft(rho_v) / geometry.n_grid, k=1).tolist()
-        l2_j = sobolev_norms(np.fft.rfft(j_v) / geometry.n_grid).tolist()
-        l2_j2 = sobolev_norms(np.fft.rfft(j2_v) / geometry.n_grid).tolist()
-        for r in range(len(q)):
-            rows.append({
-                "section": "moment", "epsilon": eps, "n_particles": n,
-                "replica": lo + r, "t": snap_steps[s],
-                "h1_rho_sq": h1_rho[r] ** 2,
-                "l2_j_sq": l2_j[r] ** 2,
-                "l2_j2_sq": l2_j2[r] ** 2,
-                "lc2": float(np.mean(p[r] ** 2)),
-                "lc4": float(np.mean(p[r] ** 4)),
-            })
+    for lo, _hi, _rng, steps in replica_steps(params, w, n_replicas=cfg.moment_replicas,
+                                               seed=seed, replica_block=4):
+        for s, ((q, p),), _xi, _phase in steps:
+            if s not in snap_steps:
+                continue
+            rho_v = weighted_field_values(q, np.ones_like(q), kern, geometry, deriv=0)
+            j_v = weighted_field_values(q, p, kern, geometry, deriv=0)
+            j2_v = weighted_field_values(q, p ** 2, kern, geometry, deriv=1)
+            h1_rho = sobolev_norms(np.fft.rfft(rho_v) / geometry.n_grid, k=1).tolist()
+            l2_j = sobolev_norms(np.fft.rfft(j_v) / geometry.n_grid).tolist()
+            l2_j2 = sobolev_norms(np.fft.rfft(j2_v) / geometry.n_grid).tolist()
+            for r in range(len(q)):
+                rows.append({
+                    "section": "moment", "epsilon": eps, "n_particles": n,
+                    "replica": lo + r, "t": snap_steps[s],
+                    "h1_rho_sq": h1_rho[r] ** 2,
+                    "l2_j_sq": l2_j[r] ** 2,
+                    "l2_j2_sq": l2_j2[r] ** 2,
+                    "lc2": float(np.mean(p[r] ** 2)),
+                    "lc4": float(np.mean(p[r] ** 4)),
+                })
     return rows
 
 
@@ -415,22 +417,24 @@ class CovarianceStudyConfig:
 
 
 def _pair_exp(kappa: float, x_eval: np.ndarray, cos_q: np.ndarray,
-              sin_q: np.ndarray) -> np.ndarray:
-    """e[a, ..., j] = exp(kappa * (cos(x_a - q[..., j]) - 1)), built in place.
+              sin_q: np.ndarray, out: tuple[np.ndarray, np.ndarray]):
+    """For each evaluation point x_a in turn, the slab
+    e[..., j] = exp(kappa * (cos(x_a - q[..., j]) - 1)), built in place.
 
     For the kernel of concentration kappa and normalisation z_eps, e / z_eps
     is the kernel at x_a - q and (e / z_eps)**2 its square; e**2 / z_half is
     the kernel of concentration 2 kappa (width eps / sqrt 2, normalisation
     z_half) at the same separations.  cos(x_a - q) comes by angle addition
     from per-particle cos_q = cos q, sin_q = sin q and per-point cos x_a,
-    sin x_a.  Besides e, the call allocates one scratch array the size of q.
+    sin x_a.  out is two arrays of q's shape: every slab is the first, which
+    the next slab overwrites, and the second is scratch.
     """
-    e = np.multiply.outer(kappa * np.cos(x_eval), cos_q)
-    scratch = np.empty_like(sin_q)
-    for e_a, ks_a in zip(e, kappa * np.sin(x_eval)):
-        e_a += np.multiply(ks_a, sin_q, out=scratch)
-    e -= kappa
-    return np.exp(e, out=e)
+    e, scratch = out
+    for kc_a, ks_a in zip(kappa * np.cos(x_eval), kappa * np.sin(x_eval)):
+        np.multiply(kc_a, cos_q, out=e)
+        e += np.multiply(ks_a, sin_q, out=scratch)
+        e -= kappa
+        yield np.exp(e, out=e)
 
 
 def _point_increment_factor(scales: QWienerScales, idx: np.ndarray) -> np.ndarray:
@@ -479,42 +483,44 @@ def _covariance_cell(args):
     scales = q_wiener_scales(kern_double.fourier_coeffs, geometry, cfg.dt, band)
     factor = _point_increment_factor(scales, idx)
 
+    main_steps = step_index(cfg.t_horizon, cfg.dt, "t_horizon")
     sums = {k: np.zeros(len(idx)) for k in ("pz", "pz2", "py", "py2", "z2", "iso")}
-    for lo, hi, s, ((q, _p, _lift),), xi, rng, phase in replica_steps(
-            params, w, n_replicas=cfg.n_replicas, seed=seed,
-            replica_block=cfg.replica_block):
-        rows = hi - lo
-        if s == 0:
-            z = np.zeros((rows, len(idx)))
-            y = np.zeros_like(z)
-            iso = np.zeros_like(z)
-        if xi is None:  # end of the block
-            pz = z[:, [0]] * z
-            py = y[:, [0]] * y
-            sums["pz"] += pz.sum(axis=0)
-            sums["pz2"] += (pz ** 2).sum(axis=0)
-            sums["py"] += py.sum(axis=0)
-            sums["py2"] += (py ** 2).sum(axis=0)
-            sums["z2"] += (z ** 2).sum(axis=0)
-            sums["iso"] += iso.sum(axis=0)
-            continue
-        # through the phase, the step's pairwise force reuses this cos q, sin q
-        e = _pair_exp(kern.kappa, x_eval,
-                      *(phase() if phase else cos_sin(q)))  # (A, rows, n)
-        z += (cfg.sigma / (n * kern.z_eps)) * np.einsum("abn,bn->ba", e, xi * sqdt)
-        e *= e  # the kernel at concentration 2 kappa, up to z_half
-        e2_sum = e.sum(axis=-1).T                           # (rows, A)
-        del e  # freed before the driver's next step
-        iso += (cfg.sigma / (n * kern.z_eps)) ** 2 * cfg.dt * e2_sum
-        rho_half = e2_sum / (n * z_half)
-        # the block's one generator draws these normals after the step's xi;
-        # normals @ factor is summed in a fixed order, so no BLAS build moves
-        # its bits
-        normals = rng.standard_normal((rows, len(factor)))
-        dwq = normals[:, :1] * factor[0]
-        for g_m, f_m in zip(normals.T[1:], factor[1:]):
-            dwq += g_m[:, None] * f_m
-        y += (cfg.sigma / math.sqrt(n)) * np.sqrt(rho_half) * dwq
+    slab = None
+    for lo, hi, rng, steps in replica_steps(params, w, n_replicas=cfg.n_replicas,
+                                            seed=seed, replica_block=cfg.replica_block):
+        z, y, iso = (np.zeros((hi - lo, len(idx))) for _ in range(3))
+        if slab is None or slab[0].shape != (hi - lo, n):  # once per block shape
+            slab = (np.empty((hi - lo, n)), np.empty((hi - lo, n)))
+        # the increments of steps 0 ... main_steps - 1 are all Z and Y read,
+        # so the block stops before the step to main_steps
+        for _s, ((q, _p),), xi, phase in islice(steps, main_steps):
+            dw = xi * sqdt
+            dz, e2_sum = np.empty((2, len(idx), hi - lo))  # (A, rows) each
+            # through the phase, the step's pairwise force reuses this cos q, sin q
+            for a, e in enumerate(_pair_exp(kern.kappa, x_eval,
+                                            *(phase() if phase else cos_sin(q)), slab)):
+                np.einsum("bn,bn->b", e, dw, out=dz[a])
+                e *= e  # the kernel at concentration 2 kappa, up to z_half
+                e.sum(axis=-1, out=e2_sum[a])
+            z += (cfg.sigma / (n * kern.z_eps)) * dz.T
+            iso += (cfg.sigma / (n * kern.z_eps)) ** 2 * cfg.dt * e2_sum.T
+            rho_half = e2_sum.T / (n * z_half)
+            # the block's one generator draws these normals after the step's xi;
+            # normals @ factor is summed in a fixed order, so no BLAS build moves
+            # its bits
+            normals = rng.standard_normal((hi - lo, len(factor)))
+            dwq = normals[:, :1] * factor[0]
+            for g_m, f_m in zip(normals.T[1:], factor[1:]):
+                dwq += g_m[:, None] * f_m
+            y += (cfg.sigma / math.sqrt(n)) * np.sqrt(rho_half) * dwq
+        pz = z[:, [0]] * z
+        py = y[:, [0]] * y
+        sums["pz"] += pz.sum(axis=0)
+        sums["pz2"] += (pz ** 2).sum(axis=0)
+        sums["py"] += py.sum(axis=0)
+        sums["py2"] += (py ** 2).sum(axis=0)
+        sums["z2"] += (z ** 2).sum(axis=0)
+        sums["iso"] += iso.sum(axis=0)
 
     r_tot = cfg.n_replicas
     mean_pz = sums["pz"] / r_tot
@@ -877,35 +883,36 @@ def _identity_residuals(args):
         return float(np.sqrt((vals ** 2).sum(axis=-1) * h).max())
 
     res = [0.0, 0.0, 0.0]
-    for _lo, _hi, s, ((q, p, _lift),), xi, _rng, _phase in replica_steps(
-            params, w, n_replicas=cfg.n_replicas, seed=seed):
-        ones = np.ones_like(q)
-        rho = weighted_field_values(q, ones, kern, geometry, 0)
-        jf = weighted_field_values(q, p, kern, geometry, 0)
-        j2f = weighted_field_values(q, p ** 2, kern, geometry, 1)
-        if s > 0:  # each field's change over the step just taken
-            for k, (now, (before, rhs)) in enumerate(zip((rho, jf, j2f), carried)):
-                res[k] = max(res[k], l2((now - before) - rhs))
-        if xi is None:
-            continue
-        # density identity: transport by the momentum field
-        rhs_a = -dt * weighted_field_values(q, p, kern, geometry, 1)
-        # momentum identity: flux + friction + interaction + noise
-        force = pairwise_force(q, w)
-        inter = weighted_field_values(q, -force, kern, geometry, 0)
-        noise = cfg.sigma * weighted_field_values(q, xi * math.sqrt(dt), kern,
-                                                  geometry, 0)
-        rhs_b = dt * (-j2f - cfg.gamma * jf - inter) + noise
-        # flux identity (informational): next moment up the ladder
-        j3f = weighted_field_values(q, p ** 3, kern, geometry, 2)
-        drho = weighted_field_values(q, ones, kern, geometry, 1)
-        cross = weighted_field_values(q, force * p, kern, geometry, 1)
-        noise_c = 2.0 * cfg.sigma * weighted_field_values(
-            q, p * xi * math.sqrt(dt), kern, geometry, 1)
-        rhs_c = dt * (-j3f - 2.0 * cfg.gamma * j2f + cfg.sigma ** 2 * drho
-                      + 2.0 * cross) + noise_c
-        # to step s+1, so that each state's fields are estimated once
-        carried = ((rho, rhs_a), (jf, rhs_b), (j2f, rhs_c))
+    for _lo, _hi, _rng, steps in replica_steps(params, w, n_replicas=cfg.n_replicas,
+                                               seed=seed):
+        for s, ((q, p),), xi, _phase in steps:
+            ones = np.ones_like(q)
+            rho = weighted_field_values(q, ones, kern, geometry, 0)
+            jf = weighted_field_values(q, p, kern, geometry, 0)
+            j2f = weighted_field_values(q, p ** 2, kern, geometry, 1)
+            if s > 0:  # each field's change over the step just taken
+                for k, (now, (before, rhs)) in enumerate(zip((rho, jf, j2f), carried)):
+                    res[k] = max(res[k], l2((now - before) - rhs))
+            if xi is None:
+                continue
+            # density identity: transport by the momentum field
+            rhs_a = -dt * weighted_field_values(q, p, kern, geometry, 1)
+            # momentum identity: flux + friction + interaction + noise
+            force = pairwise_force(q, w)
+            inter = weighted_field_values(q, -force, kern, geometry, 0)
+            noise = cfg.sigma * weighted_field_values(q, xi * math.sqrt(dt), kern,
+                                                      geometry, 0)
+            rhs_b = dt * (-j2f - cfg.gamma * jf - inter) + noise
+            # flux identity (informational): next moment up the ladder
+            j3f = weighted_field_values(q, p ** 3, kern, geometry, 2)
+            drho = weighted_field_values(q, ones, kern, geometry, 1)
+            cross = weighted_field_values(q, force * p, kern, geometry, 1)
+            noise_c = 2.0 * cfg.sigma * weighted_field_values(
+                q, p * xi * math.sqrt(dt), kern, geometry, 1)
+            rhs_c = dt * (-j3f - 2.0 * cfg.gamma * j2f + cfg.sigma ** 2 * drho
+                          + 2.0 * cross) + noise_c
+            # to step s+1, so that each state's fields are estimated once
+            carried = ((rho, rhs_a), (jf, rhs_b), (j2f, rhs_c))
     return tuple(res)
 
 

@@ -61,14 +61,16 @@ def step_index(t: float, dt: float, what: str, last: float = np.inf) -> int:
     return n
 
 
-def wrap(x):
+def wrap(x, out=None):
     """Map angles onto the fundamental domain [0, 2*pi).
 
-    Accepts scalars or arrays and returns a new float64 array; the output
+    Accepts scalars or arrays and returns a float64 array; the output
     always satisfies 0 <= wrap(x) < 2*pi and wrap(x + 2*pi*m) == wrap(x) for
     integer m up to roundoff.  For tiny negative inputs np.mod rounds to
     exactly 2*pi, which would land outside the half-open interval, hence the
-    fold of 2*pi back to zero.
+    fold of 2*pi back to zero.  out, when given, is a float64 array of x's
+    shape that receives the result and is returned; it may be x itself.
+    Otherwise the result is a new array.
 
     The result has the bits of np.mod(x, 2*pi) with that fold, but inputs in
     [-2*pi, 4*pi), which is where one particle step leaves a wrapped
@@ -79,20 +81,22 @@ def wrap(x):
     is exact by the Sterbenz lemma; on [-2*pi, 0) fmod is x itself, so both
     round the same sum x + 2*pi, and a sum that rounds to 2*pi meets the
     subtraction and folds to 0.  The copy x + 0.0 turns -0.0 into +0.0, as
-    np.mod does.  Any other input (far angles, inf, NaN) goes through np.mod.
+    np.mod does, so taking np.mod of the copy changes no bit.  Any other
+    input (far angles, inf, NaN) goes through np.mod.
     """
-    out = np.add(x, 0.0, out=np.empty(np.shape(x)))
+    y = np.add(x, 0.0, out=np.empty(np.shape(x)) if out is None else out)
     # NaN fails both comparisons, as min and max propagate it
-    if out.size and not (out.min() >= -TWO_PI and out.max() < 2.0 * TWO_PI):
-        out = np.mod(x, TWO_PI)
-        return np.where(out == TWO_PI, 0.0, out)
-    np.add(out, TWO_PI, out=out, where=out < 0.0)
-    np.subtract(out, TWO_PI, out=out, where=out >= TWO_PI)
-    return out
+    if y.size and not (y.min() >= -TWO_PI and y.max() < 2.0 * TWO_PI):
+        np.mod(y, TWO_PI, out=y)
+        np.copyto(y, 0.0, where=y == TWO_PI)
+        return y
+    np.add(y, TWO_PI, out=y, where=y < 0.0)
+    np.subtract(y, TWO_PI, out=y, where=y >= TWO_PI)
+    return y
 
 
-def cos_sin(x):
-    """(cos x, sin x) as two new float64 arrays, from one tangent.
+def cos_sin(x, out=None):
+    """(cos x, sin x) as two float64 arrays, from one tangent.
 
     With t = tan(x/2), cos x = (1 - t^2) / (1 + t^2) and sin x =
     2t / (1 + t^2).  numpy's float64 cos and sin call scalar libm, while its
@@ -101,16 +105,42 @@ def cos_sin(x):
     (4.5e-16) of libm's, and is NaN where np.cos is (NaN and +-inf).  Its
     bits are those of numpy's tan loop, which depend on the SIMD target
     numpy dispatches to.
+
+    out, when given, is three float64 arrays of x's shape: cos x and sin x
+    are written to the first two, which are returned, and the third is
+    scratch.  x may be any of the three.  Otherwise all three are new.
     """
-    t = np.multiply(x, 0.5, out=np.empty(np.shape(x)))
+    c, t, d = (np.empty(np.shape(x)) for _ in range(3)) if out is None else out
+    np.multiply(x, 0.5, out=t)
     np.tan(t, out=t)
-    c = np.square(t, out=np.empty_like(t))
-    d = c + 1.0
+    np.square(t, out=c)
+    np.add(c, 1.0, out=d)
     np.subtract(1.0, c, out=c)
     c /= d
     t += t
     t /= d
     return c, t
+
+
+class Workspace:
+    """Float64 arrays of one shape, each made on its first request by name.
+
+    Code that repeats a computation on arrays of one shape takes its
+    temporaries from a workspace, so they are allocated once per shape and
+    not once per call.  An array's contents are whatever its last user left.
+    """
+
+    __slots__ = ("shape", "_arrays")
+
+    def __init__(self, shape):
+        self.shape = tuple(shape)
+        self._arrays = {}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        a = self._arrays.get(name)
+        if a is None:
+            a = self._arrays[name] = np.empty(self.shape)
+        return a
 
 
 def wrap_centered(x):

@@ -168,6 +168,10 @@ class TestExitCodes:
         {"model": {**TINY_MODEL, "sigma": math.inf}},
         {"model": {**TINY_MODEL, "gamma": math.inf}},
         {"spde": {"n_grid": 128, "epsilon": 0.2, "t_horizon": 0.01, "sigma": math.inf}},
+        # a guard that is not finite and positive would trip at once or never
+        {"model": {**TINY_MODEL, "momentum_guard": 0}},
+        {"model": {**TINY_MODEL, "momentum_guard": -1}},
+        {"model": {**TINY_MODEL, "momentum_guard": math.inf}},
     ])
     def test_wrong_typed_value_is_a_config_error(self, tmp_path, monkeypatch, capsys,
                                                  config):

@@ -1,5 +1,8 @@
 """Coupled Langevin integrator: forces, the step, coupling, diagnostics."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,31 @@ from dklab.torus import TWO_PI, TorusGeometry, cos_sin, step_index, wrap
 from dklab.vfp import VfpSolver, uniform_maxwellian
 
 W_COS = PotentialSpec.cosine_potential()
+W_MULTI = PotentialSpec([0.1, 0.7, 0.2, -0.4], [0.0, 0.4, -0.3, 0.25])
+
+
+def euler_step(q, p, lift, force_fn, params, dw):
+    """The Euler-Maruyama step written out in new arrays, with the ufuncs of
+    the in-place `_advance` in the same order: its oracle.
+
+        p_new = p + (-gamma p + force(q)) dt + sigma dw,
+        lift_new = lift + p dt,  q_new = wrap(q + p dt)
+    """
+    p_new = np.multiply(p, -params.gamma)
+    if force_fn is not None:
+        p_new += force_fn(q)
+    p_new *= params.dt
+    p_new += p
+    p_new += params.sigma * dw
+    drift = p * params.dt
+    lift_new = None if lift is None else lift + drift
+    drift += q
+    return wrap(drift), p_new, lift_new
+
+
+def copied(branches):
+    """A copy of a yielded state, which the driver's next step overwrites."""
+    return tuple(tuple(a.copy() for a in b) for b in branches)
 
 
 def small_params(**kw):
@@ -41,6 +69,10 @@ class TestModelParams:
         dict(burn_in=-0.5),
         dict(dt=1.01e-2, gamma=0.5),
         dict(t_horizon=-0.1),
+        dict(momentum_guard=0.0),
+        dict(momentum_guard=-1.0),
+        dict(momentum_guard=math.inf),
+        dict(momentum_guard=math.nan),
     ])
     def test_rejects(self, kw):
         with pytest.raises(ConfigurationError):
@@ -104,19 +136,39 @@ class TestAdvance:
         lift = q.copy()
         dw = np.array([0.05, -0.02])
         force = np.array([0.3, -0.4])
-        q2, p2, lift2 = _advance(q, p, lift, lambda x: force, params, dw)
+        q2, p2, lift2, p_new = q.copy(), p.copy(), lift.copy(), np.empty(2)
+        _advance(q2, p2, lift2, lambda x: force, params, 0.7 * dw, p_new)
         assert lift2 == pytest.approx(q + p * 1e-2, abs=1e-15)
         assert q2 == pytest.approx(wrap(q + p * 1e-2), abs=1e-15)
         assert q2[1] < 0.02  # the second particle wrapped around
-        assert p2 == pytest.approx(p + (-0.5 * p + force) * 1e-2 + 0.7 * dw,
-                                   abs=1e-15)
+        assert p_new == pytest.approx(p + (-0.5 * p + force) * 1e-2 + 0.7 * dw,
+                                      abs=1e-15)
+        assert np.array_equal(p2, p * 1e-2)  # p is left holding the drift
 
     def test_momentum_guard_trips(self):
         params = small_params(n_particles=1, momentum_guard=1.0)
         with pytest.raises(TimeStepError):
             _advance(np.array([0.0]), np.array([0.99]), np.array([0.0]),
                      lambda x: np.full_like(x, 100.0), params,
-                     np.array([0.0]))
+                     np.array([0.0]), np.empty(1))
+
+    @pytest.mark.parametrize("carried", [True, False])
+    def test_in_place_step_has_the_bits_of_the_formula(self, carried):
+        params = small_params(n_particles=64, gamma=0.8, sigma=1.3)
+        rng = np.random.default_rng(4)
+        # positions on both sides of the circle's ends, and far away
+        q = np.concatenate([rng.uniform(0, TWO_PI, 60), [0.0, 1e-300, TWO_PI - 1e-16, 40.0]])
+        p = rng.normal(0.0, 3.0, 64)
+        lift = rng.normal(0.0, 5.0, 64) if carried else None
+        dw = rng.standard_normal(64) * np.sqrt(params.dt)
+        want = euler_step(q, p, lift, lambda x: pairwise_force(x, W_MULTI), params, dw)
+        got = (q.copy(), p.copy(), None if lift is None else lift.copy())
+        p_new = np.empty(64)
+        _advance(*got, lambda x: pairwise_force(x, W_MULTI), params,
+                 params.sigma * dw, p_new)
+        assert same_bits(got[0], want[0]) and same_bits(p_new, want[1])
+        if carried:
+            assert same_bits(got[2], want[2])
 
 
 class TestSchemeOrder:
@@ -218,31 +270,32 @@ class TestReplicaSteps:
         # 6 replicas in blocks of 4: the second block holds rows 4 and 5
         params = small_params(t_horizon=0.02, burn_in=0.01)
         seen = []
-        for lo, hi, s, branches, xi, _rng, _phase in replica_steps(
+        for lo, hi, _rng, steps in replica_steps(
                 params, W_COS, n_replicas=6, seed=2, replica_block=4, coupled=True):
-            seen.append((lo, hi, s, xi is None))
-            assert len(branches) == 2
-            for q, p, lift in branches:
-                assert q.shape == p.shape == lift.shape == (hi - lo, 8)
-            if s == 0:
-                for a, b in zip(*branches):
-                    assert np.array_equal(a, b)
-            if xi is not None:
-                assert xi.shape == (hi - lo, 8)
+            for s, branches, xi, _phase in steps:
+                seen.append((lo, hi, s, xi is None))
+                assert len(branches) == 2
+                for q, p, lift in branches:
+                    assert q.shape == p.shape == lift.shape == (hi - lo, 8)
+                if s == 0:
+                    for a, b in zip(*branches):
+                        assert np.array_equal(a, b)
+                if xi is not None:
+                    assert xi.shape == (hi - lo, 8)
         assert seen == [(lo, hi, s, s == 4) for lo, hi in ((0, 4), (4, 6))
                         for s in range(5)]
 
     def test_caller_draws_fall_between_xi_and_the_step(self):
         params = small_params(n_particles=3, t_horizon=0.01)
-        plain = list(replica_steps(params, W_COS, n_replicas=2, seed=4))
-        mixed, extra = [], []
-        for lo, hi, s, branches, xi, rng, _phase in replica_steps(params, W_COS,
-                                                          n_replicas=2, seed=4):
-            mixed.append((s, branches, xi))
-            if xi is not None:
-                extra.append(rng.standard_normal())
+        plain, mixed, extra = [], [], []
+        for path, draws in ((plain, False), (mixed, True)):
+            for _lo, _hi, rng, steps in replica_steps(params, W_COS, n_replicas=2, seed=4):
+                for s, branches, xi, _phase in steps:
+                    path.append((s, copied(branches), None if xi is None else xi.copy()))
+                    if draws and xi is not None:
+                        extra.append(rng.standard_normal())
         # step 0 -> 1 used the xi drawn before the caller's draw
-        assert np.array_equal(plain[1][3][0][1], mixed[1][1][0][1])
+        assert np.array_equal(plain[1][1][0][1], mixed[1][1][0][1])
         ref = np.random.default_rng(np.random.SeedSequence(4).spawn(1)[0])
         ref.uniform(0.0, TWO_PI, (2, 3))
         ref.normal(0.0, np.sqrt(0.5), (2, 3))
@@ -256,33 +309,37 @@ class TestReplicaSteps:
         params = small_params(t_horizon=0.02, burn_in=0.01)
         kw = dict(n_replicas=5, seed=3, replica_block=4, coupled=True)
         asked, plain = [], []
-        for lo, hi, s, branches, xi, _rng, phase in replica_steps(params, w, **kw):
-            q = branches[0][0]
-            if xi is None:
-                assert phase is None
-            else:
-                cos_q, sin_q = phase()
-                ref_cos, ref_sin = cos_sin(q)
-                assert np.array_equal(cos_q.view(np.int64), ref_cos.view(np.int64))
-                assert np.array_equal(sin_q.view(np.int64), ref_sin.view(np.int64))
-                assert phase() is phase()
-            asked.append([a.tobytes() for b in branches for a in b])
-        for lo, hi, s, branches, xi, _rng, phase in replica_steps(params, w, **kw):
-            plain.append([a.tobytes() for b in branches for a in b])
+        for _lo, _hi, _rng, steps in replica_steps(params, w, **kw):
+            for s, branches, xi, phase in steps:
+                q = branches[0][0]
+                if xi is None:
+                    assert phase is None
+                else:
+                    cos_q, sin_q = phase()
+                    ref_cos, ref_sin = cos_sin(q)
+                    assert np.array_equal(cos_q.view(np.int64), ref_cos.view(np.int64))
+                    assert np.array_equal(sin_q.view(np.int64), ref_sin.view(np.int64))
+                    assert phase() is phase()
+                asked.append([a.tobytes() for b in branches for a in b])
+        for _lo, _hi, _rng, steps in replica_steps(params, w, **kw):
+            for s, branches, xi, phase in steps:
+                plain.append([a.tobytes() for b in branches for a in b])
         assert asked == plain
         assert len(plain) == 2 * 5
 
     def test_phase_of_a_taken_step_is_refused(self):
-        steps = replica_steps(small_params(), W_COS, n_replicas=1, seed=0)
+        _lo, _hi, _rng, steps = next(replica_steps(small_params(), W_COS,
+                                                   n_replicas=1, seed=0))
         *_, phase = next(steps)
         next(steps)
         with pytest.raises(RuntimeError):
             phase()
 
     def test_no_phase_without_a_pairwise_force(self):
-        for *_, phase in replica_steps(small_params(), PotentialSpec.zero(),
-                                       n_replicas=2, seed=0):
-            assert phase is None
+        for _lo, _hi, _rng, steps in replica_steps(small_params(), PotentialSpec.zero(),
+                                                   n_replicas=2, seed=0):
+            for *_, phase in steps:
+                assert phase is None
 
     def test_block_numbers_depend_only_on_seed_and_index(self):
         params = small_params()
@@ -294,14 +351,62 @@ class TestReplicaSteps:
 
     def test_recorded_path_follows_its_increments(self):
         params = small_params(n_particles=5, t_horizon=0.02)
-        path = [(state, xi) for *_, (state,), xi, _rng, _phase
-                in replica_steps(params, W_COS, n_replicas=3, seed=1)]
+        path = [(copied(branches)[0], None if xi is None else xi.copy())
+                for _lo, _hi, _rng, steps in replica_steps(params, W_COS, n_replicas=3, seed=1)
+                for _s, branches, xi, _phase in steps]
         assert len(path) == 5
         for (state, xi), (after, _) in zip(path, path[1:]):
-            stepped = _advance(*state, lambda x: pairwise_force(x, W_COS),
-                               params, xi * np.sqrt(params.dt))
+            stepped = euler_step(*state, None, lambda x: pairwise_force(x, W_COS),
+                                 params, xi * np.sqrt(params.dt))
             for a, b in zip(stepped, after):
                 assert np.array_equal(a, b)
+
+    def test_an_uncoupled_run_carries_no_lift(self, monkeypatch):
+        lifts = []
+
+        def recorded(q, p, lift, *args):
+            lifts.append(lift)
+            return _advance(q, p, lift, *args)
+
+        monkeypatch.setattr(particles, "_advance", recorded)
+        for _lo, _hi, _rng, steps in replica_steps(small_params(burn_in=0.02), W_COS,
+                                                   n_replicas=2, seed=0):
+            for _s, branches, _xi, _phase in steps:
+                assert [len(b) for b in branches] == [2]
+        assert len(lifts) == 4 + 20 and all(lift is None for lift in lifts)
+
+    def test_a_block_stops_where_its_caller_stops(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(particles, "_advance",
+                            lambda q, *args: calls.append(len(q)) or _advance(q, *args))
+        for lo, _hi, _rng, steps in replica_steps(small_params(), W_COS, n_replicas=6,
+                                                  seed=0, replica_block=4, coupled=True):
+            for s, _branches, _xi, _phase in steps:
+                if s == 2 + lo:
+                    break
+        # the first block takes 2 steps, the second 6, both branches each
+        assert calls == [4] * 4 + [2] * 12
+
+    @pytest.mark.parametrize("ask_phase", [False, True])
+    @pytest.mark.parametrize("coupled", [False, True])
+    @pytest.mark.parametrize("w", [W_COS, W_MULTI], ids=["cos", "multi"])
+    def test_a_step_allocates_no_particle_sized_array(self, w, coupled, ask_phase):
+        # numpy reports its array buffers to tracemalloc
+        params = small_params(n_particles=4096, t_horizon=0.04, burn_in=0.01)
+        _lo, _hi, _rng, steps = next(replica_steps(params, w, n_replicas=16,
+                                                   coupled=coupled))
+        tracemalloc.start()
+        try:
+            for s, _branches, _xi, phase in steps:
+                if ask_phase and phase is not None:
+                    phase()
+                if s == 1:  # the first step made the block's arrays
+                    base = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 16 * 4096 * 8
 
 
 def vfp_force_table(params, w, n_rows):
@@ -320,8 +425,6 @@ def same_bits(a, b):
 
 class TestZeroMeanFieldForce:
     """The default datum is a stationary law, so its force is exactly zero."""
-
-    W_MULTI = PotentialSpec([0.1, 0.7, 0.2, -0.4], [0.0, 0.4, -0.3, 0.25])
 
     @pytest.mark.parametrize("gamma, sigma, dt", [
         (1.0, 1.0, 5e-3), (0.5, 0.7, 1e-2), (2.0, 1.5, 2.5e-3), (0.8, 0.3, 5e-3)])
@@ -350,26 +453,28 @@ class TestZeroMeanFieldForce:
         sqdt = np.sqrt(params.dt)
         children = np.random.SeedSequence(8).spawn(2)
         seen = []
-        for lo, hi, s, branches, xi, _rng, _phase in replica_steps(
+        for lo, hi, _rng, steps in replica_steps(
                 params, w, n_replicas=6, seed=8, replica_block=4, coupled=True):
-            if s == 0:
-                rng = np.random.default_rng(children[lo // 4])
-                shape = (hi - lo, params.n_particles)
-                q = rng.uniform(0.0, TWO_PI, shape)
-                state = (q, rng.normal(0.0, np.sqrt(params.temperature), shape), q.copy())
-                for r in range(burn):
-                    state = _advance(*state, lambda x: table.force_at(r, x), params,
-                                     rng.standard_normal(shape) * sqdt)
-                expected = (state, state)
-            else:
-                expected = (
-                    _advance(*before[0], lambda x: pairwise_force(x, w), params, dw),
-                    _advance(*before[1], lambda x: table.force_at(burn + s - 1, x),
-                             params, dw))
-            for got, want in zip(branches, expected):
-                assert all(same_bits(a, b) for a, b in zip(got, want))
-            before, dw = branches, None if xi is None else xi * sqdt
-            seen.append((lo, s))
+            for s, branches, xi, _phase in steps:
+                if s == 0:
+                    rng = np.random.default_rng(children[lo // 4])
+                    shape = (hi - lo, params.n_particles)
+                    q = rng.uniform(0.0, TWO_PI, shape)
+                    state = (q, rng.normal(0.0, np.sqrt(params.temperature), shape),
+                             q.copy())
+                    for r in range(burn):
+                        state = euler_step(*state, lambda x: table.force_at(r, x), params,
+                                           rng.standard_normal(shape) * sqdt)
+                    expected = (state, state)
+                else:
+                    expected = (
+                        euler_step(*before[0], lambda x: pairwise_force(x, w), params, dw),
+                        euler_step(*before[1], lambda x: table.force_at(burn + s - 1, x),
+                                   params, dw))
+                for got, want in zip(branches, expected):
+                    assert all(same_bits(a, b) for a, b in zip(got, want))
+                before, dw = copied(branches), None if xi is None else xi * sqdt
+                seen.append((lo, s))
         assert seen == [(lo, s) for lo in (0, 4) for s in range(main + 1)]
 
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dklab.potential import PotentialSpec, mean_w1_at
-from dklab.torus import TWO_PI, cos_sin
+from dklab.torus import TWO_PI, Workspace, cos_sin
 
 
 def random_spec(rng, k_max=3):
@@ -46,6 +46,17 @@ class TestPotentialSpec:
     def test_conv_multiplier_mean_mode(self):
         w = PotentialSpec([2.0, 1.0], [0.0, 0.0])
         assert w.conv_multiplier(3, derivative=0)[0] == pytest.approx(2.0 * TWO_PI)
+
+    @pytest.mark.parametrize("w", [
+        PotentialSpec.cosine_potential(),
+        PotentialSpec([0.1, 0.7, 0.2, -0.4], [0.0, 0.4, -0.3, 0.25])], ids=["cos", "multi"])
+    def test_force_multiplier_has_no_mean(self, w):
+        # why the mean-field force of the stationary law is zero: its q
+        # marginal is the constant 1 / (2 pi), which has only a k = 0
+        # coefficient, and W' * rho multiplies that coefficient by this entry
+        mult = w.conv_multiplier(16, 1)
+        assert mult[0] == 0.0
+        assert (mult[1:w.k_max + 1] != 0.0).all()
 
 
 class TestMeanW1:
@@ -104,6 +115,15 @@ class TestMeanW1:
         if at_shape is None:
             got = mean_w1_at(w, q, q, cos_sin_q=cos_sin(q))
             assert np.array_equal(got.view(np.int64), ref)
+            # a workspace, used twice, holds the result and the temporaries
+            work = Workspace(q.shape)
+            for trig in (cos_sin(q), None):
+                got = mean_w1_at(w, q, q, cos_sin_q=trig, work=work)
+                assert got is work["w1"]
+                assert np.array_equal(got.view(np.int64), ref)
+        else:
+            with pytest.raises(ValueError):
+                mean_w1_at(w, q, at, work=Workspace(q.shape))
 
     @given(st.integers(0, 2 ** 32 - 1))
     def test_uniform_lattice_averages_to_zero(self, seed):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dklab
-from dklab import studies
+from dklab import particles, studies
 from dklab.cli import rows_to_csv
 from dklab.particles import ConfigurationError
 from dklab.potential import PotentialSpec
@@ -343,7 +343,13 @@ class TestCovarianceStudy:
         kern_half = make_kernel(eps / np.sqrt(2.0), geometry)
         arg = x_eval[:, None, None] - q[None]
         kv_ref = von_mises_eval(kern, arg)
-        e = _pair_exp(kern.kappa, x_eval, np.cos(q), np.sin(q))
+        out = (np.empty_like(q), np.empty_like(q))
+        slabs = list(_pair_exp(kern.kappa, x_eval, np.cos(q), np.sin(q), out))
+        assert len(slabs) == 5 and all(e is out[0] for e in slabs)
+        # every slab overwrites the one before, so the points are stacked one
+        # slab at a time
+        e = np.stack([e.copy() for e in _pair_exp(kern.kappa, x_eval, np.cos(q),
+                                                  np.sin(q), out)])
         assert e.shape == (5, 7, 40)
 
         def rel(got, ref):
@@ -353,6 +359,20 @@ class TestCovarianceStudy:
         e *= e
         assert rel(e / kern.z_eps ** 2, kv_ref ** 2) <= 1e-12
         assert rel(e / kern_half.z_eps, von_mises_eval(kern_half, arg)) <= 1e-12
+
+    def test_a_block_takes_only_the_steps_it_reads(self, monkeypatch):
+        # 4 steps in blocks of 300, 300, 300 and 100: Z and Y read the
+        # increments of steps 0 ... 3, so the step 3 -> 4 is never taken
+        force, rows = particles.pairwise_force, []
+
+        def counted(q, *args):
+            rows.append(len(q))
+            return force(q, *args)
+
+        monkeypatch.setattr(particles, "pairwise_force", counted)
+        cfg = dataclasses.replace(COVARIANCE_PINNED, t_horizon=0.02)
+        _covariance_cell((cfg, 6, 0.4, 0))
+        assert rows == [300] * 9 + [100] * 3
 
     def test_off_grid_horizon_is_rejected(self):
         cfg = CovarianceStudyConfig(eps_ladder=(0.4,), theta=2.0, n_replicas=1000,

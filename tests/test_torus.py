@@ -52,6 +52,9 @@ class TestWrap:
                 got, ref = wrap(x), reference(x)
                 assert got.shape == ref.shape
                 assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+                y = np.array(x, dtype=float)  # in place
+                assert wrap(y, out=y) is y
+                assert np.array_equal(y.view(np.int64), ref.view(np.int64))
 
 
 class TestCosSin:
@@ -64,6 +67,19 @@ class TestCosSin:
             assert c.shape == s.shape == np.shape(x)
             assert np.abs(c - np.cos(x)).max() <= 4.5e-16
             assert np.abs(s - np.sin(x)).max() <= 4.5e-16
+
+    @pytest.mark.parametrize("alias", [None, 0, 1, 2])
+    def test_out_keeps_the_bits(self, alias):
+        # x may be any of the three arrays of out
+        x = np.random.default_rng(1).uniform(-10.0, 10.0, (3, 500))
+        ref = cos_sin(x)
+        out = tuple(np.empty_like(x) for _ in range(3))
+        if alias is not None:
+            out[alias][...] = x
+        got = cos_sin(x if alias is None else out[alias], out=out)
+        assert got[0] is out[0] and got[1] is out[1]
+        for a, b in zip(got, ref):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
     def test_nan_where_libm_gives_nan(self):
         x = np.array([np.nan, np.inf, -np.inf])
