@@ -19,6 +19,11 @@ neither), then two verdicts:
 - regression: the working tree's median is worse than the base's by more
   than the metric's relative bound.
 
+Last it prints each run's CPU seconds and each side's median, from the
+`cpu_s` list of perfbench's detail line (the median over a run's
+repetitions, in raw seconds of every thread of the study call).  A change
+that moves work to a second thread shows there what it costs in CPU time.
+
 Each tree's benchmark writes its scratch output to that tree's own
 .perfbench_out/; nothing under perfbench/ is changed.  Exits 1 when a run
 fails to produce a result line, otherwise 0.
@@ -48,7 +53,8 @@ def export(rev: str, dest: Path) -> None:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The metrics of one benchmark run in `tree`: name -> value."""
+    """The metrics of one benchmark run in `tree`, name -> value, and its
+    median `cpu_s` from the detail line."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -58,7 +64,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         sys.stderr.write(done.stderr[-2000:])
         raise RuntimeError(f"benchmark in {tree} exited {done.returncode}")
     result = json.loads(lines[-1])
-    return {k: m["value"] for k, m in result["metrics"].items()}
+    values = {k: m["value"] for k, m in result["metrics"].items()}
+    values["cpu_s"] = float(np.median(json.loads(lines[-2])["detail"]["cpu_s"]))
+    return values
 
 
 def summarise(spec: list, base: list, new: list) -> None:
@@ -82,6 +90,11 @@ def summarise(spec: list, base: list, new: list) -> None:
               f"base IQR {q_a[2] - q_a[0]:.4g}")
         print(f"  gain: {'yes' if gain else 'no'}; regression beyond the "
               f"{metric['bound']:.0%} bound: {'yes' if regression else 'no'}")
+    print("cpu_s [s], raw CPU seconds of the study call, all threads (not gated)")
+    for side, runs in (("base", base), ("new", new)):
+        cpu = [run["cpu_s"] for run in runs]
+        print(f"  {side:<5} runs: " + " ".join(f"{v:.4g}" for v in cpu)
+              + f"  median {np.median(cpu):.4g}")
 
 
 def main(argv=None) -> int:

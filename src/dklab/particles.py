@@ -26,12 +26,14 @@ as well.  A run with a burn-in or a coupled branch and a nonzero potential
 steps under that law, so it checks the temperature directly and refuses a
 gamma or sigma for which the law does not exist (gamma = 0, sigma = 0).
 
-Positions are integrated twice when the branches are coupled: wrapped onto
-[0, 2*pi) for force and field evaluation, and as an unwrapped real-line
-lift.  Coupled distances are always measured through the lift; the torus
-distance would fold excursions longer than half a period back onto [0, pi]
-and corrupt the measured rate.  Only coupled runs read distances, so an
-uncoupled run carries no lift.
+Positions are integrated twice in the interacting branch of a coupled
+run: wrapped onto [0, 2*pi) for force and field evaluation, and as an
+unwrapped real-line lift.  Coupled distances are always measured through
+the lift; the torus distance would fold excursions longer than half a
+period back onto [0, pi] and corrupt the measured rate.  Only coupled runs
+read distances, so an uncoupled run carries no lift.  The mean-field branch
+carries only its lift: its force is zero and reads no position, and no
+caller reads a wrapped mean-field position.
 
 Every particle run goes through one driver, `replica_steps`, a generator.
 `simulate_coupled` and `simulate_interacting` are thin callers of its
@@ -44,16 +46,17 @@ Generator on the b-th child spawned off SeedSequence(seed), so a block's
 numbers depend only on (seed, b) and its row count, not on other blocks.
 
 Start and burn-in.  Each block samples q ~ U(0, 2 pi) and then
-p ~ N(0, sigma^2 / (2 gamma)), sets the lift (if carried) to q and runs
-burn_steps mean-field steps.  The clock then restarts at s = 0.
+p ~ N(0, sigma^2 / (2 gamma)), with the bits of `rng.uniform` and
+`rng.normal` but into the block's own arrays, sets the lift (if carried) to
+q and runs burn_steps mean-field steps.  The clock then restarts at s = 0.
 
 Yield contract.  The driver yields (lo, hi, rng, steps) once per replica
 block [lo, hi), where `rng` is the block's Generator and `steps` is an
 iterator over the block's steps.  For s = 0 ... main_steps, `steps` yields
 (s, branches, xi, phase): `branches` holds the state of rows [lo, hi) at
-step s, as (q, p, lift) for each branch of a coupled run, the interacting
-branch first and then the mean-field branch started from a copy of the same
-state, and as (q, p) for the one branch of an uncoupled run; `xi` is the
+step s: for a coupled run, (q, p, lift) for the interacting branch and
+then (p, lift) for the mean-field branch, started from a copy of the same
+state; for an uncoupled run, (q, p) for its one branch.  `xi` is the
 standard-normal array that drives step s -> s+1 of every branch (None at
 s = main_steps).  The step s -> s+1 is taken when the caller asks `steps`
 for its next item, so a caller that stops iterating `steps` takes no
@@ -76,12 +79,32 @@ lets go of its arrays when the step runs.
 
 Draw order per block: the start, one standard-normal array per burn-in
 step, then per main step `xi` followed by whatever the caller draws from
-`rng` while holding step s; the step itself draws nothing.
+`rng` while holding step s.  Each step draws the xi of the step after it,
+so the xi of step s+1 is drawn after the caller resumes from step s.
+
+Drawing ahead.  The normals are the largest single cost of a step: at a
+(16, 2048) block, `standard_normal(out=xi)` takes about 0.6 of a 1.5 ms
+step.  numpy fills it with the GIL released, so a block of at least
+DRAW_AHEAD_ELEMENTS elements (rows times particles) hands the fill of the
+next xi to a helper thread once the step has formed sigma dw from xi, runs
+the step's arithmetic meanwhile, and waits for the fill before it yields.
+The Generator is the block's own and is used by one thread at a time, so
+every draw and bit is that of the inline fill.  A handoff costs tens of
+microseconds, so a smaller block draws inline: on a 2-vCPU x86 host a
+coupled run's step drew ahead faster from about 4000 elements (ahead won 1
+of 11 timed runs at 3072 elements, 5 of 11 at 4000, 8 of 11 at 4096, 10 of
+11 at 5600 and every one above), which set the threshold at 4096.  One
+helper serves a run: the driver holds it from its first block to its end,
+and a block's `steps` from its first item to its end, so it outlives
+neither, and a `steps` that outlives its driver keeps it.  A step that
+raises waits for its fill first.  The helper uses no BLAS or OpenMP
+thread, and each process of a pool starts its own.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from itertools import islice
 
@@ -160,7 +183,6 @@ class CoupledTrajectory:
     q_int: np.ndarray
     p_int: np.ndarray
     lift_int: np.ndarray
-    q_mf: np.ndarray
     p_mf: np.ndarray
     lift_mf: np.ndarray
 
@@ -180,8 +202,7 @@ def pairwise_force(q: np.ndarray, w: PotentialSpec,
     `torus.Workspace` of q's shape that holds the force and its temporaries,
     as in `mean_w1_at`; otherwise the force is a new array.
     """
-    force = mean_w1_at(w, q, q, cos_sin_q=cos_sin_q, work=work)
-    return np.negative(force, out=force)
+    return mean_w1_at(w, q, q, cos_sin_q=cos_sin_q, work=work, negate=True)
 
 
 class StepPhase:
@@ -215,7 +236,7 @@ class StepPhase:
         return cos_sin
 
 
-def _advance(q, p, lift, force_fn, params: ModelParams, sdw, p_new):
+def _advance(p, q, lift, force_fn, params: ModelParams, sdw, p_new):
     """One Euler-Maruyama step for a batch of ensembles, in place.
 
     With sdw = sigma dw for the Brownian increments dw, the step is
@@ -225,7 +246,9 @@ def _advance(q, p, lift, force_fn, params: ModelParams, sdw, p_new):
 
     evaluated by ufuncs in that order, so every bit is that of the formula.
     The new momentum goes into p_new, p is left holding the drift p dt, and
-    lift and q are updated in place; lift=None carries no lift.
+    lift and q are updated in place; lift=None carries no lift, and q=None
+    carries no position, for a branch whose force does not read it.  p comes
+    first because every branch carries it.
     force_fn=None stands for a force that is identically zero, which is not
     added; the array force_fn returns is only read.  TimeStepError when a
     new momentum leaves the guard interval.
@@ -240,7 +263,8 @@ def _advance(q, p, lift, force_fn, params: ModelParams, sdw, p_new):
     drift = np.multiply(p, dt, out=p)
     if lift is not None:
         lift += drift
-    wrap(np.add(drift, q, out=q), out=q)
+    if q is not None:
+        wrap(np.add(drift, q, out=q), out=q)
     worst = max(float(p_new.max()), -float(p_new.min())) if p_new.size else 0.0
     if worst > params.momentum_guard:
         raise TimeStepError(
@@ -280,6 +304,71 @@ def default_datum(gamma: float, sigma: float) -> PhaseSpaceDensity:
     return uniform_maxwellian(TorusGeometry(64), 6.0 * np.sqrt(m2), 96, m2)
 
 
+class _DrawAhead:
+    """A helper thread that fills a block's `xi` with standard normals from
+    the block's Generator while the calling thread steps.
+
+    numpy fills `Generator.standard_normal(out=)` with the GIL released, so
+    the fill runs on a second core.  `start(rng, xi)` hands a fill over and
+    returns; `wait` returns once it is done, raising what the fill raised,
+    and returns at once when no fill is pending.  Between the two the caller
+    touches neither rng nor xi, so the draws are those of the inline fill.
+    The thread runs while the helper is held: `hold` starts it when it is
+    not running, and the last `release` ends it.
+    """
+
+    def __init__(self):
+        self._holders, self._job, self._error = 0, None, None
+
+    def hold(self):
+        if self._holders == 0:
+            # two locks taken by turns: the cheapest handoff in the stdlib
+            self._go, self._done = threading.Lock(), threading.Lock()
+            self._go.acquire()
+            self._done.acquire()
+            self._thread = threading.Thread(target=self._serve, name="dklab-normals",
+                                            daemon=True)
+            self._thread.start()
+        self._holders += 1
+
+    def release(self):
+        self._holders -= 1
+        if self._holders == 0:
+            self._job = None  # with no job, the thread returns
+            self._go.release()
+            self._thread.join()
+
+    def _serve(self):
+        while True:
+            self._go.acquire()
+            if self._job is None:
+                return
+            rng, xi = self._job
+            try:
+                rng.standard_normal(out=xi)
+            except BaseException as exc:  # raised again by wait, which must return
+                self._error = exc
+            self._done.release()
+
+    def start(self, rng, xi: np.ndarray):
+        self._job = (rng, xi)
+        self._go.release()
+
+    def wait(self):
+        if self._job is None:
+            return
+        self._done.acquire()
+        self._job = None
+        if self._error is not None:
+            error, self._error = self._error, None
+            raise error
+
+
+#: Blocks of at least this many elements (replicas times particles) draw
+#: each step's normals ahead on a helper thread; see `replica_steps`.
+DRAW_AHEAD_ELEMENTS = 4096
+
+
 def replica_steps(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
                   seed: int | None = None, replica_block: int = 16,
                   coupled: bool = False):
@@ -288,38 +377,63 @@ def replica_steps(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
     Yields (lo, hi, rng, steps) for each replica block [lo, hi) in turn, and
     `steps` yields (s, branches, xi, phase) for s = 0 ... main_steps of that
     block; see the module docstring for the contract.
+
+    A block of at least DRAW_AHEAD_ELEMENTS elements draws the normals of
+    step s+1 on a helper thread while the step s -> s+1 runs; see "Drawing
+    ahead" in the module docstring for the threshold and the helper's life.
     """
     burn_steps = step_index(params.burn_in, params.dt, "burn_in")
     main_steps = step_index(params.t_horizon, params.dt, "t_horizon")
-    if not w.is_zero and (burn_steps or (coupled and main_steps)):
+    pairwise = not w.is_zero
+    if pairwise and (burn_steps or (coupled and main_steps)):
         # the mean-field law must exist; gamma = 0 raises in params.temperature
         if params.temperature <= 0:
             raise ConfigurationError("temperature m2 must be positive")
 
     n_blocks = (n_replicas + replica_block - 1) // replica_block
-    work = None
-    for b, child in enumerate(np.random.SeedSequence(seed).spawn(n_blocks)):
-        lo, hi = b * replica_block, min((b + 1) * replica_block, n_replicas)
-        shape = (hi - lo, params.n_particles)
-        if work is None or work.shape != shape:  # only the last block may differ
-            work, force_work = Workspace(shape), Workspace(shape)
-        rng = np.random.default_rng(child)
-        steps = _block_steps(params, w, rng, work, force_work, burn_steps,
-                             main_steps, coupled)
-        yield lo, hi, rng, steps
-        steps.close()
+    # the driver holds the helper from the first block that draws ahead to its
+    # end, so that one thread serves every block; each block holds it too
+    helper = None
+    try:
+        work = None
+        for b, child in enumerate(np.random.SeedSequence(seed).spawn(n_blocks)):
+            lo, hi = b * replica_block, min((b + 1) * replica_block, n_replicas)
+            shape = (hi - lo, params.n_particles)
+            if work is None or work.shape != shape:  # only the last block may differ
+                work, force_work = Workspace(shape), Workspace(shape)
+            rng = np.random.default_rng(child)
+            ahead = (burn_steps + main_steps > 1
+                     and (hi - lo) * params.n_particles >= DRAW_AHEAD_ELEMENTS)
+            if ahead and helper is None:
+                helper = _DrawAhead()
+                helper.hold()
+            steps = _block_steps(params, w if pairwise else None, rng, work, force_work,
+                                 burn_steps, main_steps, coupled, helper if ahead else None)
+            yield lo, hi, rng, steps
+            steps.close()
+    finally:
+        if helper is not None:
+            helper.release()
 
 
-def _block_steps(params: ModelParams, w: PotentialSpec, rng, work: Workspace,
+def _block_steps(params: ModelParams, w: PotentialSpec | None, rng, work: Workspace,
                  force_work: Workspace, burn_steps: int, main_steps: int,
-                 coupled: bool):
+                 coupled: bool, helper: _DrawAhead | None):
     """The `steps` of one block of `replica_steps`, in the arrays of `work`;
-    the pairwise force takes its arrays from `force_work`."""
+    the pairwise force of w (None for the zero potential) takes its arrays
+    from `force_work`.  With a helper, each step hands the next step's
+    normals to it, and the block holds it from its first item to its end."""
     sqdt = math.sqrt(params.dt)
     xi, sdw = work["xi"], work["sdw"]
     q, p = work["q"], work["p"]
-    np.copyto(q, rng.uniform(0.0, TWO_PI, work.shape))
-    np.copyto(p, rng.normal(0.0, math.sqrt(params.temperature), work.shape))
+    # the bits of rng.uniform(0, 2 pi) and rng.normal(0, sd), which numpy
+    # forms as 0.0 + 2 pi u and 0.0 + sd z from the same draws; 2 pi u is
+    # never -0.0, and the + 0.0 turns sd z = -0.0 (sd = 0) into +0.0
+    rng.random(out=q)
+    q *= TWO_PI
+    rng.standard_normal(out=p)
+    p *= math.sqrt(params.temperature)
+    p += 0.0
     lift = None
     if coupled:
         lift = work["lift"]
@@ -327,36 +441,55 @@ def _block_steps(params: ModelParams, w: PotentialSpec, rng, work: Workspace,
     # each branch is [q, p, lift, spare]: the step writes the new p into
     # spare, and the two then swap
     branches = [[q, p, lift, work["spare"]]]
+    n_steps = burn_steps + main_steps
+    if n_steps:
+        rng.standard_normal(out=xi)
 
-    def step(forces):
+    def step(forces, draw_next: bool):
+        """Take one step of every branch; with draw_next, xi then holds the
+        normals of the next step."""
         np.multiply(xi, sqdt, out=sdw)  # dw, then sigma dw
         np.multiply(sdw, params.sigma, out=sdw)
-        for branch, force_fn in zip(branches, forces):
-            b_q, b_p, b_lift, spare = branch
-            _advance(b_q, b_p, b_lift, force_fn, params, sdw, spare)
-            branch[1], branch[3] = spare, b_p
+        if draw_next:
+            if helper is None:
+                rng.standard_normal(out=xi)
+            else:
+                helper.start(rng, xi)
+        try:
+            for branch, force_fn in zip(branches, forces):
+                b_q, b_p, b_lift, spare = branch
+                _advance(b_p, b_q, b_lift, force_fn, params, sdw, spare)
+                branch[1], branch[3] = spare, b_p
+        finally:
+            if helper is not None:
+                helper.wait()
 
-    for _ in range(burn_steps):
-        rng.standard_normal(out=xi)
-        step([None])
-    if coupled:
-        mf = [work["mf_q"], work["mf_p"], work["mf_lift"], work["mf_spare"]]
-        for a, b in zip(mf, branches[0][:3]):
-            np.copyto(a, b)
-        branches.append(mf)
-    n_state = 3 if coupled else 2
+    if helper is not None:
+        helper.hold()
+    try:
+        for r in range(burn_steps):
+            step([None], r + 1 < n_steps)
+        if coupled:
+            # the mean-field branch's force is None and reads no position
+            mf = [None, work["mf_p"], work["mf_lift"], work["mf_spare"]]
+            np.copyto(mf[1], branches[0][1])
+            np.copyto(mf[2], branches[0][2])
+            branches.append(mf)
+        state_slices = (slice(0, 3), slice(1, 3)) if coupled else (slice(0, 2),)
 
-    def state():
-        return tuple(tuple(b[:n_state]) for b in branches)
+        def state():
+            return tuple(tuple(b[k]) for b, k in zip(branches, state_slices))
 
-    for s in range(main_steps):
-        rng.standard_normal(out=xi)
-        phase = None if w.is_zero else StepPhase(q, work)
-        yield s, state(), xi, phase
-        interacting = None if phase is None else (
-            lambda x: pairwise_force(x, w, phase.release(), force_work))
-        step([interacting, None])
-    yield main_steps, state(), None, None
+        for s in range(main_steps):
+            phase = None if w is None else StepPhase(q, work)
+            yield s, state(), xi, phase
+            interacting = None if phase is None else (
+                lambda x: pairwise_force(x, w, phase.release(), force_work))
+            step([interacting, None], s + 1 < main_steps)
+        yield main_steps, state(), None, None
+    finally:
+        if helper is not None:
+            helper.release()
 
 
 def _record(params: ModelParams, w: PotentialSpec, snapshot_times, n_arrays: int, **driver):
@@ -387,7 +520,7 @@ def simulate_coupled(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
     branches are set to the common warm state, and from then on they share
     every Brownian increment.  Snapshots are taken on the post-restart clock.
     """
-    times, out = _record(params, w, snapshot_times, 6, n_replicas=n_replicas,
+    times, out = _record(params, w, snapshot_times, 5, n_replicas=n_replicas,
                          seed=seed, replica_block=replica_block, coupled=True)
     return CoupledTrajectory(times, *out)
 

@@ -90,7 +90,7 @@ class PotentialSpec:
 
 def mean_w1_at(w: PotentialSpec, q: np.ndarray, at: np.ndarray,
                cos_sin_q: tuple[np.ndarray, np.ndarray] | None = None,
-               work: Workspace | None = None) -> np.ndarray:
+               work: Workspace | None = None, negate: bool = False) -> np.ndarray:
     """Ensemble average (1/N) sum_j W'(at - q_j), vectorised in both arguments.
 
     q has shape (..., N) and `at` either (M,) or a batch-compatible (..., M);
@@ -114,6 +114,17 @@ def mean_w1_at(w: PotentialSpec, q: np.ndarray, at: np.ndarray,
     the call allocates no array of that size, and the result is the
     workspace's array "w1", valid until its next use.  Otherwise the result
     is a new array.  The bits are the same either way.
+
+    negate=True returns the negated average, with the bits of negating the
+    result of negate=False.
+
+    The passes that change no bit are left out.  The sum starts from its
+    first term plus 0.0, not from an array of zeros: 0.0 + t is t except
+    that it turns -0.0 into +0.0, which is all the zeros did, so no term
+    adds to a -0.0.  The factor k is not applied at k = 1, as 1 * t is t.
+    The sign of negate goes into the division, as x / (-N) is -(x / N) for
+    every x that is not NaN: division rounds symmetrically, and a zero
+    keeps the sign of its quotient.
     """
     q = np.asarray(q, dtype=float)
     at = np.asarray(at, dtype=float)
@@ -124,7 +135,7 @@ def mean_w1_at(w: PotentialSpec, q: np.ndarray, at: np.ndarray,
         raise ValueError("a workspace serves the evaluation at q itself, of q's shape")
     n_part = q.shape[-1]
     out = work["w1"]
-    out.fill(0.0)
+    first = True
     for k in range(1, w.k_max + 1):
         a, b = w.cosine[k], w.sine[k]
         if a == 0.0 and b == 0.0:
@@ -157,7 +168,14 @@ def mean_w1_at(w: PotentialSpec, q: np.ndarray, at: np.ndarray,
                 term = cos_term
             else:
                 term += cos_term
-        term *= k
-        out += term
-    out /= n_part
+        if k != 1:
+            term *= k
+        if first:
+            np.add(term, 0.0, out=out)
+            first = False
+        else:
+            out += term
+    if first:
+        out.fill(0.0)
+    out /= -n_part if negate else n_part
     return out

@@ -1,6 +1,8 @@
 """Coupled Langevin integrator: forces, the step, coupling, diagnostics."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -52,6 +54,28 @@ def small_params(**kw):
                 dt=5e-3, burn_in=0.0)
     base.update(kw)
     return ModelParams(**base)
+
+
+def check_caller_draws(n_particles):
+    """A caller's draws while it holds step s fall between that step's xi
+    and the next, for a block of 2 rows of n_particles."""
+    params = small_params(n_particles=n_particles, t_horizon=0.01)
+    shape = (2, n_particles)
+    plain, mixed, extra = [], [], []
+    for path, draws in ((plain, False), (mixed, True)):
+        for _lo, _hi, rng, steps in replica_steps(params, W_COS, n_replicas=2, seed=4):
+            for s, branches, xi, _phase in steps:
+                path.append((s, copied(branches), None if xi is None else xi.copy()))
+                if draws and xi is not None:
+                    extra.append(rng.standard_normal())
+    # step 0 -> 1 used the xi drawn before the caller's draw
+    assert np.array_equal(plain[1][1][0][1], mixed[1][1][0][1])
+    ref = np.random.default_rng(np.random.SeedSequence(4).spawn(1)[0])
+    ref.uniform(0.0, TWO_PI, shape)
+    ref.normal(0.0, np.sqrt(0.5), shape)
+    assert np.array_equal(ref.standard_normal(shape), mixed[0][2])
+    assert ref.standard_normal() == extra[0]
+    assert np.array_equal(ref.standard_normal(shape), mixed[1][2])
 
 
 class TestModelParams:
@@ -137,7 +161,7 @@ class TestAdvance:
         dw = np.array([0.05, -0.02])
         force = np.array([0.3, -0.4])
         q2, p2, lift2, p_new = q.copy(), p.copy(), lift.copy(), np.empty(2)
-        _advance(q2, p2, lift2, lambda x: force, params, 0.7 * dw, p_new)
+        _advance(p2, q2, lift2, lambda x: force, params, 0.7 * dw, p_new)
         assert lift2 == pytest.approx(q + p * 1e-2, abs=1e-15)
         assert q2 == pytest.approx(wrap(q + p * 1e-2), abs=1e-15)
         assert q2[1] < 0.02  # the second particle wrapped around
@@ -148,7 +172,7 @@ class TestAdvance:
     def test_momentum_guard_trips(self):
         params = small_params(n_particles=1, momentum_guard=1.0)
         with pytest.raises(TimeStepError):
-            _advance(np.array([0.0]), np.array([0.99]), np.array([0.0]),
+            _advance(np.array([0.99]), np.array([0.0]), np.array([0.0]),
                      lambda x: np.full_like(x, 100.0), params,
                      np.array([0.0]), np.empty(1))
 
@@ -164,7 +188,7 @@ class TestAdvance:
         want = euler_step(q, p, lift, lambda x: pairwise_force(x, W_MULTI), params, dw)
         got = (q.copy(), p.copy(), None if lift is None else lift.copy())
         p_new = np.empty(64)
-        _advance(*got, lambda x: pairwise_force(x, W_MULTI), params,
+        _advance(got[1], got[0], got[2], lambda x: pairwise_force(x, W_MULTI), params,
                  params.sigma * dw, p_new)
         assert same_bits(got[0], want[0]) and same_bits(p_new, want[1])
         if carried:
@@ -193,7 +217,6 @@ class TestCoupledRuns:
         params = small_params()
         traj = simulate_coupled(params, PotentialSpec.zero(), n_replicas=4,
                                 snapshot_times=[0.0, 0.05, 0.1], seed=3)
-        assert np.array_equal(traj.q_int, traj.q_mf)
         assert np.array_equal(traj.p_int, traj.p_mf)
         assert np.array_equal(traj.lift_int, traj.lift_mf)
         assert chaos_distance(traj).max() == 0.0
@@ -202,7 +225,7 @@ class TestCoupledRuns:
         params = small_params(burn_in=0.1)
         traj = simulate_coupled(params, W_COS, n_replicas=4,
                                 snapshot_times=[0.0, 0.1], seed=5)
-        assert np.array_equal(traj.q_int[0], traj.q_mf[0])
+        assert np.array_equal(traj.lift_int[0], traj.lift_mf[0])
         assert np.array_equal(traj.p_int[0], traj.p_mf[0])
         assert not np.array_equal(traj.p_int[1], traj.p_mf[1])
 
@@ -274,34 +297,28 @@ class TestReplicaSteps:
                 params, W_COS, n_replicas=6, seed=2, replica_block=4, coupled=True):
             for s, branches, xi, _phase in steps:
                 seen.append((lo, hi, s, xi is None))
-                assert len(branches) == 2
-                for q, p, lift in branches:
-                    assert q.shape == p.shape == lift.shape == (hi - lo, 8)
+                (q, p, lift), (p_mf, lift_mf) = branches
+                for a in (q, p, lift, p_mf, lift_mf):
+                    assert a.shape == (hi - lo, 8)
                 if s == 0:
-                    for a, b in zip(*branches):
-                        assert np.array_equal(a, b)
+                    assert np.array_equal(p, p_mf) and np.array_equal(lift, lift_mf)
                 if xi is not None:
                     assert xi.shape == (hi - lo, 8)
         assert seen == [(lo, hi, s, s == 4) for lo, hi in ((0, 4), (4, 6))
                         for s in range(5)]
 
     def test_caller_draws_fall_between_xi_and_the_step(self):
-        params = small_params(n_particles=3, t_horizon=0.01)
-        plain, mixed, extra = [], [], []
-        for path, draws in ((plain, False), (mixed, True)):
-            for _lo, _hi, rng, steps in replica_steps(params, W_COS, n_replicas=2, seed=4):
-                for s, branches, xi, _phase in steps:
-                    path.append((s, copied(branches), None if xi is None else xi.copy()))
-                    if draws and xi is not None:
-                        extra.append(rng.standard_normal())
-        # step 0 -> 1 used the xi drawn before the caller's draw
-        assert np.array_equal(plain[1][1][0][1], mixed[1][1][0][1])
-        ref = np.random.default_rng(np.random.SeedSequence(4).spawn(1)[0])
-        ref.uniform(0.0, TWO_PI, (2, 3))
-        ref.normal(0.0, np.sqrt(0.5), (2, 3))
-        assert np.array_equal(ref.standard_normal((2, 3)), mixed[0][2])
-        assert ref.standard_normal() == extra[0]
-        assert np.array_equal(ref.standard_normal((2, 3)), mixed[1][2])
+        check_caller_draws(n_particles=3)
+
+    @pytest.mark.parametrize("sigma", [1.3, 0.0])
+    def test_the_start_has_the_bits_of_uniform_and_normal(self, sigma):
+        # the start is drawn into the block's arrays; sigma = 0 makes sd z = -0.0
+        params = small_params(n_particles=7, gamma=0.8, sigma=sigma)
+        _lo, _hi, _rng, steps = next(replica_steps(params, W_COS, n_replicas=3, seed=2))
+        _s, ((q, p),), _xi, _phase = next(steps)
+        twin = np.random.default_rng(np.random.SeedSequence(2).spawn(1)[0])
+        assert same_bits(q, twin.uniform(0.0, TWO_PI, (3, 7)))
+        assert same_bits(p, twin.normal(0.0, math.sqrt(params.temperature), (3, 7)))
 
     @pytest.mark.parametrize("w", [W_COS, PotentialSpec([0.0, 0.7, 0.2],
                                                          [0.0, 0.4, -0.3])])
@@ -364,9 +381,9 @@ class TestReplicaSteps:
     def test_an_uncoupled_run_carries_no_lift(self, monkeypatch):
         lifts = []
 
-        def recorded(q, p, lift, *args):
+        def recorded(p, q, lift, *args):
             lifts.append(lift)
-            return _advance(q, p, lift, *args)
+            return _advance(p, q, lift, *args)
 
         monkeypatch.setattr(particles, "_advance", recorded)
         for _lo, _hi, _rng, steps in replica_steps(small_params(burn_in=0.02), W_COS,
@@ -378,7 +395,7 @@ class TestReplicaSteps:
     def test_a_block_stops_where_its_caller_stops(self, monkeypatch):
         calls = []
         monkeypatch.setattr(particles, "_advance",
-                            lambda q, *args: calls.append(len(q)) or _advance(q, *args))
+                            lambda p, *args: calls.append(len(p)) or _advance(p, *args))
         for lo, _hi, _rng, steps in replica_steps(small_params(), W_COS, n_replicas=6,
                                                   seed=0, replica_block=4, coupled=True):
             for s, _branches, _xi, _phase in steps:
@@ -407,6 +424,154 @@ class TestReplicaSteps:
         finally:
             tracemalloc.stop()
         assert peak - base < 16 * 4096 * 8
+
+
+def helpers_alive():
+    return sum(t.name == "dklab-normals" for t in threading.enumerate())
+
+
+# a block of 2 rows of AHEAD_N particles draws ahead, a block of 1 row does not
+AHEAD_N = 2100
+
+
+class TestDrawAhead:
+    """Blocks of at least DRAW_AHEAD_ELEMENTS draw each next xi on a helper."""
+
+    def test_the_threshold_splits_the_test_blocks(self):
+        assert AHEAD_N < particles.DRAW_AHEAD_ELEMENTS <= 2 * AHEAD_N
+
+    @pytest.mark.parametrize("ask_phase", [False, True])
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_each_step_has_the_bits_of_the_oracle(self, coupled, ask_phase):
+        # a burn-in, then a block of 2 rows, which draws ahead, and one of 1 row,
+        # which does not
+        params = small_params(n_particles=AHEAD_N, burn_in=0.01, t_horizon=0.02)
+        sqdt = np.sqrt(params.dt)
+        before_run = helpers_alive()
+        seen, during = [], []
+        for lo, hi, rng, steps in replica_steps(params, W_MULTI, n_replicas=3, seed=5,
+                                                replica_block=2, coupled=coupled):
+            for s, branches, xi, phase in steps:
+                during.append(helpers_alive())
+                if ask_phase and phase is not None:
+                    phase()
+                if s > 0:
+                    inter = euler_step(*before[0], *[None][:3 - len(before[0])],
+                                       lambda x: pairwise_force(x, W_MULTI), params, dw)
+                    want = [inter if coupled else inter[:2]]
+                    if coupled:
+                        # the oracle keeps the mean-field positions the driver drops
+                        mf = euler_step(mf[0], *before[1], None, params, dw)
+                        want.append(mf[1:])
+                    assert [len(b) for b in branches] == [len(b) for b in want]
+                    for got, exp in zip(branches, want):
+                        assert all(same_bits(a, b) for a, b in zip(got, exp))
+                elif coupled:
+                    mf = (branches[0][0].copy(),) + copied(branches)[1]
+                before, dw = copied(branches), None if xi is None else xi * sqdt
+                seen.append((lo, s))
+        assert seen == [(lo, s) for lo in (0, 2) for s in range(5)]
+        # the 2-row block ran with the helper, the 1-row block without it
+        assert during[:5] == [before_run + 1] * 5
+        assert helpers_alive() == before_run
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_the_helper_keeps_every_bit_of_the_inline_draws(self, monkeypatch, coupled):
+        params = small_params(n_particles=AHEAD_N, burn_in=0.02, t_horizon=0.03)
+        runs = []
+        for threshold in (particles.DRAW_AHEAD_ELEMENTS, 10 ** 12):  # ahead, inline
+            monkeypatch.setattr(particles, "DRAW_AHEAD_ELEMENTS", threshold)
+            runs.append([[a.tobytes() for b in branches for a in b]
+                         + [None if xi is None else xi.tobytes()]
+                         for _lo, _hi, _rng, steps in replica_steps(
+                             params, W_COS, n_replicas=4, seed=6, replica_block=2,
+                             coupled=coupled)
+                         for _s, branches, xi, _phase in steps])
+        assert runs[0] == runs[1]
+        assert len(runs[0]) == 2 * 7
+
+    def test_caller_draws_fall_between_xi_and_the_step(self):
+        check_caller_draws(n_particles=AHEAD_N)
+
+    def test_no_helper_outlives_a_run_to_the_end(self):
+        before, during = threading.active_count(), []
+        for _lo, _hi, _rng, steps in replica_steps(small_params(n_particles=AHEAD_N), W_COS,
+                                                   n_replicas=4, seed=0, replica_block=2):
+            for _ in steps:
+                during.append(helpers_alive())
+        assert min(during) == 1
+        assert threading.active_count() == before
+
+    def test_no_helper_outlives_an_early_stop(self):
+        before = threading.active_count()
+        params = small_params(n_particles=AHEAD_N)
+        q, _p = simulate_interacting(params, W_COS, n_replicas=2, snapshot_times=[0.01],
+                                     seed=0)
+        assert q.shape == (1, 2, AHEAD_N)
+
+        def stop_at_step_3():  # its return drops the driver and the block
+            for _lo, _hi, _rng, steps in replica_steps(params, W_COS, n_replicas=4, seed=0,
+                                                       replica_block=2):
+                for s, *_ in steps:
+                    if s == 3:
+                        assert helpers_alive() == 1
+                        return
+
+        stop_at_step_3()
+        assert threading.active_count() == before
+
+    def test_no_helper_outlives_a_tripped_momentum_guard(self):
+        before = threading.active_count()
+        params = small_params(n_particles=AHEAD_N, momentum_guard=1.0)
+        with pytest.raises(TimeStepError):
+            for _lo, _hi, _rng, steps in replica_steps(params, W_COS, n_replicas=2, seed=0):
+                for _ in steps:
+                    assert helpers_alive() == 1
+        assert threading.active_count() == before
+
+    def test_a_dropped_driver_leaves_a_block_that_steps_to_its_end(self):
+        before = threading.active_count()
+        params = small_params(n_particles=AHEAD_N)
+        _lo, _hi, _rng, steps = next(replica_steps(params, W_COS, n_replicas=2, seed=0,
+                                                   coupled=True))
+        assert threading.active_count() == before  # the driver let go of its helper
+        seen = []  # stepped on a thread of its own, so that a hang fails the test
+        runner = threading.Thread(target=lambda: seen.extend(s for s, *_ in steps))
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert seen == list(range(21))
+        assert threading.active_count() == before
+
+    def test_concurrent_runs_keep_their_bits_under_a_short_switch_interval(self, monkeypatch):
+        # three runs at once, each with its helper: six threads on fewer cores,
+        # switching as often as the interpreter allows
+        params = small_params(n_particles=AHEAD_N, burn_in=0.02, t_horizon=0.05)
+
+        def run(seed):
+            return simulate_coupled(params, W_COS, n_replicas=4, snapshot_times=[0.05],
+                                    seed=seed, replica_block=2)
+
+        threshold = particles.DRAW_AHEAD_ELEMENTS
+        monkeypatch.setattr(particles, "DRAW_AHEAD_ELEMENTS", 10 ** 12)
+        inline = [run(seed) for seed in range(3)]
+        monkeypatch.setattr(particles, "DRAW_AHEAD_ELEMENTS", threshold)
+        ahead = {}
+        runners = [threading.Thread(target=lambda s=s: ahead.update({s: run(s)}))
+                   for s in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for runner in runners:
+                runner.start()
+            for runner in runners:
+                runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(runner.is_alive() for runner in runners)
+        for seed, want in enumerate(inline):
+            for a, b in zip(vars(ahead[seed]).values(), vars(want).values()):
+                assert same_bits(a, b)
 
 
 def vfp_force_table(params, w, n_rows):
@@ -465,13 +630,18 @@ class TestZeroMeanFieldForce:
                     for r in range(burn):
                         state = euler_step(*state, lambda x: table.force_at(r, x), params,
                                            rng.standard_normal(shape) * sqdt)
-                    expected = (state, state)
+                    mf = state
+                    expected = (state, state[1:])
                 else:
+                    # the driver's mean-field branch is (p, lift); the oracle
+                    # keeps its positions, at which the table's force is taken
+                    mf = euler_step(mf[0], *before[1],
+                                    lambda x: table.force_at(burn + s - 1, x), params, dw)
                     expected = (
                         euler_step(*before[0], lambda x: pairwise_force(x, w), params, dw),
-                        euler_step(*before[1], lambda x: table.force_at(burn + s - 1, x),
-                                   params, dw))
+                        mf[1:])
                 for got, want in zip(branches, expected):
+                    assert len(got) == len(want)
                     assert all(same_bits(a, b) for a, b in zip(got, want))
                 before, dw = copied(branches), None if xi is None else xi * sqdt
                 seen.append((lo, s))
@@ -487,7 +657,7 @@ class TestChaosDistance:
         return CoupledTrajectory(
             times=np.array([0.0, 1.0]),
             q_int=wrap(lift_mf + dq), p_int=p_mf + dp, lift_int=lift_mf + dq,
-            q_mf=wrap(lift_mf), p_mf=p_mf, lift_mf=lift_mf)
+            p_mf=p_mf, lift_mf=lift_mf)
 
     def test_hand_values(self):
         traj = self._toy(0.3, 0.4)
