@@ -43,12 +43,16 @@ step, raising ConfigurationError for a time off the dt grid or the horizon.
 Block seeding.  Replicas are simulated in vectorised blocks of
 `replica_block` rows (the last block may be shorter).  Block b draws from a
 Generator on the b-th child spawned off SeedSequence(seed), so a block's
-numbers depend only on (seed, b) and its row count, not on other blocks.
+numbers depend only on (seed, b) and its row count, not on other blocks,
+and a block's draws may run beside another block's without moving a bit.
 
 Start and burn-in.  Each block samples q ~ U(0, 2 pi) and then
 p ~ N(0, sigma^2 / (2 gamma)), with the bits of `rng.uniform` and
 `rng.normal` but into the block's own arrays, sets the lift (if carried) to
 q and runs burn_steps mean-field steps.  The clock then restarts at s = 0.
+The start is drawn before the driver yields the block: the raw uniforms and
+normals are drawn into the block's start arrays, and the block scales them
+when its `steps` begins.
 
 Yield contract.  The driver yields (lo, hi, rng, steps) once per replica
 block [lo, hi), where `rng` is the block's Generator and `steps` is an
@@ -71,16 +75,18 @@ allocates no array of the block's size.
 
 `phase` is a `StepPhase` handle on the interacting q of step s when the
 potential is nonzero and s < main_steps, and None otherwise.  Calling it
-returns `torus.cos_sin(q)`, computed on the first call.  The step then takes
-those arrays as the wavenumber-1 trig of the pairwise force instead of
-computing its own, and the bits of every branch are the same whether or not
-the caller asked.  A caller that never calls it pays nothing; the handle
-lets go of its arrays when the step runs.
+returns `torus.cos_sin(q)`, computed on the first call, and `phase.force()`
+returns the pairwise force of q, computed on its first call (from that trig
+if the caller asked for it).  The step then takes the force as its own, so
+it computes neither again, and the bits of every branch are the same
+whether or not the caller asked.  A caller that never asks pays nothing;
+the handle lets go of its arrays when the step runs.
 
-Draw order per block: the start, one standard-normal array per burn-in
-step, then per main step `xi` followed by whatever the caller draws from
-`rng` while holding step s.  Each step draws the xi of the step after it,
-so the xi of step s+1 is drawn after the caller resumes from step s.
+Draw order per block: the start (q, then p), one standard-normal array per
+burn-in step, then per main step `xi` followed by whatever the caller draws
+from `rng` while holding step s.  The first of the normal arrays is drawn
+with the start, and each step draws the xi of the step after it, so the xi
+of step s+1 is drawn after the caller resumes from step s.
 
 Drawing ahead.  The normals are the largest single cost of a step: at a
 (16, 2048) block, `standard_normal(out=xi)` takes about 0.6 of a 1.5 ms
@@ -93,12 +99,28 @@ every draw and bit is that of the inline fill.  A handoff costs tens of
 microseconds, so a smaller block draws inline: on a 2-vCPU x86 host a
 coupled run's step drew ahead faster from about 4000 elements (ahead won 1
 of 11 timed runs at 3072 elements, 5 of 11 at 4000, 8 of 11 at 4096, 10 of
-11 at 5600 and every one above), which set the threshold at 4096.  One
-helper serves a run: the driver holds it from its first block to its end,
-and a block's `steps` from its first item to its end, so it outlives
-neither, and a `steps` that outlives its driver keeps it.  A step that
-raises waits for its fill first.  The helper uses no BLAS or OpenMP
-thread, and each process of a pool starts its own.
+11 at 5600 and every one above), which set the threshold at 4096.
+
+A block of at least DRAW_AHEAD_ELEMENTS elements whose successor is as
+large also draws that successor's start on the helper, into the other of
+two sets of start arrays, which blocks take by turns.  It hands over the
+raw q and p as it yields its first step and the first xi as it yields its
+second, so each fill runs beside the caller's work and the step's own xi
+does not queue behind the whole start.  Before the driver yields the
+successor, it waits for these fills and draws inline any that were not
+handed over, as when the caller stopped at s = 0 or the block yields once.
+Each Generator keeps its draw order, so the bits are those of the inline
+run.  A covariance cell runs 100 blocks of 100 replicas and reads two
+steps of each, so three of a block's four particle-sized fills are its
+start; at (100, 316) a normal fill takes about 236 us and a uniform fill
+47 us on a 2-vCPU AMD EPYC host.
+
+One helper serves a run: the driver holds it from its first block that
+draws ahead to its end, and a block's `steps` from its first item to its
+end, so it outlives neither, and a `steps` that outlives its driver keeps
+it and hands over no further start.  A step that raises waits for its
+fill first, and the last release lets a pending start finish.  The helper
+uses no BLAS or OpenMP thread, and each process of a pool starts its own.
 """
 
 from __future__ import annotations
@@ -206,34 +228,50 @@ def pairwise_force(q: np.ndarray, w: PotentialSpec,
 
 
 class StepPhase:
-    """cos q and sin q of one step's interacting positions, computed on demand.
+    """cos q, sin q and the pairwise force of one step's interacting
+    positions, each computed on demand.
 
     Calling the handle computes `torus.cos_sin(q)` into arrays of the
-    workspace `work` on the first call and returns the same pair after that.  The step
-    s -> s+1 calls `release`, which hands the pair, if computed, to the
-    pairwise force and drops every reference the handle holds, so the force
-    takes no trig of its own for wavenumber 1.  A handle is valid while its
-    step is yielded.
+    workspace `work` on the first call and returns the same pair after that.
+    `force()` computes `pairwise_force(q, w)` into the workspace `force_work`
+    on its first call, from that pair if it has been computed, and returns the
+    same array after that; its bits are those of the force computed alone.
+    The step s -> s+1 calls `release`, which returns the force, computing it
+    if no caller asked for it, and drops every reference the handle holds, so
+    the step computes neither the trig of wavenumber 1 nor the force again.
+    A handle is valid while its step is yielded.
     """
 
-    __slots__ = ("_q", "_work", "_cos_sin")
+    __slots__ = ("_q", "_w", "_work", "_force_work", "_cos_sin", "_force")
 
-    def __init__(self, q: np.ndarray, work: Workspace):
-        self._q = q
-        self._work = work
-        self._cos_sin = None
+    def __init__(self, q: np.ndarray, w: PotentialSpec, work: Workspace,
+                 force_work: Workspace):
+        self._q, self._w, self._work, self._force_work = q, w, work, force_work
+        self._cos_sin = self._force = None
+
+    def _positions(self) -> np.ndarray:
+        if self._q is None:
+            raise RuntimeError("the phase of a step that has already been taken")
+        return self._q
 
     def __call__(self) -> tuple[np.ndarray, np.ndarray]:
         if self._cos_sin is None:
-            if self._q is None:
-                raise RuntimeError("the phase of a step that has already been taken")
             work = self._work
-            self._cos_sin = cos_sin(self._q, out=(work["cos"], work["sin"], work["trig"]))
+            self._cos_sin = cos_sin(self._positions(),
+                                    out=(work["cos"], work["sin"], work["trig"]))
         return self._cos_sin
 
-    def release(self) -> tuple[np.ndarray, np.ndarray] | None:
-        cos_sin, self._q, self._work, self._cos_sin = self._cos_sin, None, None, None
-        return cos_sin
+    def force(self) -> np.ndarray:
+        if self._force is None:
+            self._force = pairwise_force(self._positions(), self._w, self._cos_sin,
+                                         self._force_work)
+        return self._force
+
+    def release(self) -> np.ndarray:
+        force = self.force()
+        self._q = self._w = self._work = self._force_work = None
+        self._cos_sin = self._force = None
+        return force
 
 
 def _advance(p, q, lift, force_fn, params: ModelParams, sdw, p_new):
@@ -305,16 +343,19 @@ def default_datum(gamma: float, sigma: float) -> PhaseSpaceDensity:
 
 
 class _DrawAhead:
-    """A helper thread that fills a block's `xi` with standard normals from
-    the block's Generator while the calling thread steps.
+    """A helper thread that fills arrays from a block's Generator while the
+    calling thread steps.
 
-    numpy fills `Generator.standard_normal(out=)` with the GIL released, so
-    the fill runs on a second core.  `start(rng, xi)` hands a fill over and
-    returns; `wait` returns once it is done, raising what the fill raised,
-    and returns at once when no fill is pending.  Between the two the caller
-    touches neither rng nor xi, so the draws are those of the inline fill.
-    The thread runs while the helper is held: `hold` starts it when it is
-    not running, and the last `release` ends it.
+    numpy fills `Generator.standard_normal(out=)` and `Generator.random(out=)`
+    with the GIL released, so a fill runs on a second core.  `start(jobs)`
+    hands over a list of (fill, out) pairs, which the thread runs in order as
+    fill(out=out), and returns; a list handed over before it is waited for
+    first.  `wait` returns once the list is done, raising what a fill raised,
+    and returns at once when none is pending.  Between the two the caller
+    touches neither the Generators nor the arrays of the list, so the draws
+    are those of the inline fills.  The thread runs while the helper is held:
+    `hold` starts it when it is not running, and the last `release` lets a
+    pending list finish and ends it.
     """
 
     def __init__(self):
@@ -334,24 +375,28 @@ class _DrawAhead:
     def release(self):
         self._holders -= 1
         if self._holders == 0:
-            self._job = None  # with no job, the thread returns
+            if self._job is not None:  # the start of a block that will not run
+                self._done.acquire()
+            self._job, self._error = None, None  # with no job, the thread returns
             self._go.release()
             self._thread.join()
 
     def _serve(self):
         while True:
             self._go.acquire()
-            if self._job is None:
+            jobs = self._job
+            if jobs is None:
                 return
-            rng, xi = self._job
             try:
-                rng.standard_normal(out=xi)
+                for fill, out in jobs:
+                    fill(out=out)
             except BaseException as exc:  # raised again by wait, which must return
                 self._error = exc
             self._done.release()
 
-    def start(self, rng, xi: np.ndarray):
-        self._job = (rng, xi)
+    def start(self, jobs: list):
+        self.wait()
+        self._job = jobs
         self._go.release()
 
     def wait(self):
@@ -365,7 +410,8 @@ class _DrawAhead:
 
 
 #: Blocks of at least this many elements (replicas times particles) draw
-#: each step's normals ahead on a helper thread; see `replica_steps`.
+#: each step's normals, and the next such block's start, ahead on a helper
+#: thread; see `replica_steps`.
 DRAW_AHEAD_ELEMENTS = 4096
 
 
@@ -379,11 +425,13 @@ def replica_steps(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
     block; see the module docstring for the contract.
 
     A block of at least DRAW_AHEAD_ELEMENTS elements draws the normals of
-    step s+1 on a helper thread while the step s -> s+1 runs; see "Drawing
-    ahead" in the module docstring for the threshold and the helper's life.
+    step s+1 on a helper thread while the step s -> s+1 runs, and, when the
+    next block is as large, that block's start while the caller holds its
+    first two steps; see "Drawing ahead" in the module docstring.
     """
     burn_steps = step_index(params.burn_in, params.dt, "burn_in")
     main_steps = step_index(params.t_horizon, params.dt, "t_horizon")
+    n_steps = burn_steps + main_steps
     pairwise = not w.is_zero
     if pairwise and (burn_steps or (coupled and main_steps)):
         # the mean-field law must exist; gamma = 0 raises in params.temperature
@@ -391,47 +439,77 @@ def replica_steps(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
             raise ConfigurationError("temperature m2 must be positive")
 
     n_blocks = (n_replicas + replica_block - 1) // replica_block
+    children = np.random.SeedSequence(seed).spawn(n_blocks)
+    # per block shape (only the last block may differ): the step's and the
+    # force's workspaces, and two for the start, which blocks take by turns
+    # so that a block's successor can draw its start while the block runs
+    shaped = {}
+
+    def block(b):
+        """Block b's lo, hi, Generator, start, step and force workspaces,
+        whether it draws ahead, and its start as lists of (fill, out) pairs
+        in draw order: the raw q and p, then the first xi if it takes a step."""
+        lo, hi = b * replica_block, min((b + 1) * replica_block, n_replicas)
+        shape = (hi - lo, params.n_particles)
+        if shape not in shaped:
+            shaped[shape] = [Workspace(shape) for _ in range(4)]
+        work, force_work, *starts = shaped[shape]
+        rng, start = np.random.default_rng(children[b]), starts[b % 2]
+        fills = [[(rng.random, start["q"]), (rng.standard_normal, start["p"])]]
+        if n_steps:
+            fills.append([(rng.standard_normal, start["xi"])])
+        return (lo, hi, rng, start, work, force_work,
+                (hi - lo) * params.n_particles >= DRAW_AHEAD_ELEMENTS, fills)
+
     # the driver holds the helper from the first block that draws ahead to its
     # end, so that one thread serves every block; each block holds it too
     helper = None
+    prefetch = []
     try:
-        work = None
-        for b, child in enumerate(np.random.SeedSequence(seed).spawn(n_blocks)):
-            lo, hi = b * replica_block, min((b + 1) * replica_block, n_replicas)
-            shape = (hi - lo, params.n_particles)
-            if work is None or work.shape != shape:  # only the last block may differ
-                work, force_work = Workspace(shape), Workspace(shape)
-            rng = np.random.default_rng(child)
-            ahead = (burn_steps + main_steps > 1
-                     and (hi - lo) * params.n_particles >= DRAW_AHEAD_ELEMENTS)
+        following = block(0) if n_blocks else None
+        for b in range(n_blocks):
+            lo, hi, rng, start, work, force_work, large, fills = following
+            if helper is not None:
+                helper.wait()  # the fills of this start that went to the helper
+            for jobs in fills:  # and those that did not
+                for fill, out in jobs:
+                    fill(out=out)
+            following = block(b + 1) if b + 1 < n_blocks else None
+            # the block hands its successor's start to the helper when both
+            # draw ahead
+            prefetch = following[-1] if large and following and following[-2] else []
+            ahead = large and (n_steps > 1 or bool(prefetch))
             if ahead and helper is None:
                 helper = _DrawAhead()
                 helper.hold()
-            steps = _block_steps(params, w if pairwise else None, rng, work, force_work,
-                                 burn_steps, main_steps, coupled, helper if ahead else None)
+            steps = _block_steps(params, w if pairwise else None, rng, start, work,
+                                 force_work, burn_steps, main_steps, coupled,
+                                 helper if ahead else None, prefetch)
             yield lo, hi, rng, steps
             steps.close()
     finally:
+        prefetch.clear()  # a block that outlives its driver hands over no start
         if helper is not None:
             helper.release()
 
 
-def _block_steps(params: ModelParams, w: PotentialSpec | None, rng, work: Workspace,
-                 force_work: Workspace, burn_steps: int, main_steps: int,
-                 coupled: bool, helper: _DrawAhead | None):
-    """The `steps` of one block of `replica_steps`, in the arrays of `work`;
-    the pairwise force of w (None for the zero potential) takes its arrays
-    from `force_work`.  With a helper, each step hands the next step's
-    normals to it, and the block holds it from its first item to its end."""
+def _block_steps(params: ModelParams, w: PotentialSpec | None, rng, start: Workspace,
+                 work: Workspace, force_work: Workspace, burn_steps: int,
+                 main_steps: int, coupled: bool, helper: _DrawAhead | None,
+                 prefetch: list):
+    """The `steps` of one block of `replica_steps`.  `start` holds the block's
+    start as drawn (the raw q and p, and the first xi), which the block
+    scales; the step's other arrays come from `work`, and the pairwise force
+    of w (None for the zero potential) takes its arrays from `force_work`.
+    With a helper, each step hands the next step's normals to it, the block's
+    first two yields hand it the lists of `prefetch` (the next block's start),
+    one each, and the block holds it from its first item to its end."""
     sqdt = math.sqrt(params.dt)
-    xi, sdw = work["xi"], work["sdw"]
-    q, p = work["q"], work["p"]
+    q, p, xi, sdw = start["q"], start["p"], start["xi"], work["sdw"]
     # the bits of rng.uniform(0, 2 pi) and rng.normal(0, sd), which numpy
     # forms as 0.0 + 2 pi u and 0.0 + sd z from the same draws; 2 pi u is
     # never -0.0, and the + 0.0 turns sd z = -0.0 (sd = 0) into +0.0
-    rng.random(out=q)
     q *= TWO_PI
-    rng.standard_normal(out=p)
     p *= math.sqrt(params.temperature)
     p += 0.0
     lift = None
@@ -442,8 +520,6 @@ def _block_steps(params: ModelParams, w: PotentialSpec | None, rng, work: Worksp
     # spare, and the two then swap
     branches = [[q, p, lift, work["spare"]]]
     n_steps = burn_steps + main_steps
-    if n_steps:
-        rng.standard_normal(out=xi)
 
     def step(forces, draw_next: bool):
         """Take one step of every branch; with draw_next, xi then holds the
@@ -454,7 +530,7 @@ def _block_steps(params: ModelParams, w: PotentialSpec | None, rng, work: Worksp
             if helper is None:
                 rng.standard_normal(out=xi)
             else:
-                helper.start(rng, xi)
+                helper.start([(rng.standard_normal, xi)])
         try:
             for branch, force_fn in zip(branches, forces):
                 b_q, b_p, b_lift, spare = branch
@@ -463,6 +539,10 @@ def _block_steps(params: ModelParams, w: PotentialSpec | None, rng, work: Worksp
         finally:
             if helper is not None:
                 helper.wait()
+
+    def hand_over_the_next_start():
+        if prefetch:
+            helper.start(prefetch.pop(0))
 
     if helper is not None:
         helper.hold()
@@ -481,11 +561,12 @@ def _block_steps(params: ModelParams, w: PotentialSpec | None, rng, work: Worksp
             return tuple(tuple(b[k]) for b, k in zip(branches, state_slices))
 
         for s in range(main_steps):
-            phase = None if w is None else StepPhase(q, work)
+            phase = None if w is None else StepPhase(q, w, work, force_work)
+            hand_over_the_next_start()
             yield s, state(), xi, phase
-            interacting = None if phase is None else (
-                lambda x: pairwise_force(x, w, phase.release(), force_work))
+            interacting = None if phase is None else (lambda _q: phase.release())
             step([interacting, None], s + 1 < main_steps)
+        hand_over_the_next_start()
         yield main_steps, state(), None, None
     finally:
         if helper is not None:

@@ -885,7 +885,7 @@ def _identity_residuals(args):
     res = [0.0, 0.0, 0.0]
     for _lo, _hi, _rng, steps in replica_steps(params, w, n_replicas=cfg.n_replicas,
                                                seed=seed):
-        for s, ((q, p),), xi, _phase in steps:
+        for s, ((q, p),), xi, phase in steps:
             ones = np.ones_like(q)
             rho = weighted_field_values(q, ones, kern, geometry, 0)
             jf = weighted_field_values(q, p, kern, geometry, 0)
@@ -898,7 +898,8 @@ def _identity_residuals(args):
             # density identity: transport by the momentum field
             rhs_a = -dt * weighted_field_values(q, p, kern, geometry, 1)
             # momentum identity: flux + friction + interaction + noise
-            force = pairwise_force(q, w)
+            # through the phase, the step reuses this force instead of its own
+            force = phase.force() if phase else pairwise_force(q, w)
             inter = weighted_field_values(q, -force, kern, geometry, 0)
             noise = cfg.sigma * weighted_field_values(q, xi * math.sqrt(dt), kern,
                                                       geometry, 0)

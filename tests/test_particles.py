@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -352,11 +353,42 @@ class TestReplicaSteps:
         with pytest.raises(RuntimeError):
             phase()
 
+    @pytest.mark.parametrize("ask_trig", [False, True])
+    def test_phase_force_is_the_pairwise_force_and_changes_no_bit(self, ask_trig):
+        params = small_params(t_horizon=0.02, burn_in=0.01)
+        kw = dict(n_replicas=5, seed=3, replica_block=4, coupled=True)
+        asked, plain = [], []
+        for _lo, _hi, _rng, steps in replica_steps(params, W_MULTI, **kw):
+            for s, branches, xi, phase in steps:
+                if xi is not None:
+                    if ask_trig:
+                        phase()
+                    force = phase.force()
+                    assert same_bits(force, pairwise_force(branches[0][0], W_MULTI))
+                    assert phase.force() is force
+                asked.append([a.tobytes() for b in branches for a in b])
+        for _lo, _hi, _rng, steps in replica_steps(params, W_MULTI, **kw):
+            for s, branches, xi, phase in steps:
+                plain.append([a.tobytes() for b in branches for a in b])
+        assert asked == plain
+        assert len(plain) == 2 * 5
+
+    def test_force_of_a_taken_step_is_refused(self):
+        _lo, _hi, _rng, steps = next(replica_steps(small_params(), W_COS,
+                                                   n_replicas=1, seed=0))
+        *_, phase = next(steps)
+        next(steps)
+        with pytest.raises(RuntimeError):
+            phase.force()
+
     def test_no_phase_without_a_pairwise_force(self):
         for _lo, _hi, _rng, steps in replica_steps(small_params(), PotentialSpec.zero(),
                                                    n_replicas=2, seed=0):
             for *_, phase in steps:
                 assert phase is None
+
+    def test_no_replicas_yield_no_block(self):
+        assert list(replica_steps(small_params(), W_COS, n_replicas=0, seed=0)) == []
 
     def test_block_numbers_depend_only_on_seed_and_index(self):
         params = small_params()
@@ -432,6 +464,32 @@ def helpers_alive():
 
 # a block of 2 rows of AHEAD_N particles draws ahead, a block of 1 row does not
 AHEAD_N = 2100
+
+
+def yielded(params, w, stops=None, **driver):
+    """Every item a run yields, as [lo, s, state bytes..., xi bytes], and
+    after each block a number the caller draws from its rng, as [lo, None,
+    draw].  stops maps a block's lo to the last step its caller takes (None:
+    the caller does not iterate the block)."""
+    stops = stops or {}
+    out = []
+    for lo, _hi, rng, steps in replica_steps(params, w, **driver):
+        for s, branches, xi, _phase in ([] if lo in stops and stops[lo] is None else steps):
+            out.append([lo, s] + [a.tobytes() for b in branches for a in b]
+                       + [None if xi is None else xi.tobytes()])
+            if stops.get(lo) == s:
+                break
+        out.append([lo, None, rng.standard_normal()])
+    return out
+
+
+def ahead_and_inline(monkeypatch, params, w, **kw):
+    """`yielded` at the threshold, then with every block drawing inline."""
+    runs = []
+    for threshold in (particles.DRAW_AHEAD_ELEMENTS, 10 ** 12):
+        monkeypatch.setattr(particles, "DRAW_AHEAD_ELEMENTS", threshold)
+        runs.append(yielded(params, w, **kw))
+    return runs
 
 
 class TestDrawAhead:
@@ -572,6 +630,128 @@ class TestDrawAhead:
         for seed, want in enumerate(inline):
             for a, b in zip(vars(ahead[seed]).values(), vars(want).values()):
                 assert same_bits(a, b)
+
+    @pytest.mark.parametrize("burn_in", [0.0, 0.01])
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_blocks_that_draw_their_successors_start_keep_the_inline_bits(
+            self, monkeypatch, coupled, burn_in):
+        # 8 replicas in blocks of 3, 3 and 2: every block draws ahead, and the
+        # first two draw the start of the block after them
+        params = small_params(n_particles=AHEAD_N, burn_in=burn_in, t_horizon=0.02)
+        runs = ahead_and_inline(monkeypatch, params, W_MULTI, n_replicas=8, seed=8,
+                                replica_block=3, coupled=coupled)
+        assert runs[0] == runs[1]
+        assert [item[:2] for item in runs[0] if item[1] is not None] == [
+            [lo, s] for lo in (0, 3, 6) for s in range(5)]
+
+    def test_callers_that_stop_early_keep_the_inline_bits(self, monkeypatch):
+        # block 0 stops at s = 0, before its successor's first xi is handed
+        # over; block 3 is never iterated; block 6 stops at s = 1
+        params = small_params(n_particles=AHEAD_N, t_horizon=0.02)
+        runs = ahead_and_inline(monkeypatch, params, W_COS, stops={0: 0, 3: None, 6: 1},
+                                n_replicas=11, seed=3, replica_block=3, coupled=True)
+        assert runs[0] == runs[1]
+        assert [item[:2] for item in runs[0] if item[1] is not None] == [
+            [0, 0], [6, 0], [6, 1], [9, 0], [9, 1], [9, 2], [9, 3], [9, 4]]
+
+    @pytest.mark.parametrize("t_horizon", [0.0, 0.005])
+    @pytest.mark.parametrize("burn_in", [0.0, 0.005, 0.01])
+    def test_runs_of_at_most_one_main_step_keep_the_inline_bits(
+            self, monkeypatch, burn_in, t_horizon):
+        params = small_params(n_particles=AHEAD_N, burn_in=burn_in, t_horizon=t_horizon)
+        runs = ahead_and_inline(monkeypatch, params, W_COS, n_replicas=8, seed=2,
+                                replica_block=3, coupled=True)
+        assert runs[0] == runs[1]
+        assert len(runs[0]) == 3 * (2 + round(t_horizon / params.dt))
+        # a block draws its start and one xi per step, the first step's before it
+        n_steps = round((burn_in + t_horizon) / params.dt)
+        draws = []
+        for child, rows in zip(np.random.SeedSequence(2).spawn(3), (3, 3, 2)):
+            ref = np.random.default_rng(child)
+            ref.random((rows, AHEAD_N))
+            for _ in range(1 + n_steps):
+                ref.standard_normal((rows, AHEAD_N))
+            draws.append(ref.standard_normal())
+        assert [item[2] for item in runs[0] if item[1] is None] == draws
+
+    def test_caller_draws_fall_between_xi_and_the_step_in_every_block(self):
+        # blocks of 3, 3 and 2 draw ahead and draw each other's starts;
+        # blocks of 1 draw inline
+        params = small_params(n_particles=AHEAD_N, t_horizon=0.015)
+        for n_replicas, block in ((8, 3), (2, 1)):
+            children = np.random.SeedSequence(4).spawn(-(-n_replicas // block))
+            taken = []
+            for lo, hi, rng, steps in replica_steps(params, W_COS, n_replicas=n_replicas,
+                                                    seed=4, replica_block=block):
+                shape = (hi - lo, AHEAD_N)
+                ref = np.random.default_rng(children[lo // block])
+                ref.uniform(0.0, TWO_PI, shape)
+                ref.normal(0.0, np.sqrt(0.5), shape)
+                for s, _branches, xi, _phase in steps:
+                    if xi is not None:
+                        assert np.array_equal(ref.standard_normal(shape), xi)
+                        assert ref.standard_normal() == rng.standard_normal()
+                        taken.append((lo, s))
+            assert taken == [(lo, s) for lo in range(0, n_replicas, block)
+                             for s in range(3)]
+
+    @pytest.mark.parametrize("to_the_end", [False, True])
+    def test_no_helper_outlives_a_dropped_driver_with_a_start_pending(self, to_the_end):
+        before = threading.active_count()
+        params = small_params(n_particles=AHEAD_N)
+        driver = replica_steps(params, W_COS, n_replicas=4, seed=0, replica_block=2)
+        _lo, _hi, _rng, steps = next(driver)
+        assert next(steps)[0] == 0  # s = 0 handed the next block's q and p over
+        driver.close()
+        assert helpers_alive() == 1  # the block still holds the helper
+        if to_the_end:
+            seen = []  # stepped on a thread of its own, so that a hang fails the test
+            runner = threading.Thread(target=lambda: seen.extend(s for s, *_ in steps))
+            runner.start()
+            runner.join(timeout=60)
+            assert not runner.is_alive()
+            assert seen == list(range(1, 21))
+        else:
+            steps.close()
+        assert threading.active_count() == before
+
+    def test_no_helper_outlives_a_guard_tripped_with_a_start_pending(self):
+        # one main step per block: it hands over no xi, so the next block's
+        # start is still pending when the guard trips
+        before = threading.active_count()
+        params = small_params(n_particles=AHEAD_N, t_horizon=0.005, momentum_guard=1.0)
+        with pytest.raises(TimeStepError):
+            for _lo, _hi, _rng, steps in replica_steps(params, W_COS, n_replicas=4, seed=0,
+                                                       replica_block=2):
+                for _ in steps:
+                    assert helpers_alive() == 1
+        assert threading.active_count() == before
+
+    def test_the_second_start_is_made_once_per_run_and_shape(self, monkeypatch):
+        made = []
+
+        class Counted(particles.Workspace):
+            def __init__(self, shape):
+                made.append(tuple(shape))
+                super().__init__(shape)
+
+        monkeypatch.setattr(particles, "Workspace", Counted)
+        params = small_params(n_particles=AHEAD_N, t_horizon=0.01)
+        counts = []
+        for n_replicas in (6, 12, 13):  # 3 and 6 blocks of 2, then one ragged block of 1
+            made.clear()
+            starts = []
+            for _lo, _hi, _rng, steps in replica_steps(params, W_COS, n_replicas=n_replicas,
+                                                       seed=0, replica_block=2):
+                starts.append(next(steps)[1][0][0])
+                for _ in steps:
+                    pass
+            counts.append(Counter(made))
+            # the blocks take two start arrays by turns
+            assert all(a is b for a, b in zip(starts[:6], starts[2:6]))
+            assert all(a is not b for a, b in zip(starts[:6], starts[1:6]))
+        assert counts[0] == counts[1]
+        assert counts[2] == counts[1] + Counter({(1, AHEAD_N): counts[1][(2, AHEAD_N)]})
 
 
 def vfp_force_table(params, w, n_rows):

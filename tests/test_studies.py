@@ -502,6 +502,21 @@ class TestEvolutionIdentity:
         assert report.slopes["density_order"]["slope"] > 0.5
         assert report.slopes["momentum_order"]["slope"] > 0.25
 
+    def test_each_step_takes_one_pairwise_force(self, monkeypatch):
+        # the study reads the step's force through the phase and the step
+        # reuses it; 20 replicas in blocks of 16 and 4, 5 steps each
+        force, rows = particles.pairwise_force, []
+
+        def counted(q, *args):
+            rows.append(len(q))
+            return force(q, *args)
+
+        monkeypatch.setattr(particles, "pairwise_force", counted)
+        monkeypatch.setattr(studies, "pairwise_force", counted)
+        cfg = EvolutionIdentityConfig(n_particles=16, n_replicas=20, t_horizon=0.05)
+        studies._identity_residuals((cfg, 1e-2, 0))
+        assert rows == [16] * 5 + [4] * 5
+
     def test_raw_csv_is_pinned(self):
         cfg = EvolutionIdentityConfig(n_particles=16, n_replicas=2,
                                       t_horizon=0.05)
