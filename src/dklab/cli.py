@@ -297,25 +297,27 @@ def cmd_study(name: str, run: RunConfig) -> int:
 
 
 def cmd_report(out_root: Path) -> int:
-    paths = sorted(out_root.glob("*/*/report.json"))
+    """List every report's verdict; a report that is not a readable JSON
+    object counts as failing."""
     entries = []
-    for p in paths:
+    for p in sorted(out_root.glob("*/*/report.json")):
         try:
             data = json.loads(p.read_text())
         except (OSError, json.JSONDecodeError):
-            continue
+            data = None
+        if not isinstance(data, dict):
+            print(f"error: unreadable report {p}", file=sys.stderr)
+            data = {"verdict": "unreadable"}
         if "verdict" in data:
             entries.append((p.parent.parent.name, p.parent.name, data["verdict"]))
     if not entries:
         print("no studies found", file=sys.stderr)
         return 1
-    any_fail = False
     for name, stamp, verdict in entries:
         print(f"{name} {stamp} {verdict}")
-        any_fail = any_fail or verdict == "fail"
-    n_fail = sum(1 for _, _, v in entries if v == "fail")
+    n_fail = sum(verdict in ("fail", "unreadable") for *_, verdict in entries)
     print(f"{len(entries)} runs, {n_fail} failing")
-    return 2 if any_fail else 0
+    return 2 if n_fail else 0
 
 
 # ---------------------------------------------------------------------------

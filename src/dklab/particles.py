@@ -65,7 +65,9 @@ standard-normal array that drives step s -> s+1 of every branch (None at
 s = main_steps).  The step s -> s+1 is taken when the caller asks `steps`
 for its next item, so a caller that stops iterating `steps` takes no
 further step of that block.  When the caller resumes the driver, it closes
-the block's `steps` and moves on to the next block.
+the block's `steps` and moves on to the next block.  A block ends with its
+driver: closing or dropping the driver closes the block's `steps` too, so a
+`steps` takes no step after its driver has ended.
 
 Every step works in place.  The yielded arrays stay valid until the caller
 resumes the driver, and the next step overwrites them; a caller that keeps
@@ -92,14 +94,15 @@ Drawing ahead.  The normals are the largest single cost of a step: at a
 (16, 2048) block, `standard_normal(out=xi)` takes about 0.6 of a 1.5 ms
 step.  numpy fills it with the GIL released, so a block of at least
 DRAW_AHEAD_ELEMENTS elements (rows times particles) hands the fill of the
-next xi to a helper thread once the step has formed sigma dw from xi, runs
-the step's arithmetic meanwhile, and waits for the fill before it yields.
-The Generator is the block's own and is used by one thread at a time, so
-every draw and bit is that of the inline fill.  A handoff costs tens of
-microseconds, so a smaller block draws inline: on a 2-vCPU x86 host a
-coupled run's step drew ahead faster from about 4000 elements (ahead won 1
-of 11 timed runs at 3072 elements, 5 of 11 at 4000, 8 of 11 at 4096, 10 of
-11 at 5600 and every one above), which set the threshold at 4096.
+next xi to the run's helper thread once the step has formed sigma dw from
+xi, runs the step's arithmetic meanwhile, and waits for the fill before it
+yields.  The Generator is the block's own and is used by one thread at a
+time, so every draw and bit is that of the inline fill.  A handoff costs
+about 12 microseconds, so a smaller block draws inline.  The threshold was
+set with a handoff of about 7 microseconds: on a 2-vCPU x86 host a coupled
+run's step drew ahead faster from about 4000 elements (ahead won 1 of 11
+timed runs at 3072 elements, 5 of 11 at 4000, 8 of 11 at 4096, 10 of 11 at
+5600 and every one above), which set it at 4096.
 
 A block of at least DRAW_AHEAD_ELEMENTS elements whose successor is as
 large also draws that successor's start on the helper, into the other of
@@ -115,18 +118,21 @@ steps of each, so three of a block's four particle-sized fills are its
 start; at (100, 316) a normal fill takes about 236 us and a uniform fill
 47 us on a 2-vCPU AMD EPYC host.
 
-One helper serves a run: the driver holds it from its first block that
-draws ahead to its end, and a block's `steps` from its first item to its
-end, so it outlives neither, and a `steps` that outlives its driver keeps
-it and hands over no further start.  A step that raises waits for its
-fill first, and the last release lets a pending start finish.  The helper
-uses no BLAS or OpenMP thread, and each process of a pool starts its own.
+The helper is the one thread of a single-worker
+`concurrent.futures.ThreadPoolExecutor` that the driver opens per run.
+The thread starts at the first fill handed to it, so a run of small blocks
+starts none, and runs the fills in the order they were handed over.  Each
+fill's future hands what the fill raised to the step or the driver that
+waits for it, and a step that raises waits for its fill first.  At its end
+the driver closes the block it holds and shuts the executor down, which
+lets a pending start finish and joins the thread; that start's block never
+runs, so what its fill raised is dropped with it.  The helper uses no BLAS
+or OpenMP thread, and each process of a pool starts its own.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from itertools import islice
 
@@ -342,73 +348,6 @@ def default_datum(gamma: float, sigma: float) -> PhaseSpaceDensity:
     return uniform_maxwellian(TorusGeometry(64), 6.0 * np.sqrt(m2), 96, m2)
 
 
-class _DrawAhead:
-    """A helper thread that fills arrays from a block's Generator while the
-    calling thread steps.
-
-    numpy fills `Generator.standard_normal(out=)` and `Generator.random(out=)`
-    with the GIL released, so a fill runs on a second core.  `start(jobs)`
-    hands over a list of (fill, out) pairs, which the thread runs in order as
-    fill(out=out), and returns; a list handed over before it is waited for
-    first.  `wait` returns once the list is done, raising what a fill raised,
-    and returns at once when none is pending.  Between the two the caller
-    touches neither the Generators nor the arrays of the list, so the draws
-    are those of the inline fills.  The thread runs while the helper is held:
-    `hold` starts it when it is not running, and the last `release` lets a
-    pending list finish and ends it.
-    """
-
-    def __init__(self):
-        self._holders, self._job, self._error = 0, None, None
-
-    def hold(self):
-        if self._holders == 0:
-            # two locks taken by turns: the cheapest handoff in the stdlib
-            self._go, self._done = threading.Lock(), threading.Lock()
-            self._go.acquire()
-            self._done.acquire()
-            self._thread = threading.Thread(target=self._serve, name="dklab-normals",
-                                            daemon=True)
-            self._thread.start()
-        self._holders += 1
-
-    def release(self):
-        self._holders -= 1
-        if self._holders == 0:
-            if self._job is not None:  # the start of a block that will not run
-                self._done.acquire()
-            self._job, self._error = None, None  # with no job, the thread returns
-            self._go.release()
-            self._thread.join()
-
-    def _serve(self):
-        while True:
-            self._go.acquire()
-            jobs = self._job
-            if jobs is None:
-                return
-            try:
-                for fill, out in jobs:
-                    fill(out=out)
-            except BaseException as exc:  # raised again by wait, which must return
-                self._error = exc
-            self._done.release()
-
-    def start(self, jobs: list):
-        self.wait()
-        self._job = jobs
-        self._go.release()
-
-    def wait(self):
-        if self._job is None:
-            return
-        self._done.acquire()
-        self._job = None
-        if self._error is not None:
-            error, self._error = self._error, None
-            raise error
-
-
 #: Blocks of at least this many elements (replicas times particles) draw
 #: each step's normals, and the next such block's start, ahead on a helper
 #: thread; see `replica_steps`.
@@ -422,12 +361,13 @@ def replica_steps(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
 
     Yields (lo, hi, rng, steps) for each replica block [lo, hi) in turn, and
     `steps` yields (s, branches, xi, phase) for s = 0 ... main_steps of that
-    block; see the module docstring for the contract.
+    block; see the module docstring for the contract.  A block's `steps`
+    ends with the driver: resuming, closing or dropping the driver closes it.
 
     A block of at least DRAW_AHEAD_ELEMENTS elements draws the normals of
-    step s+1 on a helper thread while the step s -> s+1 runs, and, when the
-    next block is as large, that block's start while the caller holds its
-    first two steps; see "Drawing ahead" in the module docstring.
+    step s+1 on the run's helper thread while the step s -> s+1 runs, and,
+    when the next block is as large, that block's start while the caller
+    holds its first two steps; see "Drawing ahead" in the module docstring.
     """
     burn_steps = step_index(params.burn_in, params.dt, "burn_in")
     main_steps = step_index(params.t_horizon, params.dt, "t_horizon")
@@ -447,63 +387,65 @@ def replica_steps(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
 
     def block(b):
         """Block b's lo, hi, Generator, start, step and force workspaces,
-        whether it draws ahead, and its start as lists of (fill, out) pairs
-        in draw order: the raw q and p, then the first xi if it takes a step."""
+        whether it draws ahead, and its start as draws in draw order: the raw
+        q and p, then the first xi if the block takes a step."""
         lo, hi = b * replica_block, min((b + 1) * replica_block, n_replicas)
         shape = (hi - lo, params.n_particles)
         if shape not in shaped:
             shaped[shape] = [Workspace(shape) for _ in range(4)]
         work, force_work, *starts = shaped[shape]
         rng, start = np.random.default_rng(children[b]), starts[b % 2]
-        fills = [[(rng.random, start["q"]), (rng.standard_normal, start["p"])]]
-        if n_steps:
-            fills.append([(rng.standard_normal, start["xi"])])
-        return (lo, hi, rng, start, work, force_work,
-                (hi - lo) * params.n_particles >= DRAW_AHEAD_ELEMENTS, fills)
 
-    # the driver holds the helper from the first block that draws ahead to its
-    # end, so that one thread serves every block; each block holds it too
-    helper = None
-    prefetch = []
+        def raw_q_and_p():
+            rng.random(out=start["q"])
+            rng.standard_normal(out=start["p"])
+
+        draws = [raw_q_and_p]
+        if n_steps:
+            draws.append(lambda: rng.standard_normal(out=start["xi"]))
+        return (lo, hi, rng, start, work, force_work,
+                (hi - lo) * params.n_particles >= DRAW_AHEAD_ELEMENTS, draws)
+
+    # imported here, as the process pool of studies, so that importing dklab
+    # stays cheap; the pool starts its thread at its first fill
+    from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dklab-normals")
+    steps = None
     try:
         following = block(0) if n_blocks else None
         for b in range(n_blocks):
-            lo, hi, rng, start, work, force_work, large, fills = following
-            if helper is not None:
-                helper.wait()  # the fills of this start that went to the helper
-            for jobs in fills:  # and those that did not
-                for fill, out in jobs:
-                    fill(out=out)
+            lo, hi, rng, start, work, force_work, large, draws = following
+            # the previous block replaced each draw it handed to the helper
+            # by a wait for it; those come first
+            for draw in draws:
+                draw()
             following = block(b + 1) if b + 1 < n_blocks else None
             # the block hands its successor's start to the helper when both
             # draw ahead
             prefetch = following[-1] if large and following and following[-2] else []
-            ahead = large and (n_steps > 1 or bool(prefetch))
-            if ahead and helper is None:
-                helper = _DrawAhead()
-                helper.hold()
             steps = _block_steps(params, w if pairwise else None, rng, start, work,
                                  force_work, burn_steps, main_steps, coupled,
-                                 helper if ahead else None, prefetch)
+                                 pool if large else None, prefetch)
             yield lo, hi, rng, steps
             steps.close()
     finally:
-        prefetch.clear()  # a block that outlives its driver hands over no start
-        if helper is not None:
-            helper.release()
+        if steps is not None:
+            steps.close()
+        pool.shutdown()  # lets a pending start finish and joins the helper
 
 
 def _block_steps(params: ModelParams, w: PotentialSpec | None, rng, start: Workspace,
                  work: Workspace, force_work: Workspace, burn_steps: int,
-                 main_steps: int, coupled: bool, helper: _DrawAhead | None,
-                 prefetch: list):
+                 main_steps: int, coupled: bool, pool, prefetch: list):
     """The `steps` of one block of `replica_steps`.  `start` holds the block's
     start as drawn (the raw q and p, and the first xi), which the block
     scales; the step's other arrays come from `work`, and the pairwise force
     of w (None for the zero potential) takes its arrays from `force_work`.
-    With a helper, each step hands the next step's normals to it, the block's
-    first two yields hand it the lists of `prefetch` (the next block's start),
-    one each, and the block holds it from its first item to its end."""
+    With a pool (a single-worker executor), each step submits the fill of
+    the next step's normals to it and waits for the fill before it returns,
+    and the block's k-th yield submits prefetch[k], a draw of the next
+    block's start, and puts the future's `result` in its place, so that the
+    driver's call of it waits for the draw."""
     sqdt = math.sqrt(params.dt)
     q, p, xi, sdw = start["q"], start["p"], start["xi"], work["sdw"]
     # the bits of rng.uniform(0, 2 pi) and rng.normal(0, sd), which numpy
@@ -526,51 +468,45 @@ def _block_steps(params: ModelParams, w: PotentialSpec | None, rng, start: Works
         normals of the next step."""
         np.multiply(xi, sqdt, out=sdw)  # dw, then sigma dw
         np.multiply(sdw, params.sigma, out=sdw)
-        if draw_next:
-            if helper is None:
-                rng.standard_normal(out=xi)
-            else:
-                helper.start([(rng.standard_normal, xi)])
+        drawn = None
+        if draw_next and pool is None:
+            rng.standard_normal(out=xi)
+        elif draw_next:
+            drawn = pool.submit(rng.standard_normal, out=xi)
         try:
             for branch, force_fn in zip(branches, forces):
                 b_q, b_p, b_lift, spare = branch
                 _advance(b_p, b_q, b_lift, force_fn, params, sdw, spare)
                 branch[1], branch[3] = spare, b_p
         finally:
-            if helper is not None:
-                helper.wait()
+            if drawn is not None:
+                drawn.result()  # raises what the fill raised
 
-    def hand_over_the_next_start():
-        if prefetch:
-            helper.start(prefetch.pop(0))
+    def hand_over_the_next_start(k):
+        if k < len(prefetch):
+            prefetch[k] = pool.submit(prefetch[k]).result
 
-    if helper is not None:
-        helper.hold()
-    try:
-        for r in range(burn_steps):
-            step([None], r + 1 < n_steps)
-        if coupled:
-            # the mean-field branch's force is None and reads no position
-            mf = [None, work["mf_p"], work["mf_lift"], work["mf_spare"]]
-            np.copyto(mf[1], branches[0][1])
-            np.copyto(mf[2], branches[0][2])
-            branches.append(mf)
-        state_slices = (slice(0, 3), slice(1, 3)) if coupled else (slice(0, 2),)
+    for r in range(burn_steps):
+        step([None], r + 1 < n_steps)
+    if coupled:
+        # the mean-field branch's force is None and reads no position
+        mf = [None, work["mf_p"], work["mf_lift"], work["mf_spare"]]
+        np.copyto(mf[1], branches[0][1])
+        np.copyto(mf[2], branches[0][2])
+        branches.append(mf)
+    state_slices = (slice(0, 3), slice(1, 3)) if coupled else (slice(0, 2),)
 
-        def state():
-            return tuple(tuple(b[k]) for b, k in zip(branches, state_slices))
+    def state():
+        return tuple(tuple(b[k]) for b, k in zip(branches, state_slices))
 
-        for s in range(main_steps):
-            phase = None if w is None else StepPhase(q, w, work, force_work)
-            hand_over_the_next_start()
-            yield s, state(), xi, phase
-            interacting = None if phase is None else (lambda _q: phase.release())
-            step([interacting, None], s + 1 < main_steps)
-        hand_over_the_next_start()
-        yield main_steps, state(), None, None
-    finally:
-        if helper is not None:
-            helper.release()
+    for s in range(main_steps):
+        phase = None if w is None else StepPhase(q, w, work, force_work)
+        hand_over_the_next_start(s)
+        yield s, state(), xi, phase
+        interacting = None if phase is None else (lambda _q: phase.release())
+        step([interacting, None], s + 1 < main_steps)
+    hand_over_the_next_start(main_steps)
+    yield main_steps, state(), None, None
 
 
 def _record(params: ModelParams, w: PotentialSpec, snapshot_times, n_arrays: int, **driver):

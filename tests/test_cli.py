@@ -271,6 +271,22 @@ class TestExitCodes:
         assert main(["report", "--out", str(tmp_path / "empty")]) == 1
         assert "no studies found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ['{"verdict": "fa', "5", "[]"],
+                             ids=["truncated", "number", "list"])
+    def test_an_unreadable_report_fails_the_rollup(self, tmp_path, capsys, text):
+        out = tmp_path / "runs"
+        for name, content in (("chaos", '{"verdict": "pass"}'), ("spde", text)):
+            run = out / name / "20260101-000000"
+            run.mkdir(parents=True)
+            (run / "report.json").write_text(content)
+        assert main(["report", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["chaos 20260101-000000 pass",
+                                             "spde 20260101-000000 unreadable",
+                                             "2 runs, 1 failing"]
+        bad = out / "spde" / "20260101-000000" / "report.json"
+        assert captured.err.splitlines() == [f"error: unreadable report {bad}"]
+
 
 class TestArtifacts:
     def test_study_run_writes_the_trio(self, tmp_path, capsys):

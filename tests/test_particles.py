@@ -3,8 +3,10 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 from collections import Counter
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -315,7 +317,8 @@ class TestReplicaSteps:
     def test_the_start_has_the_bits_of_uniform_and_normal(self, sigma):
         # the start is drawn into the block's arrays; sigma = 0 makes sd z = -0.0
         params = small_params(n_particles=7, gamma=0.8, sigma=sigma)
-        _lo, _hi, _rng, steps = next(replica_steps(params, W_COS, n_replicas=3, seed=2))
+        driver = replica_steps(params, W_COS, n_replicas=3, seed=2)  # a block ends with it
+        _lo, _hi, _rng, steps = next(driver)
         _s, ((q, p),), _xi, _phase = next(steps)
         twin = np.random.default_rng(np.random.SeedSequence(2).spawn(1)[0])
         assert same_bits(q, twin.uniform(0.0, TWO_PI, (3, 7)))
@@ -346,8 +349,8 @@ class TestReplicaSteps:
         assert len(plain) == 2 * 5
 
     def test_phase_of_a_taken_step_is_refused(self):
-        _lo, _hi, _rng, steps = next(replica_steps(small_params(), W_COS,
-                                                   n_replicas=1, seed=0))
+        driver = replica_steps(small_params(), W_COS, n_replicas=1, seed=0)
+        _lo, _hi, _rng, steps = next(driver)
         *_, phase = next(steps)
         next(steps)
         with pytest.raises(RuntimeError):
@@ -374,8 +377,8 @@ class TestReplicaSteps:
         assert len(plain) == 2 * 5
 
     def test_force_of_a_taken_step_is_refused(self):
-        _lo, _hi, _rng, steps = next(replica_steps(small_params(), W_COS,
-                                                   n_replicas=1, seed=0))
+        driver = replica_steps(small_params(), W_COS, n_replicas=1, seed=0)
+        _lo, _hi, _rng, steps = next(driver)
         *_, phase = next(steps)
         next(steps)
         with pytest.raises(RuntimeError):
@@ -442,8 +445,8 @@ class TestReplicaSteps:
     def test_a_step_allocates_no_particle_sized_array(self, w, coupled, ask_phase):
         # numpy reports its array buffers to tracemalloc
         params = small_params(n_particles=4096, t_horizon=0.04, burn_in=0.01)
-        _lo, _hi, _rng, steps = next(replica_steps(params, w, n_replicas=16,
-                                                   coupled=coupled))
+        driver = replica_steps(params, w, n_replicas=16, coupled=coupled)
+        _lo, _hi, _rng, steps = next(driver)
         tracemalloc.start()
         try:
             for s, _branches, _xi, phase in steps:
@@ -458,8 +461,24 @@ class TestReplicaSteps:
         assert peak - base < 16 * 4096 * 8
 
 
+class Raised(Exception):
+    """What a fill made to fail on the helper raises."""
+
+
+def fail_on_the_helper(monkeypatch, method):
+    """Make every block's Generator raise Raised from `method` on the helper."""
+    def failing(self, *args, **kwargs):
+        if threading.current_thread().name.startswith("dklab-normals"):
+            raise Raised(method)
+        return getattr(np.random.Generator, method)(self, *args, **kwargs)
+
+    failing_generator = type("FailingGenerator", (np.random.Generator,), {method: failing})
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: failing_generator(np.random.PCG64(seed)))
+
+
 def helpers_alive():
-    return sum(t.name == "dklab-normals" for t in threading.enumerate())
+    return sum(t.name.startswith("dklab-normals") for t in threading.enumerate())
 
 
 # a block of 2 rows of AHEAD_N particles draws ahead, a block of 1 row does not
@@ -578,27 +597,32 @@ class TestDrawAhead:
         stop_at_step_3()
         assert threading.active_count() == before
 
-    def test_no_helper_outlives_a_tripped_momentum_guard(self):
-        before = threading.active_count()
+    def test_no_helper_outlives_a_tripped_momentum_guard(self, monkeypatch):
+        # the guard trips in the first step, after it handed its fill over
+        before, at_each_step = threading.active_count(), []
+
+        def advance(*args):
+            at_each_step.append(helpers_alive())
+            return _advance(*args)
+
+        monkeypatch.setattr(particles, "_advance", advance)
         params = small_params(n_particles=AHEAD_N, momentum_guard=1.0)
         with pytest.raises(TimeStepError):
             for _lo, _hi, _rng, steps in replica_steps(params, W_COS, n_replicas=2, seed=0):
                 for _ in steps:
-                    assert helpers_alive() == 1
+                    pass
+        assert at_each_step == [1]
         assert threading.active_count() == before
 
-    def test_a_dropped_driver_leaves_a_block_that_steps_to_its_end(self):
+    def test_a_dropped_driver_ends_its_block(self):
         before = threading.active_count()
         params = small_params(n_particles=AHEAD_N)
-        _lo, _hi, _rng, steps = next(replica_steps(params, W_COS, n_replicas=2, seed=0,
-                                                   coupled=True))
-        assert threading.active_count() == before  # the driver let go of its helper
-        seen = []  # stepped on a thread of its own, so that a hang fails the test
-        runner = threading.Thread(target=lambda: seen.extend(s for s, *_ in steps))
-        runner.start()
-        runner.join(timeout=60)
-        assert not runner.is_alive()
-        assert seen == list(range(21))
+        driver = replica_steps(params, W_COS, n_replicas=2, seed=0, coupled=True)
+        _lo, _hi, _rng, steps = next(driver)
+        assert [s for s, *_ in islice(steps, 4)] == [0, 1, 2, 3]
+        assert helpers_alive() == 1
+        del driver  # the last reference: dropping it ends the driver
+        assert list(steps) == []
         assert threading.active_count() == before
 
     def test_concurrent_runs_keep_their_bits_under_a_short_switch_interval(self, monkeypatch):
@@ -695,24 +719,36 @@ class TestDrawAhead:
             assert taken == [(lo, s) for lo in range(0, n_replicas, block)
                              for s in range(3)]
 
-    @pytest.mark.parametrize("to_the_end", [False, True])
-    def test_no_helper_outlives_a_dropped_driver_with_a_start_pending(self, to_the_end):
+    @pytest.mark.parametrize("close", [False, True])
+    def test_no_helper_outlives_a_dropped_driver_with_a_start_pending(self, monkeypatch,
+                                                                      close):
+        # a slow uniform fill keeps the next block's start pending when the
+        # driver ends, which it does when it is closed or dropped
+        drawn = []
+
+        class SlowUniforms(np.random.Generator):
+            def random(self, *args, **kwargs):
+                time.sleep(0.1)
+                out = super().random(*args, **kwargs)
+                drawn.append(threading.current_thread().name)
+                return out
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: SlowUniforms(np.random.PCG64(seed)))
         before = threading.active_count()
         params = small_params(n_particles=AHEAD_N)
         driver = replica_steps(params, W_COS, n_replicas=4, seed=0, replica_block=2)
         _lo, _hi, _rng, steps = next(driver)
         assert next(steps)[0] == 0  # s = 0 handed the next block's q and p over
-        driver.close()
-        assert helpers_alive() == 1  # the block still holds the helper
-        if to_the_end:
-            seen = []  # stepped on a thread of its own, so that a hang fails the test
-            runner = threading.Thread(target=lambda: seen.extend(s for s, *_ in steps))
-            runner.start()
-            runner.join(timeout=60)
-            assert not runner.is_alive()
-            assert seen == list(range(1, 21))
+        assert helpers_alive() == 1
+        if close:
+            driver.close()
         else:
-            steps.close()
+            del driver
+        # block 0's uniforms were drawn inline, and block 1's finished on the
+        # helper before the driver let it go
+        assert [name.startswith("dklab-normals") for name in drawn] == [False, True]
+        assert list(steps) == []
         assert threading.active_count() == before
 
     def test_no_helper_outlives_a_guard_tripped_with_a_start_pending(self):
@@ -725,6 +761,34 @@ class TestDrawAhead:
                                                        replica_block=2):
                 for _ in steps:
                     assert helpers_alive() == 1
+        assert threading.active_count() == before
+
+    def test_a_step_hands_the_caller_what_its_fill_raised(self, monkeypatch):
+        # one block, which hands its first fill over in the step 0 -> 1
+        fail_on_the_helper(monkeypatch, "standard_normal")
+        params = small_params(n_particles=AHEAD_N)
+        before, seen = threading.active_count(), []
+        with pytest.raises(Raised):
+            for _lo, _hi, _rng, steps in replica_steps(params, W_COS, n_replicas=2, seed=0):
+                for s, *_ in steps:
+                    seen.append(s)
+        assert seen == [0]
+        assert helpers_alive() == 0
+        assert threading.active_count() == before
+
+    def test_the_driver_hands_the_caller_what_a_start_fill_raised(self, monkeypatch):
+        # only the start draws uniforms: block 0 hands block 1's over at s = 0,
+        # and the driver waits for them before it yields block 1
+        fail_on_the_helper(monkeypatch, "random")
+        params = small_params(n_particles=AHEAD_N)
+        before, seen = threading.active_count(), []
+        with pytest.raises(Raised):
+            for lo, _hi, _rng, steps in replica_steps(params, W_COS, n_replicas=4, seed=0,
+                                                      replica_block=2):
+                for s, *_ in steps:
+                    seen.append((lo, s))
+        assert seen == [(0, s) for s in range(21)]
+        assert helpers_alive() == 0
         assert threading.active_count() == before
 
     def test_the_second_start_is_made_once_per_run_and_shape(self, monkeypatch):

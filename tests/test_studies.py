@@ -75,6 +75,27 @@ class TestPlumbing:
         with pytest.raises(ValueError, match="study block must be a JSON object"):
             config_from_dict(SmallNoiseConfig, [1], "study")
 
+    def test_resolving_a_study_config_loads_no_executor(self, tmp_path):
+        # what perfbench's setup_s times, as its child does: import dklab and
+        # resolve a study's config; the pools are imported where a run uses them
+        configs = []
+        for name in sorted(STUDY_REGISTRY):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({"study": {"name": name}}))
+            configs.append(str(config))
+        code = ("import sys\n"
+                "from dklab import cli, studies\n"
+                f"for path in {configs!r}:\n"
+                "    block = dict(cli.load_config(path)['study'])\n"
+                "    cfg_cls, _runner = studies.STUDY_REGISTRY[block.pop('name')]\n"
+                "    studies.config_from_dict(cfg_cls, block)\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))\n")
+        src = os.path.dirname(os.path.dirname(dklab.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
     def test_report_without_checks_fails(self):
         report = StudyReport("chaos", {}, [], {}, {}, {}, 0)
         assert report.verdict == "fail"
