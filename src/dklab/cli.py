@@ -42,7 +42,7 @@ from .particles import (ConfigurationError, ModelParams, TimeStepError,
                         chaos_distance, simulate_coupled)
 from .spde import DivergenceError, SpdeConfig, solve_spde, total_mass
 from .studies import STUDY_REGISTRY, config_from_dict, potential_from_config
-from .torus import ResolutionError, TorusGeometry, make_kernel
+from .torus import ResolutionError, TorusGeometry, _at_least, make_kernel
 
 class CliError(Exception):
     """Configuration or usage error; maps to exit code 1."""
@@ -141,8 +141,7 @@ class RunConfig:
     def __post_init__(self):
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.jobs < 1:
-            raise ValueError("jobs must be a positive integer")
+        _at_least(self, jobs=1)
 
 
 @dataclass(frozen=True)
@@ -155,8 +154,7 @@ class ModelBlock(ModelParams):
 
     def __post_init__(self):
         super().__post_init__()
-        if min(self.n_replicas, self.n_snapshots) < 1:
-            raise ConfigurationError("n_replicas and n_snapshots must be at least 1")
+        _at_least(self, n_replicas=1, n_snapshots=1)
 
 
 @dataclass
@@ -297,25 +295,24 @@ def cmd_study(name: str, run: RunConfig) -> int:
 
 
 def cmd_report(out_root: Path) -> int:
-    """List every report's verdict; a report that is not a readable JSON
-    object counts as failing."""
+    """List every report's verdict; every verdict but "pass" fails, and a
+    report without a string verdict is unreadable."""
     entries = []
     for p in sorted(out_root.glob("*/*/report.json")):
         try:
-            data = json.loads(p.read_text())
-        except (OSError, json.JSONDecodeError):
-            data = None
-        if not isinstance(data, dict):
+            verdict = json.loads(p.read_text())["verdict"]
+        except (OSError, ValueError, TypeError, KeyError):  # ValueError: bad JSON or bytes
+            verdict = None
+        if not isinstance(verdict, str):
             print(f"error: unreadable report {p}", file=sys.stderr)
-            data = {"verdict": "unreadable"}
-        if "verdict" in data:
-            entries.append((p.parent.parent.name, p.parent.name, data["verdict"]))
+            verdict = "unreadable"
+        entries.append((p.parent.parent.name, p.parent.name, verdict))
     if not entries:
         print("no studies found", file=sys.stderr)
         return 1
     for name, stamp, verdict in entries:
         print(f"{name} {stamp} {verdict}")
-    n_fail = sum(verdict in ("fail", "unreadable") for *_, verdict in entries)
+    n_fail = sum(verdict != "pass" for *_, verdict in entries)
     print(f"{len(entries)} runs, {n_fail} failing")
     return 2 if n_fail else 0
 

@@ -98,11 +98,13 @@ next xi to the run's helper thread once the step has formed sigma dw from
 xi, runs the step's arithmetic meanwhile, and waits for the fill before it
 yields.  The Generator is the block's own and is used by one thread at a
 time, so every draw and bit is that of the inline fill.  A handoff costs
-about 12 microseconds, so a smaller block draws inline.  The threshold was
-set with a handoff of about 7 microseconds: on a 2-vCPU x86 host a coupled
-run's step drew ahead faster from about 4000 elements (ahead won 1 of 11
-timed runs at 3072 elements, 5 of 11 at 4000, 8 of 11 at 4096, 10 of 11 at
-5600 and every one above), which set it at 4096.
+about 12 microseconds, so a smaller block draws inline.  On a 2-vCPU x86
+host, a coupled cos block of 16 rows, timed inline and ahead by turns in
+one process (three or five processes per size), stepped faster ahead in 0
+of 63 runs at 2048 elements, 2 of 63 at 3072, 3 of 63 at 4096 (median
+153 us inline, 165-172 us ahead), 13 of 42 at 4800, 84 of 105 at 5600
+(medians 4-6 % lower ahead), 38 of 42 at 6400 and 42 of 42 at 8192, which
+sets the threshold at 5600.
 
 A block of at least DRAW_AHEAD_ELEMENTS elements whose successor is as
 large also draws that successor's start on the helper, into the other of
@@ -140,7 +142,7 @@ import numpy as np
 
 from .potential import PotentialSpec, mean_w1_at
 from .torus import (TWO_PI, ConfigurationError, TorusGeometry, Workspace,
-                    cos_sin, step_index, wrap)
+                    _at_least, cos_sin, step_index, wrap)
 from .vfp import (PhaseSpaceDensity, VfpSolver, meanfield_force_from_coeffs,
                   uniform_maxwellian)
 
@@ -164,8 +166,7 @@ class ModelParams:
     momentum_guard: float = DEFAULT_MOMENTUM_GUARD
 
     def __post_init__(self):
-        if self.n_particles < 1:
-            raise ConfigurationError("n_particles must be at least 1")
+        _at_least(self, n_particles=1)
         if not (0 <= self.gamma < math.inf and 0 <= self.sigma < math.inf):
             raise ConfigurationError("gamma and sigma must be finite and nonnegative")
         if not 0 < self.dt <= 1e-2 / max(self.gamma, 1.0):
@@ -351,7 +352,7 @@ def default_datum(gamma: float, sigma: float) -> PhaseSpaceDensity:
 #: Blocks of at least this many elements (replicas times particles) draw
 #: each step's normals, and the next such block's start, ahead on a helper
 #: thread; see `replica_steps`.
-DRAW_AHEAD_ELEMENTS = 4096
+DRAW_AHEAD_ELEMENTS = 5600
 
 
 def replica_steps(params: ModelParams, w: PotentialSpec, *, n_replicas: int,

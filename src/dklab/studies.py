@@ -30,7 +30,7 @@ from .particles import (ModelParams, _advance,  # noqa: F401
 from .potential import PotentialSpec
 from .ratefit import PowerLawFit, fit_loglog
 from .spde import QWienerScales, SpdeConfig, q_wiener_scales, solve_replicas
-from .torus import (TWO_PI, TorusGeometry, cos_sin, make_kernel,
+from .torus import (TWO_PI, TorusGeometry, _at_least, cos_sin, make_kernel,
                     normalization_constant, step_index, von_mises_eval,
                     wrap_centered)
 
@@ -190,12 +190,9 @@ class ChaosStudyConfig:
     slope_window: tuple = (-0.65, -0.35)
 
     def __post_init__(self):
-        if len(self.n_ladder) < 4:
-            raise ValueError("chaos ladder needs at least 4 points")
-        if self.alpha < 2 or self.alpha % 2 != 0:
+        _at_least(self, n_ladder=4, alpha=2, n_replicas=2, n_snapshots=1, slope_window=2)
+        if self.alpha % 2 != 0:
             raise ValueError("chaos alpha must be an even integer >= 2")
-        if self.n_replicas < 2:
-            raise ValueError("chaos study needs at least 2 replicas")
 
 
 def _chaos_cell(args):
@@ -227,7 +224,8 @@ def run_chaos_study(cfg: ChaosStudyConfig, seed: int | None = None,
         fit = None
     else:
         fit = fit_loglog(np.asarray(cfg.n_ladder, float), np.asarray(sups))
-        checks = {"slope_in_window": slope_within(fit, *cfg.slope_window)}
+        lo, hi = cfg.slope_window
+        checks = {"slope_in_window": slope_within(fit, lo, hi)}
     return StudyReport("chaos", {"n_ladder": list(cfg.n_ladder),
                                  "alpha": cfg.alpha, "n_replicas": cfg.n_replicas},
                        rows, {"distance_vs_n": _slope_entry(fit)}, checks,
@@ -256,8 +254,7 @@ class InteractionStudyConfig:
     moment_slope_max: float = 0.05
 
     def __post_init__(self):
-        if len(self.eps_ladder) < 2:
-            raise ValueError("interaction eps_ladder needs at least 2 points")
+        _at_least(self, eps_ladder=2, n_replicas=1, moment_replicas=1)
         if len(self.moment_eps_ladder) == 1:
             raise ValueError("interaction moment_eps_ladder needs 0 or at least 2 points")
 
@@ -410,10 +407,7 @@ class CovarianceStudyConfig:
     iso_tol: float = 0.05
 
     def __post_init__(self):
-        if self.n_replicas < 1000:
-            raise ValueError("covariance study needs >= 1000 replicas")
-        if not self.eps_ladder:
-            raise ValueError("covariance eps_ladder needs at least 1 point")
+        _at_least(self, eps_ladder=1, n_replicas=1000, separations=1, replica_block=1)
 
 
 def _pair_exp(kappa: float, x_eval: np.ndarray, cos_q: np.ndarray,
@@ -614,8 +608,7 @@ class J2ClosureConfig:
     potential: object = "cos"
 
     def __post_init__(self):
-        if len(self.m2_ladder) < 2:
-            raise ValueError("j2_closure m2_ladder needs at least 2 points")
+        _at_least(self, m2_ladder=2, n_particles=1, n_replicas=1, n_snapshots=1)
 
 
 def _j2_cell(args):
@@ -686,8 +679,7 @@ class SmallNoiseConfig:
     potential: object = "cos"
 
     def __post_init__(self):
-        if len(self.n_ladder) < 2:
-            raise ValueError("small_noise n_ladder needs at least 2 points")
+        _at_least(self, n_ladder=2, n_grid=4, n_replicas=1, halving_window=2)
 
     def spde_config(self, n_particles: float, sigma: float | None = None) -> SpdeConfig:
         return SpdeConfig(n_grid=self.n_grid, epsilon=self.epsilon, gamma=self.gamma,
@@ -807,8 +799,7 @@ class MollifierConfig:
     slope_min: float = 0.45
 
     def __post_init__(self):
-        if len(self.eps_ladder) < 2:
-            raise ValueError("mollifier eps_ladder needs at least 2 points")
+        _at_least(self, eps_ladder=2, n_anchors=1, n_quad=1)
 
 
 def _triangle(y: np.ndarray) -> np.ndarray:
@@ -864,8 +855,7 @@ class EvolutionIdentityConfig:
     order_min_momentum: float = 0.5
 
     def __post_init__(self):
-        if len(self.dt_ladder) < 3:
-            raise ValueError("need a dt ladder with at least 3 points")
+        _at_least(self, dt_ladder=3, n_particles=1, n_replicas=1)
 
 
 def _identity_residuals(args):

@@ -45,6 +45,17 @@ class ConfigurationError(ValueError):
     """Inconsistent simulation parameters."""
 
 
+def _at_least(cfg, **least) -> None:
+    """The size rule of a config: ConfigurationError unless each named field
+    reaches its least, a count by its value, a ladder or window by its points."""
+    for name, k in least.items():
+        v = getattr(cfg, name)
+        size, unit = (len(v), " points") if isinstance(v, tuple) else (v, "")
+        if size < k:
+            raise ConfigurationError(
+                f"{type(cfg).__name__}.{name} needs at least {k}{unit}, got {size}")
+
+
 def step_index(t: float, dt: float, what: str, last: float = np.inf) -> int:
     """The step n with n * dt = t, to 1e-9 relative, of the time named `what`.
 

@@ -126,6 +126,15 @@ class TestExitCodes:
         assert main(["study", "chaos", "--config", cfg, "--jobs", "0"]) == 1
         assert "jobs" in capsys.readouterr().err
 
+    def test_a_window_of_three_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        study = {**TINY_CHAOS["study"], "slope_window": [-0.65, -0.5, -0.35]}
+        assert main(["study", "chaos", "--config",
+                     write_config(tmp_path, {**TINY_CHAOS, "study": study})]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_unresolvable_kernel_cites_the_rule(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "spde": {"n_grid": 64, "epsilon": 0.05, "t_horizon": 0.01}})
@@ -172,6 +181,8 @@ class TestExitCodes:
         {"model": {**TINY_MODEL, "momentum_guard": 0}},
         {"model": {**TINY_MODEL, "momentum_guard": -1}},
         {"model": {**TINY_MODEL, "momentum_guard": math.inf}},
+        {"model": {**TINY_MODEL, "n_replicas": 0}},
+        {"model": {**TINY_MODEL, "n_snapshots": 0}},
     ])
     def test_wrong_typed_value_is_a_config_error(self, tmp_path, monkeypatch, capsys,
                                                  config):
@@ -204,6 +215,19 @@ class TestExitCodes:
         ("interaction", {"moment_eps_ladder": [0.3]}),
         ("chaos", {"alpha": 3}),
         ("chaos", {"n_replicas": 1}),
+        # counts and windows: zero evidence is refused, not passed or crashed on
+        ("covariance", {"replica_block": 0}),
+        ("covariance", {"replica_block": -5}),
+        ("covariance", {"separations": []}),
+        ("chaos", {"n_snapshots": 0}),
+        ("chaos", {"slope_window": []}),
+        ("j2_closure", {"n_snapshots": 0}),
+        ("j2_closure", {"n_replicas": 0}),
+        ("mollifier", {"n_quad": 0}),
+        ("mollifier", {"n_anchors": 0}),
+        ("evolution_identity", {"n_replicas": 0}),
+        ("small_noise", {"n_replicas": 0}),
+        ("small_noise", {"halving_window": []}),
     ])
     def test_ladder_too_short_for_its_verdict(self, tmp_path, capsys, monkeypatch,
                                               study, block):
@@ -271,8 +295,10 @@ class TestExitCodes:
         assert main(["report", "--out", str(tmp_path / "empty")]) == 1
         assert "no studies found" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ['{"verdict": "fa', "5", "[]"],
-                             ids=["truncated", "number", "list"])
+    @pytest.mark.parametrize("text", ['{"verdict": "fa', "5", "[]", "{}",
+                                      '{"verdict": null}'],
+                             ids=["truncated", "number", "list", "no_verdict",
+                                  "null_verdict"])
     def test_an_unreadable_report_fails_the_rollup(self, tmp_path, capsys, text):
         out = tmp_path / "runs"
         for name, content in (("chaos", '{"verdict": "pass"}'), ("spde", text)):

@@ -482,7 +482,7 @@ def helpers_alive():
 
 
 # a block of 2 rows of AHEAD_N particles draws ahead, a block of 1 row does not
-AHEAD_N = 2100
+AHEAD_N = 2800
 
 
 def yielded(params, w, stops=None, **driver):

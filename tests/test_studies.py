@@ -96,6 +96,21 @@ class TestPlumbing:
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("name", sorted(STUDY_REGISTRY))
+    def test_every_count_and_ladder_has_a_least_size(self, name):
+        # a new count or ladder field joins its config's size rule, or this fails
+        cfg_cls, _runner = STUDY_REGISTRY[name]
+        sized = 0
+        for f in dataclasses.fields(cfg_cls):
+            empty = {"int": 0, "tuple": ()}.get(f.type)
+            if empty is None or f.name == "moment_eps_ladder":  # empty: no moment tables
+                continue
+            with pytest.raises(ConfigurationError,
+                               match=rf"^{cfg_cls.__name__}\.{f.name} needs at least \d"):
+                dataclasses.replace(cfg_cls(), **{f.name: empty})
+            sized += 1
+        assert sized >= 3
+
     def test_report_without_checks_fails(self):
         report = StudyReport("chaos", {}, [], {}, {}, {}, 0)
         assert report.verdict == "fail"
@@ -276,12 +291,10 @@ class TestSmallNoiseStudy:
         assert len(steps) == 51 and np.all(steps[-1] > 0.0)
         assert np.array_equal(worst, np.max(steps, axis=0))
 
-    def test_no_replicas_fail_the_verdict(self):
-        cfg = dataclasses.replace(SMALL_NOISE_GOLDEN, n_replicas=0)
-        with np.errstate(invalid="ignore"), pytest.warns(RuntimeWarning, match="empty"):
-            report = run_small_noise_study(cfg, seed=0)
-        assert report.raw_table == []
-        assert report.verdict == "fail"
+    def test_no_replicas_are_refused(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"SmallNoiseConfig\.n_replicas needs at least 1, got 0"):
+            dataclasses.replace(SMALL_NOISE_GOLDEN, n_replicas=0)
 
     def test_one_batch_with_jobs_one(self, monkeypatch):
         calls = []
