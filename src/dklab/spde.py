@@ -517,7 +517,6 @@ def _row_bank(cfgs: Sequence[SpdeConfig]) -> PropagatorBank:
 
 def solve_replicas(cfgs: Sequence[SpdeConfig], w: PotentialSpec,
                    seeds: Sequence[int | None], *,
-                   noise_increments: np.ndarray | None = None,
                    observe: Callable[[int, SpectralState], None] | None = None
                    ) -> ReplicaRun:
     """Integrate R = len(seeds) replica rows over [0, t_horizon], freezing each
@@ -528,19 +527,15 @@ def solve_replicas(cfgs: Sequence[SpdeConfig], w: PotentialSpec,
     differs raises ValueError naming it.  A noisy row r draws its Q-Wiener
     increments from a Generator seeded with seeds[r]; a row of zero noise
     amplitude (n_particles = inf or sigma = 0) draws nothing, takes no
-    forcing and ignores its seed.  noise_increments, when given, must hold
-    pre-generated Q-Wiener values of shape (n_steps, n_grid), shared by every
-    noisy row; this makes runs with shared noise at different resolutions
-    possible.  observe(s, state), when given, is called at step 0 and after
-    every step s with the whole (R, n_modes) state, which is only valid
-    during the call.
+    forcing and ignores its seed.  observe(s, state), when given, is called
+    at step 0 and after every step s with the whole (R, n_modes) state, which
+    is only valid during the call.
     """
     if not cfgs or len(cfgs) != len(seeds):
         raise ValueError("solve_replicas needs at least one row and one config per seed")
     cfg = _shared_config(cfgs)
     n_steps = step_index(cfg.t_horizon, cfg.dt, "t_horizon")
     geometry = cfg.geometry
-    n = geometry.n_grid
     n_rows = len(seeds)
     start = initial_state(cfg)
     state = SpectralState(geometry, np.tile(start.rho_hat, (n_rows, 1)),
@@ -549,15 +544,10 @@ def solve_replicas(cfgs: Sequence[SpdeConfig], w: PotentialSpec,
     amplitudes = np.array([row.noise_amplitude for row in cfgs])
     plan = _rows_plan(step_plan(cfg, w), amplitudes)
 
-    if noise_increments is not None:
-        noise_increments = np.asarray(noise_increments, dtype=float)
-        if noise_increments.shape != (n_steps, n):
-            raise ValueError("noise_increments has the wrong shape")
     # the active rows, their bank and plan, and the noisy ones among them
     rows, sub_bank, sub_plan = np.arange(n_rows), bank, plan
     forced = np.flatnonzero(amplitudes > 0.0)
-    draw = noise_increments is None
-    if draw and forced.size:
+    if forced.size:
         rngs = {r: np.random.default_rng(np.random.SeedSequence(seeds[r])) for r in forced}
         band = cfg.dealias_band
         scales = q_wiener_scales(
@@ -583,14 +573,12 @@ def solve_replicas(cfgs: Sequence[SpdeConfig], w: PotentialSpec,
             sub = state if whole else SpectralState(
                 geometry, state.rho_hat[rows], state.j_hat[rows], state.t)
             dw = None
-            if forced.size and draw:
+            if forced.size:
                 # each row's generator draws as q_wiener_increment's does
                 z = np.empty((forced.size, 2 * band + 1))
                 for row, r in zip(z, forced):
                     rngs[r].standard_normal(out=row)
                 dw = scales.increments(z)
-            elif forced.size:
-                dw = noise_increments[s]
             new = step_mild(sub, cfg, sub_bank, w, dw,
                             rho_values=rho_values if whole else rho_values[rows],
                             plan=sub_plan)
@@ -628,13 +616,11 @@ def solve_replicas(cfgs: Sequence[SpdeConfig], w: PotentialSpec,
 
 
 def solve_spde(cfg: SpdeConfig, w: PotentialSpec, *, seed: int | None = None,
-               snapshot_times=None,
-               noise_increments: np.ndarray | None = None) -> SpdeTrajectory:
+               snapshot_times=None) -> SpdeTrajectory:
     """Integrate one run over [0, t_horizon], freezing the state if a guard trips.
 
-    The R = 1 caller of `solve_replicas`, which describes seed and
-    noise_increments.  Snapshots requested after a stop repeat the frozen
-    state.
+    The R = 1 caller of `solve_replicas`, which describes seed.  Snapshots
+    requested after a stop repeat the frozen state.
     """
     n_steps = step_index(cfg.t_horizon, cfg.dt, "t_horizon")
     if snapshot_times is None:
@@ -652,8 +638,7 @@ def solve_spde(cfg: SpdeConfig, w: PotentialSpec, *, seed: int | None = None,
             rho_snap[idx] = state.rho_values()[0]
             j_snap[idx] = state.j_values()[0]
 
-    run = solve_replicas([cfg], w, [seed], noise_increments=noise_increments,
-                         observe=record)
+    run = solve_replicas([cfg], w, [seed], observe=record)
     status = run.status[0]
     final = SpectralState(cfg.geometry, run.final.rho_hat[0], run.final.j_hat[0],
                           status.time if status.stopped else run.final.t)

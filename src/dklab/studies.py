@@ -9,7 +9,7 @@ byte-reproducible no matter how many worker processes execute the cells.
 Verdict rules follow one convention: rate gates compare the fitted slope
 plus/minus two standard errors against the declared window, exact identities
 use fixed absolute tolerances, and Monte Carlo comparisons use two-sigma
-bands from the replica spread.
+bands from the replica spread.  Each verdict fixes its own bounds in code.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .particles import (ModelParams, _advance,  # noqa: F401
 from .potential import PotentialSpec
 from .ratefit import PowerLawFit, fit_loglog
 from .spde import QWienerScales, SpdeConfig, q_wiener_scales, solve_replicas
-from .torus import (TWO_PI, TorusGeometry, _at_least, cos_sin, make_kernel,
-                    normalization_constant, step_index, von_mises_eval,
+from .torus import (TWO_PI, ConfigurationError, TorusGeometry, _at_least, cos_sin,
+                    make_kernel, normalization_constant, step_index, von_mises_eval,
                     wrap_centered)
 
 # ---------------------------------------------------------------------------
@@ -187,10 +187,9 @@ class ChaosStudyConfig:
     burn_in: float = 0.5
     n_snapshots: int = 8
     potential: object = "cos"
-    slope_window: tuple = (-0.65, -0.35)
 
     def __post_init__(self):
-        _at_least(self, n_ladder=4, alpha=2, n_replicas=2, n_snapshots=1, slope_window=2)
+        _at_least(self, n_ladder=4, alpha=2, n_replicas=2, n_snapshots=1)
         if self.alpha % 2 != 0:
             raise ValueError("chaos alpha must be an even integer >= 2")
 
@@ -224,8 +223,7 @@ def run_chaos_study(cfg: ChaosStudyConfig, seed: int | None = None,
         fit = None
     else:
         fit = fit_loglog(np.asarray(cfg.n_ladder, float), np.asarray(sups))
-        lo, hi = cfg.slope_window
-        checks = {"slope_in_window": slope_within(fit, lo, hi)}
+        checks = {"slope_in_window": slope_within(fit, -0.65, -0.35)}
     return StudyReport("chaos", {"n_ladder": list(cfg.n_ladder),
                                  "alpha": cfg.alpha, "n_replicas": cfg.n_replicas},
                        rows, {"distance_vs_n": _slope_entry(fit)}, checks,
@@ -234,6 +232,7 @@ def run_chaos_study(cfg: ChaosStudyConfig, seed: int | None = None,
 
 # ---------------------------------------------------------------------------
 # interaction remainders + moment tables (one pass, shared machinery)
+_REMAINDER_SLOPE_MIN = 0.4
 
 
 @dataclass
@@ -250,13 +249,13 @@ class InteractionStudyConfig:
     t_measure: float = 0.5
     dt: float = 5e-3
     potential: object = "cos"
-    slope_min: float = 0.4
-    moment_slope_max: float = 0.05
 
     def __post_init__(self):
         _at_least(self, eps_ladder=2, n_replicas=1, moment_replicas=1)
         if len(self.moment_eps_ladder) == 1:
             raise ValueError("interaction moment_eps_ladder needs 0 or at least 2 points")
+        for name in ("t_measure", "moment_t_horizon"):
+            step_index(getattr(self, name), self.dt, name)
 
 
 def _interaction_cell(args):
@@ -361,8 +360,8 @@ def run_interaction_study(cfg: InteractionStudyConfig, seed: int | None = None,
         fit_r2 = fit_loglog(eps_vals, r2_means)
         slopes["sup_r1_vs_eps"] = _slope_entry(fit_r1)
         slopes["mean_r2_vs_eps"] = _slope_entry(fit_r2)
-        checks["r1_slope"] = slope_within(fit_r1, lo=cfg.slope_min)
-        checks["r2_slope"] = slope_within(fit_r2, lo=cfg.slope_min)
+        checks["r1_slope"] = slope_within(fit_r1, lo=_REMAINDER_SLOPE_MIN)
+        checks["r2_slope"] = slope_within(fit_r2, lo=_REMAINDER_SLOPE_MIN)
 
     mom_rows = [r for r in rows if r["section"] == "moment"]
     if mom_rows:
@@ -377,7 +376,7 @@ def run_interaction_study(cfg: InteractionStudyConfig, seed: int | None = None,
         for key, vals in metrics.items():
             fit = fit_loglog(inv_eps, vals)
             slopes[f"{key}_vs_inv_eps"] = _slope_entry(fit)
-            checks[f"{key}_bounded"] = slope_within(fit, hi=cfg.moment_slope_max)
+            checks[f"{key}_bounded"] = slope_within(fit, hi=0.05)
         details["moment_tables"] = {key: [float(v) for v in vals]
                                     for key, vals in metrics.items()}
 
@@ -389,6 +388,7 @@ def run_interaction_study(cfg: InteractionStudyConfig, seed: int | None = None,
 
 # ---------------------------------------------------------------------------
 # covariance of the particle noise field vs its density-driven surrogate
+_ENVELOPE_EXPONENT = 0.2
 
 
 @dataclass
@@ -401,13 +401,14 @@ class CovarianceStudyConfig:
     sigma: float = 1.0
     t_horizon: float = 0.5
     dt: float = 5e-3
-    envelope_exponent: float = 0.2
     potential: object = "cos"
     replica_block: int = 100
-    iso_tol: float = 0.05
 
     def __post_init__(self):
         _at_least(self, eps_ladder=1, n_replicas=1000, separations=1, replica_block=1)
+        ns = [n for n, _eps in ladder_from_thetas(self.eps_ladder, self.theta)]
+        if len(set(ns)) < len(ns):
+            raise ConfigurationError(f"CovarianceStudyConfig.eps_ladder repeats an N: {ns}")
 
 
 def _pair_exp(kappa: float, x_eval: np.ndarray, cos_q: np.ndarray,
@@ -565,17 +566,17 @@ def run_covariance_study(cfg: CovarianceStudyConfig, seed: int | None = None,
         rel = abs(iso_lhs - iso_rhs) / iso_rhs
         details["isometry"][f"{eps:.6g}"] = {"mc_lhs": iso_lhs, "running_rhs": iso_rhs,
                                              "rel_diff": rel}
-        checks[f"isometry_eps_{eps:.6g}"] = rel <= cfg.iso_tol
+        checks[f"isometry_eps_{eps:.6g}"] = rel <= 0.05
 
     # envelope constant fitted on the coarsest epsilon, then applied down-ladder
     by_eps = {eps: [r for r in rows if r["epsilon"] == eps] for _n, eps in ladder}
     eps_sorted = sorted(by_eps, reverse=True)
     coarse = by_eps[eps_sorted[0]]
-    env = [r["separation"] + eps_sorted[0] ** cfg.envelope_exponent for r in coarse]
+    env = [r["separation"] + eps_sorted[0] ** _ENVELOPE_EXPONENT for r in coarse]
     c_fit = max(r["disc_hat"] / e for r, e in zip(coarse, env))
     details["envelope_constant"] = c_fit
     for eps in eps_sorted[1:]:
-        ok = all(r["disc_hat"] <= c_fit * (r["separation"] + eps ** cfg.envelope_exponent)
+        ok = all(r["disc_hat"] <= c_fit * (r["separation"] + eps ** _ENVELOPE_EXPONENT)
                  + r["band_hat"] for r in by_eps[eps])
         checks[f"envelope_eps_{eps:.6g}"] = ok
     for hi, lo in zip(eps_sorted[:-1], eps_sorted[1:]):
@@ -675,11 +676,10 @@ class SmallNoiseConfig:
     k_norm: float = 5.0
     c2: float | None = None
     n_replicas: int = 32
-    halving_window: tuple = (1.4, 4.0)
     potential: object = "cos"
 
     def __post_init__(self):
-        _at_least(self, n_ladder=2, n_grid=4, n_replicas=1, halving_window=2)
+        _at_least(self, n_ladder=2, n_grid=4, n_replicas=1)
 
     def spde_config(self, n_particles: float, sigma: float | None = None) -> SpdeConfig:
         return SpdeConfig(n_grid=self.n_grid, epsilon=self.epsilon, gamma=self.gamma,
@@ -779,8 +779,7 @@ def run_small_noise_study(cfg: SmallNoiseConfig, seed: int | None = None,
         err_half = float(np.mean([r["sup_deviation"] for r in rows[n_primary:]]))
         factor = errs[-1] / err_half if err_half > 0 else math.inf
         details["sigma_halving_factor"] = factor
-        lo, hi = cfg.halving_window
-        checks["sigma_halving_in_window"] = lo <= factor <= hi
+        checks["sigma_halving_in_window"] = 1.4 <= factor <= 4.0
 
     return StudyReport("small_noise", {"n_ladder": list(cfg.n_ladder),
                                        "n_replicas": cfg.n_replicas},
@@ -796,7 +795,6 @@ class MollifierConfig:
     eps_ladder: tuple = (0.4, 0.2, 0.1, 0.05)
     n_anchors: int = 17
     n_quad: int = 1 << 14
-    slope_min: float = 0.45
 
     def __post_init__(self):
         _at_least(self, eps_ladder=2, n_anchors=1, n_quad=1)
@@ -832,7 +830,7 @@ def run_mollifier_study(cfg: MollifierConfig, seed: int | None = None,
     tri = [(r["epsilon"], r["max_error"]) for r in rows if r["function"] == "triangle"]
     fit = fit_loglog([e for e, _ in tri], [v for _, v in tri])
     slopes = {"triangle_error_vs_eps": _slope_entry(fit)}
-    checks["triangle_slope"] = slope_within(fit, lo=cfg.slope_min)
+    checks["triangle_slope"] = slope_within(fit, lo=0.45)
     return StudyReport("mollifier", {"eps_ladder": list(cfg.eps_ladder)},
                        rows, slopes, checks, {"triangle_slope": fit.slope}, seed)
 
@@ -851,11 +849,11 @@ class EvolutionIdentityConfig:
     t_horizon: float = 0.1
     n_replicas: int = 4
     potential: object = "cos"
-    order_min_density: float = 1.0
-    order_min_momentum: float = 0.5
 
     def __post_init__(self):
         _at_least(self, dt_ladder=3, n_particles=1, n_replicas=1)
+        for dt in self.dt_ladder:
+            step_index(self.t_horizon, dt, "t_horizon")
 
 
 def _identity_residuals(args):
@@ -930,8 +928,8 @@ def run_evolution_identity_check(cfg: EvolutionIdentityConfig,
     slopes = {"density_order": _slope_entry(fit_a),
               "momentum_order": _slope_entry(fit_b),
               "flux_order": _slope_entry(fit_c)}
-    checks = {"density_order": slope_within(fit_a, lo=cfg.order_min_density),
-              "momentum_order": slope_within(fit_b, lo=cfg.order_min_momentum)}
+    checks = {"density_order": slope_within(fit_a, lo=1.0),
+              "momentum_order": slope_within(fit_b, lo=0.5)}
     return StudyReport("evolution_identity", {"dt_ladder": list(cfg.dt_ladder),
                                               "n_particles": cfg.n_particles},
                        rows, slopes, checks,

@@ -47,7 +47,7 @@ class ConfigurationError(ValueError):
 
 def _at_least(cfg, **least) -> None:
     """The size rule of a config: ConfigurationError unless each named field
-    reaches its least, a count by its value, a ladder or window by its points."""
+    reaches its least, a count by its value, a ladder by its points."""
     for name, k in least.items():
         v = getattr(cfg, name)
         size, unit = (len(v), " points") if isinstance(v, tuple) else (v, "")
@@ -59,11 +59,11 @@ def _at_least(cfg, **least) -> None:
 def step_index(t: float, dt: float, what: str, last: float = np.inf) -> int:
     """The step n with n * dt = t, to 1e-9 relative, of the time named `what`.
 
-    ConfigurationError when t or dt is not finite, t is off that grid or n
-    lies outside [0, last].
+    ConfigurationError when t is not finite, dt is not finite and positive, t
+    is off that grid or n lies outside [0, last].
     """
-    if not (math.isfinite(t) and math.isfinite(dt)):
-        raise ConfigurationError(f"{what}={t} with dt={dt} is not a finite time")
+    if not (math.isfinite(t) and 0 < dt < math.inf):
+        raise ConfigurationError(f"{what}={t} with dt={dt} is not a finite time step")
     n = int(round(t / dt))
     if abs(n * dt - t) > 1e-9 * max(1.0, abs(t)):
         raise ConfigurationError(f"{what}={t} is not an integer multiple of dt={dt}")

@@ -126,15 +126,6 @@ class TestExitCodes:
         assert main(["study", "chaos", "--config", cfg, "--jobs", "0"]) == 1
         assert "jobs" in capsys.readouterr().err
 
-    def test_a_window_of_three_is_one_error_line(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        study = {**TINY_CHAOS["study"], "slope_window": [-0.65, -0.5, -0.35]}
-        assert main(["study", "chaos", "--config",
-                     write_config(tmp_path, {**TINY_CHAOS, "study": study})]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
-        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
-
     def test_unresolvable_kernel_cites_the_rule(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "spde": {"n_grid": 64, "epsilon": 0.05, "t_horizon": 0.01}})
@@ -197,10 +188,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("study", [
         {"n_replicas": "4"}, {"n_replicas": 2.5},
         {"n_ladder": ["16", "32", "64", "128"]},
-        {"gamma": math.nan}, {"slope_window": [-0.65, math.nan]}])
+        {"gamma": math.nan}, ("interaction", {"eps_ladder": [0.2, math.nan]})])
     def test_wrong_typed_study_value_is_a_config_error(self, tmp_path, capsys, study):
+        name, study = study if isinstance(study, tuple) else ("chaos", study)
         cfg = write_config(tmp_path, {"study": study})
-        assert main(["study", "chaos", "--config", cfg]) == 1
+        assert main(["study", name, "--config", cfg]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: bad study config")
 
@@ -215,19 +207,26 @@ class TestExitCodes:
         ("interaction", {"moment_eps_ladder": [0.3]}),
         ("chaos", {"alpha": 3}),
         ("chaos", {"n_replicas": 1}),
-        # counts and windows: zero evidence is refused, not passed or crashed on
+        # counts: zero evidence is refused, not passed or crashed on
         ("covariance", {"replica_block": 0}),
         ("covariance", {"replica_block": -5}),
         ("covariance", {"separations": []}),
         ("chaos", {"n_snapshots": 0}),
-        ("chaos", {"slope_window": []}),
+        # a verdict bound is no config key, so a config that sets one is refused
+        ("chaos", {"slope_window": [-0.65, -0.35]}),
         ("j2_closure", {"n_snapshots": 0}),
         ("j2_closure", {"n_replicas": 0}),
         ("mollifier", {"n_quad": 0}),
         ("mollifier", {"n_anchors": 0}),
         ("evolution_identity", {"n_replicas": 0}),
         ("small_noise", {"n_replicas": 0}),
-        ("small_noise", {"halving_window": []}),
+        ("small_noise", {"halving_window": [1.4, 4.0]}),
+        # times off their step grid, and ladder points that make one cell twice
+        ("interaction", {"moment_t_horizon": 0.0503}),
+        ("interaction", {"t_measure": 0.0503}),
+        ("evolution_identity", {"dt_ladder": [0.01, 0.005, 0.003]}),
+        ("covariance", {"eps_ladder": [0.4, 0.4, 0.2], "theta": 2.0}),
+        ("covariance", {"eps_ladder": [0.4, 0.401, 0.2], "theta": 2.0}),
     ])
     def test_ladder_too_short_for_its_verdict(self, tmp_path, capsys, monkeypatch,
                                               study, block):

@@ -215,12 +215,11 @@ class TestInteractionStudy:
         assert [r["t"] for r in rows] == times
 
     def test_off_grid_moment_horizon_is_rejected(self):
-        cfg = InteractionStudyConfig(eps_ladder=(0.4, 0.2), theta=2.0, n_replicas=2,
-                                     moment_eps_ladder=(0.5, 0.4), moment_theta=3.0,
-                                     moment_replicas=1, moment_t_horizon=0.0123,
-                                     t_measure=0.05)
         with pytest.raises(ConfigurationError, match="moment_t_horizon"):
-            run_interaction_study(cfg, seed=0)
+            InteractionStudyConfig(eps_ladder=(0.4, 0.2), theta=2.0, n_replicas=2,
+                                   moment_eps_ladder=(0.5, 0.4), moment_theta=3.0,
+                                   moment_replicas=1, moment_t_horizon=0.0123,
+                                   t_measure=0.05)
 
 
 # One replica of the N = 40 cell reaches the norm cap k_norm = 0.45 and

@@ -102,6 +102,11 @@ class TestStepIndex:
         with pytest.raises(ConfigurationError, match=f"snapshot time={t} .*{message}"):
             step_index(t, 5e-3, "snapshot time", 20)
 
+    @pytest.mark.parametrize("dt", [0.0, -5e-3, np.inf])
+    def test_rejects_a_step_that_is_not_finite_and_positive(self, dt):
+        with pytest.raises(ConfigurationError, match="dt=.* is not a finite time step"):
+            step_index(0.1, dt, "t_horizon")
+
     def test_error_is_a_value_error_that_particles_reexports(self):
         assert issubclass(ConfigurationError, ValueError)
         assert particles.ConfigurationError is ConfigurationError
