@@ -195,13 +195,22 @@ def ladder_from_thetas(epsilons, theta: float) -> list[tuple[int, float]]:
     """(N, eps) pairs on the scaling N * eps^theta = 1.
 
     N is rounded to an integer and eps recomputed as N^(-1/theta), so the
-    scaling holds to machine precision for the pair actually used.
+    scaling holds to machine precision for the pair actually used.  Refused by
+    ConfigurationError: an eps or theta that is not finite and positive, an N
+    that is not finite or rounds below 2, and the N of an earlier point.
     """
-    out = []
-    for eps in epsilons:
-        n = max(2, int(round(float(eps) ** -theta)))
-        out.append((n, float(n) ** (-1.0 / theta)))
-    return out
+    out = {}
+    for eps in map(float, epsilons):
+        where = f"point {eps} at theta {theta}"
+        if not (0 < eps < math.inf and 0 < theta < math.inf):
+            raise ConfigurationError(f"{where}: eps and theta must be finite and positive")
+        # past e^709, near the largest float, the power overflows
+        n = round(eps ** -theta) if theta * -math.log(eps) < 709 else math.inf
+        if not 2 <= n < math.inf or n in out:
+            raise ConfigurationError(f"{where} gives N = {n}, " + (
+                f"as point {out[n]} does" if n in out else "not a finite count of at least 2"))
+        out[n] = eps
+    return [(n, float(n) ** (-1.0 / theta)) for n in out]
 
 
 @dataclass

@@ -3,8 +3,8 @@ or a pass/fail property over a parameter ladder.
 
 Every study is a pure function of (config, seed): ladder cells draw from
 seeds spawned off the master seed by cell index, replicas are simulated in
-fixed-size blocks, and aggregation is an ordered reduce, so the raw table is
-byte-reproducible no matter how many worker processes execute the cells.
+fixed-size blocks, and each verdict reads the cells' results in ladder order,
+so the raw table is byte-reproducible at any number of worker processes.
 
 Verdict rules follow one convention: rate gates compare the fitted slope
 plus/minus two standard errors against the declared window, exact identities
@@ -171,6 +171,14 @@ def _mean_se(values) -> tuple[float, float]:
     return float(v.mean()), float(v.std(ddof=1) / math.sqrt(v.size))
 
 
+def _ladder(cfg, field: str, theta: float) -> list[tuple[int, float]]:
+    """The (N, eps) cells of cfg's eps ladder `field`; a refused point names it."""
+    try:
+        return ladder_from_thetas(getattr(cfg, field), theta)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{type(cfg).__name__}.{field} {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # chaos
 
@@ -191,7 +199,7 @@ class ChaosStudyConfig:
     def __post_init__(self):
         _at_least(self, n_ladder=4, alpha=2, n_replicas=2, n_snapshots=1)
         if self.alpha % 2 != 0:
-            raise ValueError("chaos alpha must be an even integer >= 2")
+            raise ConfigurationError(f"ChaosStudyConfig.alpha must be even, got {self.alpha}")
 
 
 def _chaos_cell(args):
@@ -212,11 +220,9 @@ def run_chaos_study(cfg: ChaosStudyConfig, seed: int | None = None,
     w = potential_from_config(cfg.potential)
     seeds = _child_seeds(seed, len(cfg.n_ladder))
     cells = [(cfg, int(n), s) for n, s in zip(cfg.n_ladder, seeds)]
-    rows = [r for cell_rows in _map_ordered(_chaos_cell, cells, jobs) for r in cell_rows]
-
-    sups = []
-    for n in cfg.n_ladder:
-        sups.append(max(r["distance"] for r in rows if r["n_particles"] == n))
+    results = _map_ordered(_chaos_cell, cells, jobs)
+    rows = [r for cell_rows in results for r in cell_rows]
+    sups = [max(r["distance"] for r in cell_rows) for cell_rows in results]
     details = {"sup_distance": {str(n): s for n, s in zip(cfg.n_ladder, sups)}}
     if w.is_zero:
         checks = {"degenerate_zero_error": all(s == 0.0 for s in sups)}
@@ -251,9 +257,10 @@ class InteractionStudyConfig:
     potential: object = "cos"
 
     def __post_init__(self):
-        _at_least(self, eps_ladder=2, n_replicas=1, moment_replicas=1)
-        if len(self.moment_eps_ladder) == 1:
-            raise ValueError("interaction moment_eps_ladder needs 0 or at least 2 points")
+        _at_least(self, eps_ladder=2, n_replicas=1, moment_replicas=1,
+                  moment_eps_ladder=2 if self.moment_eps_ladder else 0)  # empty: no tables
+        _ladder(self, "eps_ladder", self.theta)
+        _ladder(self, "moment_eps_ladder", self.moment_theta)
         for name in ("t_measure", "moment_t_horizon"):
             step_index(getattr(self, name), self.dt, name)
 
@@ -330,51 +337,40 @@ def _moment_cell(args):
 def run_interaction_study(cfg: InteractionStudyConfig, seed: int | None = None,
                           jobs: int = 1) -> StudyReport:
     w = potential_from_config(cfg.potential)
-    rem_ladder = ladder_from_thetas(cfg.eps_ladder, cfg.theta)
-    mom_ladder = ladder_from_thetas(cfg.moment_eps_ladder, cfg.moment_theta)
+    rem_ladder = _ladder(cfg, "eps_ladder", cfg.theta)
+    mom_ladder = _ladder(cfg, "moment_eps_ladder", cfg.moment_theta)
     seeds = _child_seeds(seed, len(rem_ladder) + len(mom_ladder))
     rem_cells = [(cfg, n, eps, s) for (n, eps), s in zip(rem_ladder, seeds[: len(rem_ladder)])]
     mom_cells = [(cfg, n, eps, s) for (n, eps), s in zip(mom_ladder, seeds[len(rem_ladder):])]
-    rows = [r for cell in _map_ordered(_interaction_cell, rem_cells, jobs) for r in cell]
-    rows += [r for cell in _map_ordered(_moment_cell, mom_cells, jobs) for r in cell]
+    rem = _map_ordered(_interaction_cell, rem_cells, jobs)
+    mom = _map_ordered(_moment_cell, mom_cells, jobs)
+    rows = [r for cell in rem + mom for r in cell]
 
-    checks: dict = {}
-    slopes: dict = {}
-    details: dict = {}
-
-    rem_rows = [r for r in rows if r["section"] == "remainder"]
-    worst_residue = max((r["identity_residue"] for r in rem_rows), default=0.0)
+    checks, slopes, details = {}, {}, {}
+    worst_residue = max((r["identity_residue"] for cell in rem for r in cell), default=0.0)
     checks["identity_closes"] = worst_residue <= 1e-12
     details["worst_identity_residue"] = worst_residue
     if w.is_zero:
         checks["degenerate_zero_remainders"] = all(
-            r["sup_r1"] == 0.0 and r["mean_abs_r2"] == 0.0 for r in rem_rows)
+            r["sup_r1"] == 0.0 and r["mean_abs_r2"] == 0.0 for cell in rem for r in cell)
     else:
-        eps_vals, r1_means, r2_means = [], [], []
-        for n, eps in rem_ladder:
-            sel = [r for r in rem_rows if r["epsilon"] == eps]
-            eps_vals.append(eps)
-            r1_means.append(np.mean([r["sup_r1"] for r in sel]))
-            r2_means.append(np.mean([r["mean_abs_r2"] for r in sel]))
-        fit_r1 = fit_loglog(eps_vals, r1_means)
-        fit_r2 = fit_loglog(eps_vals, r2_means)
+        eps_vals = [eps for _n, eps in rem_ladder]
+        fit_r1, fit_r2 = (fit_loglog(eps_vals, [np.mean([r[key] for r in cell]) for cell in rem])
+                          for key in ("sup_r1", "mean_abs_r2"))
         slopes["sup_r1_vs_eps"] = _slope_entry(fit_r1)
         slopes["mean_r2_vs_eps"] = _slope_entry(fit_r2)
         checks["r1_slope"] = slope_within(fit_r1, lo=_REMAINDER_SLOPE_MIN)
         checks["r2_slope"] = slope_within(fit_r2, lo=_REMAINDER_SLOPE_MIN)
 
-    mom_rows = [r for r in rows if r["section"] == "moment"]
-    if mom_rows:
-        inv_eps, metrics = [], {"h1_rho_sq": [], "l2_j_sq": [], "l2_j2_sq": []}
-        for n, eps in mom_ladder:
-            sel = [r for r in mom_rows if r["epsilon"] == eps]
-            inv_eps.append(1.0 / eps)
+    if mom:
+        metrics = {"h1_rho_sq": [], "l2_j_sq": [], "l2_j2_sq": []}
+        for sel in mom:
             times = sorted({r["t"] for r in sel})
-            for key in metrics:
-                per_time = [np.mean([r[key] for r in sel if r["t"] == t]) for t in times]
-                metrics[key].append(max(per_time))
+            for key in metrics:  # the worst snapshot of the cell
+                metrics[key].append(max(np.mean([r[key] for r in sel if r["t"] == t])
+                                        for t in times))
         for key, vals in metrics.items():
-            fit = fit_loglog(inv_eps, vals)
+            fit = fit_loglog([1.0 / eps for _n, eps in mom_ladder], vals)
             slopes[f"{key}_vs_inv_eps"] = _slope_entry(fit)
             checks[f"{key}_bounded"] = slope_within(fit, hi=0.05)
         details["moment_tables"] = {key: [float(v) for v in vals]
@@ -406,9 +402,7 @@ class CovarianceStudyConfig:
 
     def __post_init__(self):
         _at_least(self, eps_ladder=1, n_replicas=1000, separations=1, replica_block=1)
-        ns = [n for n, _eps in ladder_from_thetas(self.eps_ladder, self.theta)]
-        if len(set(ns)) < len(ns):
-            raise ConfigurationError(f"CovarianceStudyConfig.eps_ladder repeats an N: {ns}")
+        _ladder(self, "eps_ladder", self.theta)
 
 
 def _pair_exp(kappa: float, x_eval: np.ndarray, cos_q: np.ndarray,
@@ -548,14 +542,13 @@ def _covariance_cell(args):
 
 def run_covariance_study(cfg: CovarianceStudyConfig, seed: int | None = None,
                          jobs: int = 1) -> StudyReport:
-    ladder = ladder_from_thetas(cfg.eps_ladder, cfg.theta)
+    ladder = _ladder(cfg, "eps_ladder", cfg.theta)
     seeds = _child_seeds(seed, len(ladder))
     cells = [(cfg, n, eps, s) for (n, eps), s in zip(ladder, seeds)]
     results = _map_ordered(_covariance_cell, cells, jobs)
     rows = [r for cell_rows, _iso in results for r in cell_rows]
 
-    checks: dict = {}
-    details: dict = {"isometry": {}}
+    checks, details = {}, {"isometry": {}}
     if cfg.sigma == 0.0:
         checks["degenerate_zero_covariance"] = all(
             r["cov_z"] == 0.0 and r["cov_y"] == 0.0 for r in rows)
@@ -569,19 +562,19 @@ def run_covariance_study(cfg: CovarianceStudyConfig, seed: int | None = None,
         checks[f"isometry_eps_{eps:.6g}"] = rel <= 0.05
 
     # envelope constant fitted on the coarsest epsilon, then applied down-ladder
-    by_eps = {eps: [r for r in rows if r["epsilon"] == eps] for _n, eps in ladder}
-    eps_sorted = sorted(by_eps, reverse=True)
-    coarse = by_eps[eps_sorted[0]]
-    env = [r["separation"] + eps_sorted[0] ** _ENVELOPE_EXPONENT for r in coarse]
+    by_eps = sorted(((eps, cell_rows) for (_n, eps), (cell_rows, _iso) in zip(ladder, results)),
+                    key=lambda cell: -cell[0])
+    eps0, coarse = by_eps[0]
+    env = [r["separation"] + eps0 ** _ENVELOPE_EXPONENT for r in coarse]
     c_fit = max(r["disc_hat"] / e for r, e in zip(coarse, env))
     details["envelope_constant"] = c_fit
-    for eps in eps_sorted[1:]:
+    for eps, cell_rows in by_eps[1:]:
         ok = all(r["disc_hat"] <= c_fit * (r["separation"] + eps ** _ENVELOPE_EXPONENT)
-                 + r["band_hat"] for r in by_eps[eps])
+                 + r["band_hat"] for r in cell_rows)
         checks[f"envelope_eps_{eps:.6g}"] = ok
-    for hi, lo in zip(eps_sorted[:-1], eps_sorted[1:]):
+    for (hi, rows_hi), (lo, rows_lo) in zip(by_eps, by_eps[1:]):
         ok = all(rl["disc_hat"] <= rh["disc_hat"] + rh["band_hat"] + rl["band_hat"]
-                 for rh, rl in zip(by_eps[hi], by_eps[lo]))
+                 for rh, rl in zip(rows_hi, rows_lo))
         checks[f"monotone_{hi:.6g}_to_{lo:.6g}"] = ok
 
     slopes: dict = {}
@@ -643,8 +636,7 @@ def run_j2_closure_study(cfg: J2ClosureConfig, seed: int | None = None,
     cells = [(cfg, float(m2), s) for m2, s in zip(cfg.m2_ladder, seeds)]
     results = _map_ordered(_j2_cell, cells, jobs)
     rows = [r for cell_rows, _ in results for r in cell_rows]
-    means = [m for _, (m, _se) in results]
-    ses = [se for _, (_m, se) in results]
+    means, ses = zip(*(mean_se for _rows, mean_se in results))
     checks = {}
     for i in range(len(means) - 1):
         lo_t, hi_t = cfg.m2_ladder[i + 1], cfg.m2_ladder[i]
@@ -762,13 +754,11 @@ def run_small_noise_study(cfg: SmallNoiseConfig, seed: int | None = None,
         ladders.append((cfg.sigma / 2, [cfg.n_ladder[-1]]))
     rows = _small_noise_ladder(cfg, w, ladders, seeds, jobs)
 
-    checks: dict = {}
-    details: dict = {}
-    errs, stops = [], []
-    for n_part in cfg.n_ladder:
-        sel = [r for r in rows[:n_primary] if r["n_particles"] == float(n_part)]
-        errs.append(float(np.mean([r["sup_deviation"] for r in sel])))
-        stops.append(float(np.mean([1 - r["stopped"] for r in sel])))
+    checks, details = {}, {}
+    # the primary cells' rows come first, cell by cell in ladder order
+    cells = [rows[lo:lo + cfg.n_replicas] for lo in range(0, n_primary, cfg.n_replicas)]
+    errs = [float(np.mean([r["sup_deviation"] for r in sel])) for sel in cells]
+    stops = [float(np.mean([1 - r["stopped"] for r in sel])) for sel in cells]
     details["mean_sup_deviation"] = {str(n): e for n, e in zip(cfg.n_ladder, errs)}
     details["no_stop_probability"] = {str(n): s for n, s in zip(cfg.n_ladder, stops)}
     checks["error_strictly_decreasing"] = all(b < a for a, b in zip(errs, errs[1:]))
@@ -827,8 +817,8 @@ def run_mollifier_study(cfg: MollifierConfig, seed: int | None = None,
     cells = [(cfg, eps) for eps in cfg.eps_ladder]
     rows = [r for cell in _map_ordered(_mollifier_cell, cells, jobs) for r in cell]
     checks = {"bound_every_point": all(r["max_error"] <= r["bound"] for r in rows)}
-    tri = [(r["epsilon"], r["max_error"]) for r in rows if r["function"] == "triangle"]
-    fit = fit_loglog([e for e, _ in tri], [v for _, v in tri])
+    fit = fit_loglog(cfg.eps_ladder,
+                     [r["max_error"] for r in rows if r["function"] == "triangle"])
     slopes = {"triangle_error_vs_eps": _slope_entry(fit)}
     checks["triangle_slope"] = slope_within(fit, lo=0.45)
     return StudyReport("mollifier", {"eps_ladder": list(cfg.eps_ladder)},
@@ -922,9 +912,8 @@ def run_evolution_identity_check(cfg: EvolutionIdentityConfig,
                            rows, {}, checks,
                            {"note": "all residuals vanish identically"}, seed)
     dts = [r["dt"] for r in rows]
-    fit_a = fit_loglog(dts, [r["res_density"] for r in rows])
-    fit_b = fit_loglog(dts, [r["res_momentum"] for r in rows])
-    fit_c = fit_loglog(dts, [r["res_flux"] for r in rows])
+    fit_a, fit_b, fit_c = (fit_loglog(dts, [r[key] for r in rows])
+                           for key in ("res_density", "res_momentum", "res_flux"))
     slopes = {"density_order": _slope_entry(fit_a),
               "momentum_order": _slope_entry(fit_b),
               "flux_order": _slope_entry(fit_c)}

@@ -46,14 +46,16 @@ class ConfigurationError(ValueError):
 
 
 def _at_least(cfg, **least) -> None:
-    """The size rule of a config: ConfigurationError unless each named field
-    reaches its least, a count by its value, a ladder by its points."""
+    """The size rule of a config: ConfigurationError unless each named field reaches
+    its least, a count by its value, a ladder by its points, and no *_ladder repeats one."""
     for name, k in least.items():
         v = getattr(cfg, name)
         size, unit = (len(v), " points") if isinstance(v, tuple) else (v, "")
         if size < k:
             raise ConfigurationError(
                 f"{type(cfg).__name__}.{name} needs at least {k}{unit}, got {size}")
+        if name.endswith("_ladder") and len(set(v)) < size:
+            raise ConfigurationError(f"{type(cfg).__name__}.{name} repeats a point: {v}")
 
 
 def step_index(t: float, dt: float, what: str, last: float = np.inf) -> int:

@@ -227,6 +227,22 @@ class TestExitCodes:
         ("evolution_identity", {"dt_ladder": [0.01, 0.005, 0.003]}),
         ("covariance", {"eps_ladder": [0.4, 0.4, 0.2], "theta": 2.0}),
         ("covariance", {"eps_ladder": [0.4, 0.401, 0.2], "theta": 2.0}),
+        # a repeated ladder point, which a verdict would read as two cells
+        ("chaos", {"n_ladder": [64, 64, 128, 256]}),
+        ("j2_closure", {"m2_ladder": [1.0, 0.25, 1.0, 0.25]}),
+        ("interaction", {"eps_ladder": [0.4, 0.4, 0.2, 0.2], "theta": 2.0}),
+        ("interaction", {"eps_ladder": [0.4, 0.401, 0.2], "theta": 2.0}),
+        ("interaction", {"moment_eps_ladder": [0.35, 0.35, 0.3, 0.25, 0.2]}),
+        ("mollifier", {"eps_ladder": [0.4, 0.4, 0.2, 0.1, 0.05]}),
+        ("small_noise", {"n_ladder": [1e2, 1e2, 1e3, 1e4]}),
+        ("evolution_identity", {"dt_ladder": [1e-2, 1e-2, 5e-3, 2.5e-3]}),
+        # (eps, theta) points with no N >= 2 on N * eps^theta = 1
+        ("covariance", {"eps_ladder": [0.0]}),
+        ("covariance", {"theta": 0.0}),
+        ("interaction", {"eps_ladder": [0.2, 0.0]}),
+        ("interaction", {"eps_ladder": [-0.2, 0.1], "theta": 2.5}),
+        ("interaction", {"eps_ladder": [0.9, 0.95], "theta": 3.0}),
+        ("interaction", {"eps_ladder": [0.2, 1e-200], "theta": 2.0}),
     ])
     def test_ladder_too_short_for_its_verdict(self, tmp_path, capsys, monkeypatch,
                                               study, block):

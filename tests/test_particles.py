@@ -124,6 +124,30 @@ class TestLadder:
             assert n >= 2
             assert n * e ** theta == pytest.approx(1.0, rel=1e-9)
 
+    @pytest.mark.parametrize("epsilons, theta, message", [
+        ([0.0], 2.0, r"^point 0\.0 at theta 2\.0: eps and theta must be finite and positive$"),
+        ([0.2], 0.0, r"^point 0\.2 at theta 0\.0: eps and theta"),
+        ([-0.2], 2.0, r"^point -0\.2 at theta 2\.0: eps and theta"),
+        ([-0.2], 2.5, r"^point -0\.2 at theta 2\.5: eps and theta"),
+        ([0.2], -3.0, r"^point 0\.2 at theta -3\.0: eps and theta"),
+        ([math.inf], 2.0, r"^point inf at theta 2\.0: eps and theta"),
+        ([0.2], math.nan, r"^point 0\.2 at theta nan: eps and theta"),
+        ([0.2], math.inf, r"^point 0\.2 at theta inf: eps and theta"),
+        ([1e-200], 2.0, r"^point 1e-200 at theta 2\.0 gives N = inf, not a finite count"),
+        ([0.9, 0.95], 3.0, r"^point 0\.9 at theta 3\.0 gives N = 1, not a finite count"),
+        ([1.5], 2.0, r"^point 1\.5 at theta 2\.0 gives N = 0, not a finite count"),
+        ([0.4, 0.4], 2.0, r"^point 0\.4 at theta 2\.0 gives N = 6, as point 0\.4 does$"),
+        ([0.4, 0.2, 0.401], 2.0, r"^point 0\.401 at theta 2\.0 gives N = 6, as point 0\.4"),
+    ])
+    def test_refuses_a_point_without_its_own_n(self, epsilons, theta, message):
+        with pytest.raises(ConfigurationError, match=message):
+            ladder_from_thetas(epsilons, theta)
+
+    def test_smallest_n_is_two(self):
+        # 1 / 0.6 rounds to N = 2, and the pair carries that N's eps
+        assert ladder_from_thetas([0.6], 1.0) == [(2, 0.5)]
+        assert ladder_from_thetas([], 0.0) == []
+
 
 class TestForces:
     def test_two_particle_cosine(self):

@@ -111,6 +111,31 @@ class TestPlumbing:
             sized += 1
         assert sized >= 3
 
+    @pytest.mark.parametrize("name", sorted(STUDY_REGISTRY))
+    def test_every_ladder_refuses_a_repeated_point(self, name):
+        # a point twice is one cell twice, which a verdict would read as two
+        cfg_cls, _runner = STUDY_REGISTRY[name]
+        ladders = [f.name for f in dataclasses.fields(cfg_cls) if f.name.endswith("_ladder")]
+        for field in ladders:
+            default = getattr(cfg_cls(), field)
+            with pytest.raises(ConfigurationError,
+                               match=rf"^{cfg_cls.__name__}\.{field} repeats a point"):
+                dataclasses.replace(cfg_cls(), **{field: default[:1] + default})
+        assert ladders
+
+    @pytest.mark.parametrize("cfg_cls, kw, message", [
+        (ChaosStudyConfig, {"alpha": 3}, r"^ChaosStudyConfig\.alpha must be even, got 3$"),
+        (InteractionStudyConfig, {"moment_eps_ladder": (0.3,)},
+         r"^InteractionStudyConfig\.moment_eps_ladder needs at least 2 points, got 1$"),
+        (InteractionStudyConfig, {"moment_eps_ladder": (0.4, 0.401), "moment_theta": 2.0},
+         r"^InteractionStudyConfig\.moment_eps_ladder point 0\.401 at theta 2\.0 gives N = 6"),
+        (CovarianceStudyConfig, {"theta": 0.0},
+         r"^CovarianceStudyConfig\.eps_ladder point 0\.2 at theta 0\.0: eps and theta"),
+    ])
+    def test_config_refusals_name_their_field(self, cfg_cls, kw, message):
+        with pytest.raises(ConfigurationError, match=message):
+            cfg_cls(**kw)
+
     def test_report_without_checks_fails(self):
         report = StudyReport("chaos", {}, [], {}, {}, {}, 0)
         assert report.verdict == "fail"
