@@ -10,7 +10,8 @@ key, every value of its field's type.  Each run writes
     <out>/<name>/<timestamp>/report.json  verdict, checks, fitted slopes
     <out>/<name>/<timestamp>/config.json  the resolved configuration
 
-report.json embeds the seed, the code version, the resolved config, and the
+report.json holds the study name (or the command), the seed, the verdict,
+checks, slopes and details, the code version, the resolved config, and the
 sha256 of raw.csv, so the directory is self-describing.  `cmd_study` times
 the study runner itself and prints the wall-clock time to stdout only; the
 runners and their reports carry no timing.  Identical (config, seed) must
@@ -284,7 +285,8 @@ def cmd_study(name: str, run: RunConfig) -> int:
     report = runner(study_cfg, seed=run.seed, jobs=run.jobs)
     runtime = time.perf_counter() - t0
     resolved = {**dataclasses.asdict(study_cfg), "seed": run.seed}
-    run_dir = write_artifacts(Path(run.out), name, report.raw_table, report.to_dict(),
+    run_dir = write_artifacts(Path(run.out), name, report.raw_table,
+                              {"study_name": name, "seed": run.seed, **report.to_dict()},
                               resolved)
     print(f"study {name}: verdict {report.verdict} ({runtime:.1f} s)")
     for check, ok in report.checks.items():
@@ -360,7 +362,7 @@ def main(argv=None) -> int:
             return cmd_study(args.name, run)
         return cmd_report(Path(run.out))
     except (CliError, ConfigurationError, ResolutionError, DivergenceError,
-            TimeStepError, ValueError, OSError) as exc:
+            TimeStepError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

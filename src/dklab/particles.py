@@ -197,8 +197,10 @@ def ladder_from_thetas(epsilons, theta: float) -> list[tuple[int, float]]:
     N is rounded to an integer and eps recomputed as N^(-1/theta), so the
     scaling holds to machine precision for the pair actually used.  Refused by
     ConfigurationError: an eps or theta that is not finite and positive, an N
-    that is not finite or rounds below 2, and the N of an earlier point.
+    that rounds below 2 or past the largest array index, and the N of an
+    earlier point.
     """
+    n_max = int(np.iinfo(np.intp).max)
     out = {}
     for eps in map(float, epsilons):
         where = f"point {eps} at theta {theta}"
@@ -206,9 +208,9 @@ def ladder_from_thetas(epsilons, theta: float) -> list[tuple[int, float]]:
             raise ConfigurationError(f"{where}: eps and theta must be finite and positive")
         # past e^709, near the largest float, the power overflows
         n = round(eps ** -theta) if theta * -math.log(eps) < 709 else math.inf
-        if not 2 <= n < math.inf or n in out:
-            raise ConfigurationError(f"{where} gives N = {n}, " + (
-                f"as point {out[n]} does" if n in out else "not a finite count of at least 2"))
+        if not 2 <= n <= n_max or n in out:
+            raise ConfigurationError(f"{where} gives N = {n:g}, " + (
+                f"as point {out[n]} does" if n in out else f"not a finite count in [2, {n_max}]"))
         out[n] = eps
     return [(n, float(n) ** (-1.0 / theta)) for n in out]
 

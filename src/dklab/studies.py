@@ -5,6 +5,8 @@ Every study is a pure function of (config, seed): ladder cells draw from
 seeds spawned off the master seed by cell index, replicas are simulated in
 fixed-size blocks, and each verdict reads the cells' results in ladder order,
 so the raw table is byte-reproducible at any number of worker processes.
+A study returns only what it computes, a `StudyReport`: no name, seed or
+echo of its config, which the command line writes beside it.
 
 Verdict rules follow one convention: rate gates compare the fitted slope
 plus/minus two standard errors against the declared window, exact identities
@@ -110,15 +112,12 @@ def config_from_dict(cls, data: dict, block: str | None = None):
 
 @dataclass
 class StudyReport:
-    """Raw table plus fitted rates and the pass/fail verdict of one study."""
+    """What one study computes; the verdict follows from the checks."""
 
-    study_name: str
-    parameter_grid: dict
     raw_table: list
     slopes: dict
     checks: dict
     details: dict
-    seed: int | None
 
     @property
     def verdict(self) -> str:
@@ -126,16 +125,8 @@ class StudyReport:
         return "pass" if self.checks and all(self.checks.values()) else "fail"
 
     def to_dict(self) -> dict:
-        return {
-            "study_name": self.study_name,
-            "parameter_grid": self.parameter_grid,
-            "slopes": self.slopes,
-            "checks": self.checks,
-            "verdict": self.verdict,
-            "details": self.details,
-            "seed": self.seed,
-            "n_rows": len(self.raw_table),
-        }
+        return {"slopes": self.slopes, "checks": self.checks,
+                "verdict": self.verdict, "details": self.details}
 
 
 def _slope_entry(fit: PowerLawFit | None) -> dict | None:
@@ -162,6 +153,12 @@ def _map_ordered(fn, items, jobs: int):
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))
+
+
+def _call(fn_args):
+    """fn(args) of one (fn, args) pair: a map over cells of more than one kind."""
+    fn, args = fn_args
+    return fn(args)
 
 
 def _mean_se(values) -> tuple[float, float]:
@@ -230,10 +227,7 @@ def run_chaos_study(cfg: ChaosStudyConfig, seed: int | None = None,
     else:
         fit = fit_loglog(np.asarray(cfg.n_ladder, float), np.asarray(sups))
         checks = {"slope_in_window": slope_within(fit, -0.65, -0.35)}
-    return StudyReport("chaos", {"n_ladder": list(cfg.n_ladder),
-                                 "alpha": cfg.alpha, "n_replicas": cfg.n_replicas},
-                       rows, {"distance_vs_n": _slope_entry(fit)}, checks,
-                       details, seed)
+    return StudyReport(rows, {"distance_vs_n": _slope_entry(fit)}, checks, details)
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +334,12 @@ def run_interaction_study(cfg: InteractionStudyConfig, seed: int | None = None,
     rem_ladder = _ladder(cfg, "eps_ladder", cfg.theta)
     mom_ladder = _ladder(cfg, "moment_eps_ladder", cfg.moment_theta)
     seeds = _child_seeds(seed, len(rem_ladder) + len(mom_ladder))
-    rem_cells = [(cfg, n, eps, s) for (n, eps), s in zip(rem_ladder, seeds[: len(rem_ladder)])]
-    mom_cells = [(cfg, n, eps, s) for (n, eps), s in zip(mom_ladder, seeds[len(rem_ladder):])]
-    rem = _map_ordered(_interaction_cell, rem_cells, jobs)
-    mom = _map_ordered(_moment_cell, mom_cells, jobs)
-    rows = [r for cell in rem + mom for r in cell]
+    cells = [(_interaction_cell, (cfg, n, eps, s)) for (n, eps), s in zip(rem_ladder, seeds)]
+    cells += [(_moment_cell, (cfg, n, eps, s))
+              for (n, eps), s in zip(mom_ladder, seeds[len(rem_ladder):])]
+    results = _map_ordered(_call, cells, jobs)
+    rem, mom = results[:len(rem_ladder)], results[len(rem_ladder):]
+    rows = [r for cell in results for r in cell]
 
     checks, slopes, details = {}, {}, {}
     worst_residue = max((r["identity_residue"] for cell in rem for r in cell), default=0.0)
@@ -375,11 +370,7 @@ def run_interaction_study(cfg: InteractionStudyConfig, seed: int | None = None,
             checks[f"{key}_bounded"] = slope_within(fit, hi=0.05)
         details["moment_tables"] = {key: [float(v) for v in vals]
                                     for key, vals in metrics.items()}
-
-    grid = {"remainder_ladder": [[n, e] for n, e in rem_ladder],
-            "moment_ladder": [[n, e] for n, e in mom_ladder],
-            "theta": cfg.theta, "moment_theta": cfg.moment_theta}
-    return StudyReport("interaction", grid, rows, slopes, checks, details, seed)
+    return StudyReport(rows, slopes, checks, details)
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +543,7 @@ def run_covariance_study(cfg: CovarianceStudyConfig, seed: int | None = None,
     if cfg.sigma == 0.0:
         checks["degenerate_zero_covariance"] = all(
             r["cov_z"] == 0.0 and r["cov_y"] == 0.0 for r in rows)
-        return StudyReport("covariance", {"ladder": [[n, e] for n, e in ladder]},
-                           rows, {}, checks, details, seed)
+        return StudyReport(rows, {}, checks, details)
 
     for (n, eps), (_r, (iso_lhs, iso_rhs)) in zip(ladder, results):
         rel = abs(iso_lhs - iso_rhs) / iso_rhs
@@ -577,11 +567,7 @@ def run_covariance_study(cfg: CovarianceStudyConfig, seed: int | None = None,
                  for rh, rl in zip(rows_hi, rows_lo))
         checks[f"monotone_{hi:.6g}_to_{lo:.6g}"] = ok
 
-    slopes: dict = {}
-    return StudyReport("covariance", {"ladder": [[n, e] for n, e in ladder],
-                                      "separations": list(cfg.separations),
-                                      "n_replicas": cfg.n_replicas},
-                       rows, slopes, checks, details, seed)
+    return StudyReport(rows, {}, checks, details)
 
 
 # ---------------------------------------------------------------------------
@@ -644,10 +630,7 @@ def run_j2_closure_study(cfg: J2ClosureConfig, seed: int | None = None,
             means[i + 1] <= means[i] + 2.0 * (ses[i] + ses[i + 1]))
     details = {"time_averaged_rel_error": {str(m2): {"mean": m, "se": s}
                                            for m2, m, s in zip(cfg.m2_ladder, means, ses)}}
-    return StudyReport("j2_closure", {"m2_ladder": list(cfg.m2_ladder),
-                                      "n_particles": cfg.n_particles,
-                                      "epsilon": cfg.epsilon},
-                       rows, {}, checks, details, seed)
+    return StudyReport(rows, {}, checks, details)
 
 
 # ---------------------------------------------------------------------------
@@ -771,9 +754,7 @@ def run_small_noise_study(cfg: SmallNoiseConfig, seed: int | None = None,
         details["sigma_halving_factor"] = factor
         checks["sigma_halving_in_window"] = 1.4 <= factor <= 4.0
 
-    return StudyReport("small_noise", {"n_ladder": list(cfg.n_ladder),
-                                       "n_replicas": cfg.n_replicas},
-                       rows, {}, checks, details, seed)
+    return StudyReport(rows, {}, checks, details)
 
 
 # ---------------------------------------------------------------------------
@@ -821,8 +802,7 @@ def run_mollifier_study(cfg: MollifierConfig, seed: int | None = None,
                      [r["max_error"] for r in rows if r["function"] == "triangle"])
     slopes = {"triangle_error_vs_eps": _slope_entry(fit)}
     checks["triangle_slope"] = slope_within(fit, lo=0.45)
-    return StudyReport("mollifier", {"eps_ladder": list(cfg.eps_ladder)},
-                       rows, slopes, checks, {"triangle_slope": fit.slope}, seed)
+    return StudyReport(rows, slopes, checks, {})
 
 
 # ---------------------------------------------------------------------------
@@ -906,11 +886,7 @@ def run_evolution_identity_check(cfg: EvolutionIdentityConfig,
     if all(r["res_density"] == 0.0 and r["res_momentum"] == 0.0
            and r["res_flux"] == 0.0 for r in rows):
         checks = {"static_residuals_zero": True}
-        return StudyReport("evolution_identity",
-                           {"dt_ladder": list(cfg.dt_ladder),
-                            "n_particles": cfg.n_particles},
-                           rows, {}, checks,
-                           {"note": "all residuals vanish identically"}, seed)
+        return StudyReport(rows, {}, checks, {"note": "all residuals vanish identically"})
     dts = [r["dt"] for r in rows]
     fit_a, fit_b, fit_c = (fit_loglog(dts, [r[key] for r in rows])
                            for key in ("res_density", "res_momentum", "res_flux"))
@@ -919,10 +895,7 @@ def run_evolution_identity_check(cfg: EvolutionIdentityConfig,
               "flux_order": _slope_entry(fit_c)}
     checks = {"density_order": slope_within(fit_a, lo=1.0),
               "momentum_order": slope_within(fit_b, lo=0.5)}
-    return StudyReport("evolution_identity", {"dt_ladder": list(cfg.dt_ladder),
-                                              "n_particles": cfg.n_particles},
-                       rows, slopes, checks,
-                       {"flux_order_informational": fit_c.slope}, seed)
+    return StudyReport(rows, slopes, checks, {})
 
 
 # ---------------------------------------------------------------------------

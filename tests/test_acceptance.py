@@ -44,11 +44,11 @@ def _report(num: int, ok: bool, desc: str, detail: str = "") -> None:
     assert ok, line
 
 
-def _default_run(name: str):
+def _default_run(name: str, jobs: int = 1):
     """The study's report at its default config and SEED, and its wall time."""
     config_cls, run = STUDY_REGISTRY[name]
     t0 = time.perf_counter()
-    rep = run(config_cls(), seed=SEED)
+    rep = run(config_cls(), seed=SEED, jobs=jobs)
     return rep, time.perf_counter() - t0
 
 
@@ -59,12 +59,13 @@ def chaos_report():
 
 @pytest.fixture(scope="module")
 def interaction_report():
-    return _default_run("interaction")
+    # two processes: the golden raw.csv test then also checks jobs invariance
+    return _default_run("interaction", jobs=2)
 
 
 @pytest.fixture(scope="module")
 def covariance_report():
-    return _default_run("covariance")
+    return _default_run("covariance", jobs=2)
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +166,7 @@ def test_06_mollifier_bound(mollifier_report):
     rep, _ = mollifier_report
     ok = rep.checks["bound_every_point"] and rep.checks["triangle_slope"]
     _report(6, ok, "mollifier error sits under 2 Lip sqrt(eps) at every ladder point",
-            f"triangle slope {rep.details['triangle_slope']:.3f}")
+            f"triangle slope {rep.slopes['triangle_error_vs_eps']['slope']:.3f}")
 
 
 def test_07_spde_structural_invariants():
@@ -299,7 +300,7 @@ def test_12_evolution_identity_orders(evolution_identity_report):
     _report(12, ok, "discrete field identities refine at the required dt orders",
             f"density {rep.slopes['density_order']['slope']:.2f}, "
             f"momentum {rep.slopes['momentum_order']['slope']:.2f}, "
-            f"flux {rep.details['flux_order_informational']:.2f}")
+            f"flux {rep.slopes['flux_order']['slope']:.2f}")
 
 
 def test_13_j2_closure_ladder(j2_closure_report):

@@ -126,6 +126,20 @@ class TestExitCodes:
         assert main(["study", "chaos", "--config", cfg, "--jobs", "0"]) == 1
         assert "jobs" in capsys.readouterr().err
 
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # an N that fits the index but not the memory fails in the run; a
+        # raising runner stands in for the allocation, which could fill RAM
+        def runner(*a, **k):
+            raise MemoryError("Unable to allocate 1.46 TiB for an array")
+
+        monkeypatch.chdir(tmp_path)
+        cfg_cls, _runner = cli.STUDY_REGISTRY["chaos"]
+        monkeypatch.setitem(cli.STUDY_REGISTRY, "chaos", (cfg_cls, runner))
+        assert main(["study", "chaos", "--config", write_config(tmp_path, TINY_CHAOS)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: Unable to allocate 1.46 TiB for an array"]
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_unresolvable_kernel_cites_the_rule(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "spde": {"n_grid": 64, "epsilon": 0.05, "t_horizon": 0.01}})
@@ -243,6 +257,9 @@ class TestExitCodes:
         ("interaction", {"eps_ladder": [-0.2, 0.1], "theta": 2.5}),
         ("interaction", {"eps_ladder": [0.9, 0.95], "theta": 3.0}),
         ("interaction", {"eps_ladder": [0.2, 1e-200], "theta": 2.0}),
+        # an N past the largest array index, refused before the eps 0.2 cell runs
+        ("interaction", {"eps_ladder": [0.2, 1e-300], "theta": 1.0, "n_replicas": 1,
+                         "moment_eps_ladder": []}),
     ])
     def test_ladder_too_short_for_its_verdict(self, tmp_path, capsys, monkeypatch,
                                               study, block):
@@ -338,6 +355,8 @@ class TestArtifacts:
         assert report["raw_csv_sha256"] == hashlib.sha256(raw).hexdigest()
         assert report["study_name"] == "chaos"
         assert report["seed"] == 5
+        # the resolved config and raw.csv hold the grid and the row count
+        assert "parameter_grid" not in report and "n_rows" not in report
         assert "code_version" in report
         assert "runtime_seconds" not in report
         assert report["resolved_config"] == resolved

@@ -137,7 +137,7 @@ class TestPlumbing:
             cfg_cls(**kw)
 
     def test_report_without_checks_fails(self):
-        report = StudyReport("chaos", {}, [], {}, {}, {}, 0)
+        report = StudyReport([], {}, {}, {})
         assert report.verdict == "fail"
         assert report.to_dict()["verdict"] == "fail"
 
@@ -224,6 +224,21 @@ class TestInteractionStudy:
     def test_raw_csv_is_pinned(self):
         assert raw_sha256(run_interaction_study(INTERACTION_PINNED, seed=0)) == (
             "8ad77ef6ae89c5e1d325f985969768e097bf1eb8526612abeecc8fb35ec321c4")
+
+    def test_one_map_runs_every_cell(self, monkeypatch):
+        # remainder cells, then moment cells, in ladder order: a worker that
+        # ends a remainder cell can start a moment cell
+        calls = []
+        map_ordered = studies._map_ordered
+
+        def recording(fn, items, jobs):
+            calls.append([(f.__name__, args[1]) for f, args in items])
+            return map_ordered(fn, items, jobs)
+
+        monkeypatch.setattr(studies, "_map_ordered", recording)
+        run_interaction_study(INTERACTION_PINNED, seed=0)
+        assert calls == [[("_interaction_cell", 6), ("_interaction_cell", 25),
+                          ("_moment_cell", 8), ("_moment_cell", 16)]]
 
     def test_jobs_do_not_change_the_table(self):
         serial = run_interaction_study(INTERACTION_PINNED, seed=0, jobs=1)
