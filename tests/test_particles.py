@@ -134,11 +134,11 @@ class TestLadder:
         ([0.2], math.nan, r"^point 0\.2 at theta nan: eps and theta"),
         ([0.2], math.inf, r"^point 0\.2 at theta inf: eps and theta"),
         ([1e-200], 2.0, r"^point 1e-200 at theta 2\.0 gives N = inf, not a finite count"),
-        ([1e-300], 1.0, r"^point 1e-300 at theta 1\.0 gives N = 1e\+300, not a finite count"),
         ([0.9, 0.95], 3.0, r"^point 0\.9 at theta 3\.0 gives N = 1, not a finite count"),
         ([1.5], 2.0, r"^point 1\.5 at theta 2\.0 gives N = 0, not a finite count"),
         ([0.4, 0.4], 2.0, r"^point 0\.4 at theta 2\.0 gives N = 6, as point 0\.4 does$"),
         ([0.4, 0.2, 0.401], 2.0, r"^point 0\.401 at theta 2\.0 gives N = 6, as point 0\.4"),
+        ([1e-300], 1.0, r"^point 1e-300 at theta 1\.0 gives N = 1e\+300, not a finite count"),
     ])
     def test_refuses_a_point_without_its_own_n(self, epsilons, theta, message):
         with pytest.raises(ConfigurationError, match=message):
