@@ -57,7 +57,7 @@ when its `steps` begins.
 Yield contract.  The driver yields (lo, hi, rng, steps) once per replica
 block [lo, hi), where `rng` is the block's Generator and `steps` is an
 iterator over the block's steps.  For s = 0 ... main_steps, `steps` yields
-(s, branches, xi, phase): `branches` holds the state of rows [lo, hi) at
+(s, branches, xi, trig): `branches` holds the state of rows [lo, hi) at
 step s: for a coupled run, (q, p, lift) for the interacting branch and
 then (p, lift) for the mean-field branch, started from a copy of the same
 state; for an uncoupled run, (q, p) for its one branch.  `xi` is the
@@ -75,14 +75,12 @@ a state across steps copies it.  The arrays of a block, and the force's
 temporaries, are allocated once per run and block shape, so a step
 allocates no array of the block's size.
 
-`phase` is a `StepPhase` handle on the interacting q of step s when the
-potential is nonzero and s < main_steps, and None otherwise.  Calling it
-returns `torus.cos_sin(q)`, computed on the first call, and `phase.force()`
-returns the pairwise force of q, computed on its first call (from that trig
-if the caller asked for it).  The step then takes the force as its own, so
-it computes neither again, and the bits of every branch are the same
-whether or not the caller asked.  A caller that never asks pays nothing;
-the handle lets go of its arrays when the step runs.
+`trig` is `torus.cos_sin(q)` of the interacting q of step s, as a pair
+of arrays, when the potential is nonzero and s < main_steps, and None
+otherwise.  The step s -> s+1 forms its pairwise force from it, so a caller
+that reads it costs the step nothing.  The step also computes the trig of
+the q it makes, beside the fill of the next xi; the trig of s = 0 is
+computed before the block yields it.
 
 Draw order per block: the start (q, then p), one standard-normal array per
 burn-in step, then per main step `xi` followed by whatever the caller draws
@@ -135,6 +133,7 @@ or OpenMP thread, and each process of a pool starts its own.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from itertools import islice
 
@@ -197,10 +196,14 @@ def ladder_from_thetas(epsilons, theta: float) -> list[tuple[int, float]]:
     N is rounded to an integer and eps recomputed as N^(-1/theta), so the
     scaling holds to machine precision for the pair actually used.  Refused by
     ConfigurationError: an eps or theta that is not finite and positive, an N
-    that rounds below 2 or past the largest array index, and the N of an
-    earlier point.
+    that rounds below 2 or past the largest array index, an N whose one
+    float64 row of particles is larger than the machine's physical memory
+    (where sysconf can tell it), and the N of an earlier point.
     """
     n_max = int(np.iinfo(np.intp).max)
+    names = getattr(os, "sysconf_names", {})  # none where there is no sysconf
+    memory = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+              if {"SC_PAGE_SIZE", "SC_PHYS_PAGES"} <= names.keys() else math.inf)
     out = {}
     for eps in map(float, epsilons):
         where = f"point {eps} at theta {theta}"
@@ -211,6 +214,9 @@ def ladder_from_thetas(epsilons, theta: float) -> list[tuple[int, float]]:
         if not 2 <= n <= n_max or n in out:
             raise ConfigurationError(f"{where} gives N = {n:g}, " + (
                 f"as point {out[n]} does" if n in out else f"not a finite count in [2, {n_max}]"))
+        if 8 * n > memory:
+            raise ConfigurationError(f"{where} gives N = {n:g}, whose particle row of {8 * n:g}"
+                                     f" bytes exceeds the {memory:g} bytes of memory")
         out[n] = eps
     return [(n, float(n) ** (-1.0 / theta)) for n in out]
 
@@ -245,59 +251,12 @@ def pairwise_force(q: np.ndarray, w: PotentialSpec,
     return mean_w1_at(w, q, q, cos_sin_q=cos_sin_q, work=work, negate=True)
 
 
-class StepPhase:
-    """cos q, sin q and the pairwise force of one step's interacting
-    positions, each computed on demand.
-
-    Calling the handle computes `torus.cos_sin(q)` into arrays of the
-    workspace `work` on the first call and returns the same pair after that.
-    `force()` computes `pairwise_force(q, w)` into the workspace `force_work`
-    on its first call, from that pair if it has been computed, and returns the
-    same array after that; its bits are those of the force computed alone.
-    The step s -> s+1 calls `release`, which returns the force, computing it
-    if no caller asked for it, and drops every reference the handle holds, so
-    the step computes neither the trig of wavenumber 1 nor the force again.
-    A handle is valid while its step is yielded.
-    """
-
-    __slots__ = ("_q", "_w", "_work", "_force_work", "_cos_sin", "_force")
-
-    def __init__(self, q: np.ndarray, w: PotentialSpec, work: Workspace,
-                 force_work: Workspace):
-        self._q, self._w, self._work, self._force_work = q, w, work, force_work
-        self._cos_sin = self._force = None
-
-    def _positions(self) -> np.ndarray:
-        if self._q is None:
-            raise RuntimeError("the phase of a step that has already been taken")
-        return self._q
-
-    def __call__(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._cos_sin is None:
-            work = self._work
-            self._cos_sin = cos_sin(self._positions(),
-                                    out=(work["cos"], work["sin"], work["trig"]))
-        return self._cos_sin
-
-    def force(self) -> np.ndarray:
-        if self._force is None:
-            self._force = pairwise_force(self._positions(), self._w, self._cos_sin,
-                                         self._force_work)
-        return self._force
-
-    def release(self) -> np.ndarray:
-        force = self.force()
-        self._q = self._w = self._work = self._force_work = None
-        self._cos_sin = self._force = None
-        return force
-
-
-def _advance(p, q, lift, force_fn, params: ModelParams, sdw, p_new):
+def _advance(p, q, lift, force, params: ModelParams, sdw, p_new):
     """One Euler-Maruyama step for a batch of ensembles, in place.
 
     With sdw = sigma dw for the Brownian increments dw, the step is
 
-        p_new = p + (-gamma p + force(q)) dt + sdw,
+        p_new = p + (-gamma p + force) dt + sdw,
         lift += p dt,  q = wrap(q + p dt),
 
     evaluated by ufuncs in that order, so every bit is that of the formula.
@@ -305,14 +264,14 @@ def _advance(p, q, lift, force_fn, params: ModelParams, sdw, p_new):
     lift and q are updated in place; lift=None carries no lift, and q=None
     carries no position, for a branch whose force does not read it.  p comes
     first because every branch carries it.
-    force_fn=None stands for a force that is identically zero, which is not
-    added; the array force_fn returns is only read.  TimeStepError when a
-    new momentum leaves the guard interval.
+    force is an array of q's shape, which is only read, or None for a force
+    that is identically zero, which is not added.  TimeStepError when a new
+    momentum leaves the guard interval.
     """
     dt = params.dt
     np.multiply(p, -params.gamma, out=p_new)
-    if force_fn is not None:
-        p_new += force_fn(q)
+    if force is not None:
+        p_new += force
     p_new *= dt
     p_new += p
     p_new += sdw
@@ -372,7 +331,7 @@ def replica_steps(params: ModelParams, w: PotentialSpec, *, n_replicas: int,
     """Step the interacting system (and its coupled mean-field twin) block by block.
 
     Yields (lo, hi, rng, steps) for each replica block [lo, hi) in turn, and
-    `steps` yields (s, branches, xi, phase) for s = 0 ... main_steps of that
+    `steps` yields (s, branches, xi, trig) for s = 0 ... main_steps of that
     block; see the module docstring for the contract.  A block's `steps`
     ends with the driver: resuming, closing or dropping the driver closes it.
 
@@ -474,10 +433,14 @@ def _block_steps(params: ModelParams, w: PotentialSpec | None, rng, start: Works
     # spare, and the two then swap
     branches = [[q, p, lift, work["spare"]]]
     n_steps = burn_steps + main_steps
+    # cos q, sin q of the interacting positions, none for the zero potential
+    trig = None if w is None else (work["cos"], work["sin"])
 
-    def step(forces, draw_next: bool):
-        """Take one step of every branch; with draw_next, xi then holds the
-        normals of the next step."""
+    def step(trig, draw_next: bool):
+        """Take one step of every branch, the interacting one under the
+        pairwise force formed from trig (no force if trig is None); with
+        draw_next, xi then holds the normals of the next step, and trig, if
+        any, the cos q, sin q of the new q."""
         np.multiply(xi, sqdt, out=sdw)  # dw, then sigma dw
         np.multiply(sdw, params.sigma, out=sdw)
         drawn = None
@@ -486,10 +449,13 @@ def _block_steps(params: ModelParams, w: PotentialSpec | None, rng, start: Works
         elif draw_next:
             drawn = pool.submit(rng.standard_normal, out=xi)
         try:
-            for branch, force_fn in zip(branches, forces):
+            force = None if trig is None else pairwise_force(q, w, trig, force_work)
+            for branch, b_force in zip(branches, (force, None)):
                 b_q, b_p, b_lift, spare = branch
-                _advance(b_p, b_q, b_lift, force_fn, params, sdw, spare)
+                _advance(b_p, b_q, b_lift, b_force, params, sdw, spare)
                 branch[1], branch[3] = spare, b_p
+            if trig is not None and draw_next:
+                cos_sin(q, out=(*trig, work["trig"]))
         finally:
             if drawn is not None:
                 drawn.result()  # raises what the fill raised
@@ -499,7 +465,7 @@ def _block_steps(params: ModelParams, w: PotentialSpec | None, rng, start: Works
             prefetch[k] = pool.submit(prefetch[k]).result
 
     for r in range(burn_steps):
-        step([None], r + 1 < n_steps)
+        step(None, r + 1 < n_steps)
     if coupled:
         # the mean-field branch's force is None and reads no position
         mf = [None, work["mf_p"], work["mf_lift"], work["mf_spare"]]
@@ -512,11 +478,11 @@ def _block_steps(params: ModelParams, w: PotentialSpec | None, rng, start: Works
         return tuple(tuple(b[k]) for b, k in zip(branches, state_slices))
 
     for s in range(main_steps):
-        phase = None if w is None else StepPhase(q, w, work, force_work)
         hand_over_the_next_start(s)
-        yield s, state(), xi, phase
-        interacting = None if phase is None else (lambda _q: phase.release())
-        step([interacting, None], s + 1 < main_steps)
+        if s == 0 and trig is not None:
+            cos_sin(q, out=(*trig, work["trig"]))
+        yield s, state(), xi, trig
+        step(trig, s + 1 < main_steps)
     hand_over_the_next_start(main_steps)
     yield main_steps, state(), None, None
 
@@ -532,7 +498,7 @@ def _record(params: ModelParams, w: PotentialSpec, snapshot_times, n_arrays: int
     targets = [step_index(t, params.dt, "snapshot time", last) for t in times]
     out = np.zeros((n_arrays, len(targets), driver["n_replicas"], params.n_particles))
     for lo, hi, _rng, steps in replica_steps(params, w, **driver):
-        for s, branches, _xi, _phase in islice(steps, max(targets, default=-1) + 1):
+        for s, branches, _xi, _trig in islice(steps, max(targets, default=-1) + 1):
             for k in [k for k, target in enumerate(targets) if target == s]:
                 for snaps, a in zip(out, (a for b in branches for a in b)):
                     snaps[k, lo:hi] = a

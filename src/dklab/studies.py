@@ -306,7 +306,7 @@ def _moment_cell(args):
     rows = []
     for lo, _hi, _rng, steps in replica_steps(params, w, n_replicas=cfg.moment_replicas,
                                                seed=seed, replica_block=4):
-        for s, ((q, p),), _xi, _phase in steps:
+        for s, ((q, p),), _xi, _trig in steps:
             if s not in snap_steps:
                 continue
             rho_v = weighted_field_values(q, np.ones_like(q), kern, geometry, deriv=0)
@@ -473,12 +473,12 @@ def _covariance_cell(args):
             slab = (np.empty((hi - lo, n)), np.empty((hi - lo, n)))
         # the increments of steps 0 ... main_steps - 1 are all Z and Y read,
         # so the block stops before the step to main_steps
-        for _s, ((q, _p),), xi, phase in islice(steps, main_steps):
+        for _s, ((q, _p),), xi, trig in islice(steps, main_steps):
             dw = xi * sqdt
             dz, e2_sum = np.empty((2, len(idx), hi - lo))  # (A, rows) each
-            # through the phase, the step's pairwise force reuses this cos q, sin q
-            for a, e in enumerate(_pair_exp(kern.kappa, x_eval,
-                                            *(phase() if phase else cos_sin(q)), slab)):
+            # the step's own cos q, sin q, which its pairwise force reads too
+            for a, e in enumerate(_pair_exp(kern.kappa, x_eval, *(trig or cos_sin(q)),
+                                            slab)):
                 np.einsum("bn,bn->b", e, dw, out=dz[a])
                 e *= e  # the kernel at concentration 2 kappa, up to z_half
                 e.sum(axis=-1, out=e2_sum[a])
@@ -843,7 +843,7 @@ def _identity_residuals(args):
     res = [0.0, 0.0, 0.0]
     for _lo, _hi, _rng, steps in replica_steps(params, w, n_replicas=cfg.n_replicas,
                                                seed=seed):
-        for s, ((q, p),), xi, phase in steps:
+        for s, ((q, p),), xi, trig in steps:
             ones = np.ones_like(q)
             rho = weighted_field_values(q, ones, kern, geometry, 0)
             jf = weighted_field_values(q, p, kern, geometry, 0)
@@ -856,8 +856,7 @@ def _identity_residuals(args):
             # density identity: transport by the momentum field
             rhs_a = -dt * weighted_field_values(q, p, kern, geometry, 1)
             # momentum identity: flux + friction + interaction + noise
-            # through the phase, the step reuses this force instead of its own
-            force = phase.force() if phase else pairwise_force(q, w)
+            force = pairwise_force(q, w, trig)
             inter = weighted_field_values(q, -force, kern, geometry, 0)
             noise = cfg.sigma * weighted_field_values(q, xi * math.sqrt(dt), kern,
                                                       geometry, 0)

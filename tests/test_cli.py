@@ -260,6 +260,9 @@ class TestExitCodes:
         # an N past the largest array index, refused before the eps 0.2 cell runs
         ("interaction", {"eps_ladder": [0.2, 1e-300], "theta": 1.0, "n_replicas": 1,
                          "moment_eps_ladder": []}),
+        # an N whose one row of particles (80 TB) is more than the memory
+        ("interaction", {"eps_ladder": [0.2, 1e-13], "theta": 1.0, "n_replicas": 1,
+                         "moment_eps_ladder": []}),
     ])
     def test_ladder_too_short_for_its_verdict(self, tmp_path, capsys, monkeypatch,
                                               study, block):

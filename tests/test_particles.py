@@ -28,7 +28,7 @@ W_COS = PotentialSpec.cosine_potential()
 W_MULTI = PotentialSpec([0.1, 0.7, 0.2, -0.4], [0.0, 0.4, -0.3, 0.25])
 
 
-def euler_step(q, p, lift, force_fn, params, dw):
+def euler_step(q, p, lift, force_of, params, dw):
     """The Euler-Maruyama step written out in new arrays, with the ufuncs of
     the in-place `_advance` in the same order: its oracle.
 
@@ -36,8 +36,8 @@ def euler_step(q, p, lift, force_fn, params, dw):
         lift_new = lift + p dt,  q_new = wrap(q + p dt)
     """
     p_new = np.multiply(p, -params.gamma)
-    if force_fn is not None:
-        p_new += force_fn(q)
+    if force_of is not None:
+        p_new += force_of(q)
     p_new *= params.dt
     p_new += p
     p_new += params.sigma * dw
@@ -67,7 +67,7 @@ def check_caller_draws(n_particles):
     plain, mixed, extra = [], [], []
     for path, draws in ((plain, False), (mixed, True)):
         for _lo, _hi, rng, steps in replica_steps(params, W_COS, n_replicas=2, seed=4):
-            for s, branches, xi, _phase in steps:
+            for s, branches, xi, _trig in steps:
                 path.append((s, copied(branches), None if xi is None else xi.copy()))
                 if draws and xi is not None:
                     extra.append(rng.standard_normal())
@@ -120,7 +120,12 @@ class TestLadder:
     @given(eps=st.floats(0.05, 0.5), theta=st.floats(1.0, 8.0))
     @settings(max_examples=40, deadline=None)
     def test_scaling_holds_exactly(self, eps, theta):
-        for n, e in ladder_from_thetas([eps], theta):
+        # N reaches 2.6e10 here, past the memory of a small machine, whose
+        # bound has its own refusal case below; without sysconf it is off
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(particles.os, "sysconf_names", {})
+            pairs = ladder_from_thetas([eps], theta)
+        for n, e in pairs:
             assert n >= 2
             assert n * e ** theta == pytest.approx(1.0, rel=1e-9)
 
@@ -139,6 +144,9 @@ class TestLadder:
         ([0.4, 0.4], 2.0, r"^point 0\.4 at theta 2\.0 gives N = 6, as point 0\.4 does$"),
         ([0.4, 0.2, 0.401], 2.0, r"^point 0\.401 at theta 2\.0 gives N = 6, as point 0\.4"),
         ([1e-300], 1.0, r"^point 1e-300 at theta 1\.0 gives N = 1e\+300, not a finite count"),
+        # 80 TB in one row of particles, refused from sysconf alone
+        ([1e-13], 1.0, r"^point 1e-13 at theta 1\.0 gives N = 1e\+13, whose particle row of "
+                       r"8e\+13 bytes exceeds the \S+ bytes of memory$"),
     ])
     def test_refuses_a_point_without_its_own_n(self, epsilons, theta, message):
         with pytest.raises(ConfigurationError, match=message):
@@ -189,7 +197,7 @@ class TestAdvance:
         dw = np.array([0.05, -0.02])
         force = np.array([0.3, -0.4])
         q2, p2, lift2, p_new = q.copy(), p.copy(), lift.copy(), np.empty(2)
-        _advance(p2, q2, lift2, lambda x: force, params, 0.7 * dw, p_new)
+        _advance(p2, q2, lift2, force, params, 0.7 * dw, p_new)
         assert lift2 == pytest.approx(q + p * 1e-2, abs=1e-15)
         assert q2 == pytest.approx(wrap(q + p * 1e-2), abs=1e-15)
         assert q2[1] < 0.02  # the second particle wrapped around
@@ -201,7 +209,7 @@ class TestAdvance:
         params = small_params(n_particles=1, momentum_guard=1.0)
         with pytest.raises(TimeStepError):
             _advance(np.array([0.99]), np.array([0.0]), np.array([0.0]),
-                     lambda x: np.full_like(x, 100.0), params,
+                     np.array([100.0]), params,
                      np.array([0.0]), np.empty(1))
 
     @pytest.mark.parametrize("carried", [True, False])
@@ -216,7 +224,7 @@ class TestAdvance:
         want = euler_step(q, p, lift, lambda x: pairwise_force(x, W_MULTI), params, dw)
         got = (q.copy(), p.copy(), None if lift is None else lift.copy())
         p_new = np.empty(64)
-        _advance(got[1], got[0], got[2], lambda x: pairwise_force(x, W_MULTI), params,
+        _advance(got[1], got[0], got[2], pairwise_force(q, W_MULTI), params,
                  params.sigma * dw, p_new)
         assert same_bits(got[0], want[0]) and same_bits(p_new, want[1])
         if carried:
@@ -323,7 +331,7 @@ class TestReplicaSteps:
         seen = []
         for lo, hi, _rng, steps in replica_steps(
                 params, W_COS, n_replicas=6, seed=2, replica_block=4, coupled=True):
-            for s, branches, xi, _phase in steps:
+            for s, branches, xi, _trig in steps:
                 seen.append((lo, hi, s, xi is None))
                 (q, p, lift), (p_mf, lift_mf) = branches
                 for a in (q, p, lift, p_mf, lift_mf):
@@ -344,76 +352,35 @@ class TestReplicaSteps:
         params = small_params(n_particles=7, gamma=0.8, sigma=sigma)
         driver = replica_steps(params, W_COS, n_replicas=3, seed=2)  # a block ends with it
         _lo, _hi, _rng, steps = next(driver)
-        _s, ((q, p),), _xi, _phase = next(steps)
+        _s, ((q, p),), _xi, _trig = next(steps)
         twin = np.random.default_rng(np.random.SeedSequence(2).spawn(1)[0])
         assert same_bits(q, twin.uniform(0.0, TWO_PI, (3, 7)))
         assert same_bits(p, twin.normal(0.0, math.sqrt(params.temperature), (3, 7)))
 
-    @pytest.mark.parametrize("w", [W_COS, PotentialSpec([0.0, 0.7, 0.2],
-                                                         [0.0, 0.4, -0.3])])
-    def test_phase_is_the_trig_of_q_and_changes_no_bit(self, w):
+    @pytest.mark.parametrize("w", [W_COS, W_MULTI], ids=["cos", "multi"])
+    def test_trig_is_the_cos_sin_of_q_and_changes_no_bit(self, w):
         params = small_params(t_horizon=0.02, burn_in=0.01)
         kw = dict(n_replicas=5, seed=3, replica_block=4, coupled=True)
-        asked, plain = [], []
+        read, plain = [], []
         for _lo, _hi, _rng, steps in replica_steps(params, w, **kw):
-            for s, branches, xi, phase in steps:
-                q = branches[0][0]
+            for s, branches, xi, trig in steps:
                 if xi is None:
-                    assert phase is None
+                    assert trig is None
                 else:
-                    cos_q, sin_q = phase()
-                    ref_cos, ref_sin = cos_sin(q)
-                    assert np.array_equal(cos_q.view(np.int64), ref_cos.view(np.int64))
-                    assert np.array_equal(sin_q.view(np.int64), ref_sin.view(np.int64))
-                    assert phase() is phase()
-                asked.append([a.tobytes() for b in branches for a in b])
+                    ref = cos_sin(branches[0][0])
+                    assert all(same_bits(a, b) for a, b in zip(trig, ref, strict=True))
+                read.append([a.tobytes() for b in branches for a in b])
         for _lo, _hi, _rng, steps in replica_steps(params, w, **kw):
-            for s, branches, xi, phase in steps:
+            for s, branches, xi, _trig in steps:
                 plain.append([a.tobytes() for b in branches for a in b])
-        assert asked == plain
+        assert read == plain
         assert len(plain) == 2 * 5
 
-    def test_phase_of_a_taken_step_is_refused(self):
-        driver = replica_steps(small_params(), W_COS, n_replicas=1, seed=0)
-        _lo, _hi, _rng, steps = next(driver)
-        *_, phase = next(steps)
-        next(steps)
-        with pytest.raises(RuntimeError):
-            phase()
-
-    @pytest.mark.parametrize("ask_trig", [False, True])
-    def test_phase_force_is_the_pairwise_force_and_changes_no_bit(self, ask_trig):
-        params = small_params(t_horizon=0.02, burn_in=0.01)
-        kw = dict(n_replicas=5, seed=3, replica_block=4, coupled=True)
-        asked, plain = [], []
-        for _lo, _hi, _rng, steps in replica_steps(params, W_MULTI, **kw):
-            for s, branches, xi, phase in steps:
-                if xi is not None:
-                    if ask_trig:
-                        phase()
-                    force = phase.force()
-                    assert same_bits(force, pairwise_force(branches[0][0], W_MULTI))
-                    assert phase.force() is force
-                asked.append([a.tobytes() for b in branches for a in b])
-        for _lo, _hi, _rng, steps in replica_steps(params, W_MULTI, **kw):
-            for s, branches, xi, phase in steps:
-                plain.append([a.tobytes() for b in branches for a in b])
-        assert asked == plain
-        assert len(plain) == 2 * 5
-
-    def test_force_of_a_taken_step_is_refused(self):
-        driver = replica_steps(small_params(), W_COS, n_replicas=1, seed=0)
-        _lo, _hi, _rng, steps = next(driver)
-        *_, phase = next(steps)
-        next(steps)
-        with pytest.raises(RuntimeError):
-            phase.force()
-
-    def test_no_phase_without_a_pairwise_force(self):
+    def test_no_trig_without_a_pairwise_force(self):
         for _lo, _hi, _rng, steps in replica_steps(small_params(), PotentialSpec.zero(),
                                                    n_replicas=2, seed=0):
-            for *_, phase in steps:
-                assert phase is None
+            for *_, trig in steps:
+                assert trig is None
 
     def test_no_replicas_yield_no_block(self):
         assert list(replica_steps(small_params(), W_COS, n_replicas=0, seed=0)) == []
@@ -430,7 +397,7 @@ class TestReplicaSteps:
         params = small_params(n_particles=5, t_horizon=0.02)
         path = [(copied(branches)[0], None if xi is None else xi.copy())
                 for _lo, _hi, _rng, steps in replica_steps(params, W_COS, n_replicas=3, seed=1)
-                for _s, branches, xi, _phase in steps]
+                for _s, branches, xi, _trig in steps]
         assert len(path) == 5
         for (state, xi), (after, _) in zip(path, path[1:]):
             stepped = euler_step(*state, None, lambda x: pairwise_force(x, W_COS),
@@ -448,7 +415,7 @@ class TestReplicaSteps:
         monkeypatch.setattr(particles, "_advance", recorded)
         for _lo, _hi, _rng, steps in replica_steps(small_params(burn_in=0.02), W_COS,
                                                    n_replicas=2, seed=0):
-            for _s, branches, _xi, _phase in steps:
+            for _s, branches, _xi, _trig in steps:
                 assert [len(b) for b in branches] == [2]
         assert len(lifts) == 4 + 20 and all(lift is None for lift in lifts)
 
@@ -458,25 +425,25 @@ class TestReplicaSteps:
                             lambda p, *args: calls.append(len(p)) or _advance(p, *args))
         for lo, _hi, _rng, steps in replica_steps(small_params(), W_COS, n_replicas=6,
                                                   seed=0, replica_block=4, coupled=True):
-            for s, _branches, _xi, _phase in steps:
+            for s, _branches, _xi, _trig in steps:
                 if s == 2 + lo:
                     break
         # the first block takes 2 steps, the second 6, both branches each
         assert calls == [4] * 4 + [2] * 12
 
-    @pytest.mark.parametrize("ask_phase", [False, True])
+    @pytest.mark.parametrize("read_trig", [False, True])
     @pytest.mark.parametrize("coupled", [False, True])
     @pytest.mark.parametrize("w", [W_COS, W_MULTI], ids=["cos", "multi"])
-    def test_a_step_allocates_no_particle_sized_array(self, w, coupled, ask_phase):
+    def test_a_step_allocates_no_particle_sized_array(self, w, coupled, read_trig):
         # numpy reports its array buffers to tracemalloc
         params = small_params(n_particles=4096, t_horizon=0.04, burn_in=0.01)
         driver = replica_steps(params, w, n_replicas=16, coupled=coupled)
         _lo, _hi, _rng, steps = next(driver)
         tracemalloc.start()
         try:
-            for s, _branches, _xi, phase in steps:
-                if ask_phase and phase is not None:
-                    phase()
+            for s, _branches, _xi, trig in steps:
+                if read_trig and trig is not None:
+                    assert np.isfinite(trig[0].sum() + trig[1].sum())
                 if s == 1:  # the first step made the block's arrays
                     base = tracemalloc.get_traced_memory()[0]
                     tracemalloc.reset_peak()
@@ -518,7 +485,7 @@ def yielded(params, w, stops=None, **driver):
     stops = stops or {}
     out = []
     for lo, _hi, rng, steps in replica_steps(params, w, **driver):
-        for s, branches, xi, _phase in ([] if lo in stops and stops[lo] is None else steps):
+        for s, branches, xi, _trig in ([] if lo in stops and stops[lo] is None else steps):
             out.append([lo, s] + [a.tobytes() for b in branches for a in b]
                        + [None if xi is None else xi.tobytes()])
             if stops.get(lo) == s:
@@ -542,9 +509,9 @@ class TestDrawAhead:
     def test_the_threshold_splits_the_test_blocks(self):
         assert AHEAD_N < particles.DRAW_AHEAD_ELEMENTS <= 2 * AHEAD_N
 
-    @pytest.mark.parametrize("ask_phase", [False, True])
+    @pytest.mark.parametrize("read_trig", [False, True])
     @pytest.mark.parametrize("coupled", [False, True])
-    def test_each_step_has_the_bits_of_the_oracle(self, coupled, ask_phase):
+    def test_each_step_has_the_bits_of_the_oracle(self, coupled, read_trig):
         # a burn-in, then a block of 2 rows, which draws ahead, and one of 1 row,
         # which does not
         params = small_params(n_particles=AHEAD_N, burn_in=0.01, t_horizon=0.02)
@@ -553,10 +520,11 @@ class TestDrawAhead:
         seen, during = [], []
         for lo, hi, rng, steps in replica_steps(params, W_MULTI, n_replicas=3, seed=5,
                                                 replica_block=2, coupled=coupled):
-            for s, branches, xi, phase in steps:
+            for s, branches, xi, trig in steps:
                 during.append(helpers_alive())
-                if ask_phase and phase is not None:
-                    phase()
+                if read_trig and trig is not None:
+                    # computed beside the fill of this xi
+                    assert all(same_bits(a, b) for a, b in zip(trig, cos_sin(branches[0][0])))
                 if s > 0:
                     inter = euler_step(*before[0], *[None][:3 - len(before[0])],
                                        lambda x: pairwise_force(x, W_MULTI), params, dw)
@@ -588,7 +556,7 @@ class TestDrawAhead:
                          for _lo, _hi, _rng, steps in replica_steps(
                              params, W_COS, n_replicas=4, seed=6, replica_block=2,
                              coupled=coupled)
-                         for _s, branches, xi, _phase in steps])
+                         for _s, branches, xi, _trig in steps])
         assert runs[0] == runs[1]
         assert len(runs[0]) == 2 * 7
 
@@ -736,7 +704,7 @@ class TestDrawAhead:
                 ref = np.random.default_rng(children[lo // block])
                 ref.uniform(0.0, TWO_PI, shape)
                 ref.normal(0.0, np.sqrt(0.5), shape)
-                for s, _branches, xi, _phase in steps:
+                for s, _branches, xi, _trig in steps:
                     if xi is not None:
                         assert np.array_equal(ref.standard_normal(shape), xi)
                         assert ref.standard_normal() == rng.standard_normal()
@@ -889,7 +857,7 @@ class TestZeroMeanFieldForce:
         seen = []
         for lo, hi, _rng, steps in replica_steps(
                 params, w, n_replicas=6, seed=8, replica_block=4, coupled=True):
-            for s, branches, xi, _phase in steps:
+            for s, branches, xi, _trig in steps:
                 if s == 0:
                     rng = np.random.default_rng(children[lo // 4])
                     shape = (hi - lo, params.n_particles)

@@ -576,19 +576,22 @@ class TestEvolutionIdentity:
         assert report.slopes["momentum_order"]["slope"] > 0.25
 
     def test_each_step_takes_one_pairwise_force(self, monkeypatch):
-        # the study reads the step's force through the phase and the step
-        # reuses it; 20 replicas in blocks of 16 and 4, 5 steps each
-        force, rows = particles.pairwise_force, []
+        # the step forms its own force, and the study one more of the same q
+        # from the step's trig; 20 replicas in blocks of 16 and 4, 5 steps each
+        force, rows = particles.pairwise_force, {"step": [], "study": []}
 
-        def counted(q, *args):
-            rows.append(len(q))
-            return force(q, *args)
+        def counted(who):
+            def call(q, w, trig, *args):
+                assert trig is not None
+                rows[who].append(len(q))
+                return force(q, w, trig, *args)
+            return call
 
-        monkeypatch.setattr(particles, "pairwise_force", counted)
-        monkeypatch.setattr(studies, "pairwise_force", counted)
+        monkeypatch.setattr(particles, "pairwise_force", counted("step"))
+        monkeypatch.setattr(studies, "pairwise_force", counted("study"))
         cfg = EvolutionIdentityConfig(n_particles=16, n_replicas=20, t_horizon=0.05)
         studies._identity_residuals((cfg, 1e-2, 0))
-        assert rows == [16] * 5 + [4] * 5
+        assert rows == {"step": [16] * 5 + [4] * 5, "study": [16] * 5 + [4] * 5}
 
     def test_raw_csv_is_pinned(self):
         cfg = EvolutionIdentityConfig(n_particles=16, n_replicas=2,
